@@ -271,6 +271,9 @@ def _n_real(moments: LogLikMoments, c_target: float) -> float:
             )
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            # lo and hi are adjacent floats; no further step moves hi
+            break
         if _confidence_real(mid, m).c_total >= c_target:
             hi = mid
         else:

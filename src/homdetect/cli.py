@@ -12,8 +12,7 @@ Subcommands:
 Every parameter flag can also come from a JSON config document passed with
 --config; explicit flags win over the document, which wins over defaults,
 so a config run and the equivalent flag run emit identical bytes.  File
-outputs are written atomically.  HOMDETECT_THREADS caps sweep worker
-threads (default 1).
+outputs are written atomically.
 
 Exit status: 0 on success, 1 when validate-oracle finds a deviation above
 tolerance, 2 for invalid input.
@@ -25,9 +24,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
-
-import numpy as np
 
 from .bayes import HypothesisPair
 from .fock_oracle import OracleConfig, compare_with_closed_form
@@ -39,19 +35,20 @@ from .photon_stats import (
     apply_saturation,
     atomic_write_text,
     build_distribution,
+    table_csv_text,
+    table_entries,
     DEFAULT_TAIL_TOL,
 )
 from .sweep import (
     SweepResult,
-    SweepRow,
     SweepSpec,
     TWO_SIGMA,
-    n_two_sigma,
-    optimize_nc,
+    evaluate_point,
+    grid_points,
+    optimize_nc,  # noqa: F401  unused here; bench/spans.py wraps this binding
     preset,
     preset_names,
     run_sweep,
-    speedup as speedup_ratio,
 )
 
 __all__ = ["main"]
@@ -126,8 +123,31 @@ def _emit(text: str, output: str | None) -> None:
         atomic_write_text(output, text)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def _emit_result(result: SweepResult, fmt: str, output: str | None) -> None:
+    _emit(result.csv_text() if fmt == "csv" else _json_text(result.json_dict()), output)
+
+
+def _point_spec(args: argparse.Namespace, config: dict) -> SweepSpec:
+    """The one-point sweep that nmeas, speedup and the flag form of sweep
+    evaluate, carrying every flag that changes its numbers."""
+    params = _params_from(args, config)
+    return SweepSpec(
+        protocols=(params.protocol.value,),
+        xi=params.xi,
+        epsilon=params.epsilon,
+        cos_theta=params.cos_theta,
+        eta=(params.eta,),
+        n_e=(params.n_e,),
+        n_i=(params.n_i,),
+        n_c="optimize" if getattr(args, "optimize_nc", False) else (params.n_c,),
+        saturations=(_parse_saturation(_resolve(args, config, "saturation", None)),),
+        c_target=float(_resolve(args, config, "c_target", TWO_SIGMA)),
+        tail_tol=float(_resolve(args, config, "tail_tol", DEFAULT_TAIL_TOL)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -145,47 +165,22 @@ def cmd_dist(args: argparse.Namespace) -> int:
     if args.diff:
         pair = HypothesisPair.from_params(params, tail_tol=tail_tol, saturation=t)
         table = pair.present.probs - pair.absent.probs
-        ref = pair.present
-        value_header = "dp"
+        if fmt == "csv":
+            text = table_csv_text(table, "dp")
+        else:
+            text = _json_text({
+                "params": params.to_dict(),
+                "saturation": t,
+                "k_max": pair.present.k_max,
+                "diff": True,
+                "entries": table_entries(table),
+            })
     else:
         dist = build_distribution(params, tail_tol=tail_tol)
         if t is not None:
             dist = apply_saturation(dist, t)
-        table = dist.probs
-        ref = dist
-        value_header = "p"
-
-    if fmt == "csv":
-        if table.ndim == 2:
-            lines = [f"j,k,{value_header}"]
-            for j in range(table.shape[0]):
-                for k in range(table.shape[1]):
-                    lines.append(f"{j},{k},{_fmt(table[j, k])}")
-        else:
-            lines = [f"j,{value_header}"]
-            for j in range(table.shape[0]):
-                lines.append(f"{j},{_fmt(table[j])}")
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        if args.diff:
-            if table.ndim == 2:
-                entries = [
-                    [j, k, table[j, k]]
-                    for j in range(table.shape[0])
-                    for k in range(table.shape[1])
-                ]
-            else:
-                entries = [[j, table[j]] for j in range(table.shape[0])]
-            doc = {
-                "params": params.to_dict(),
-                "saturation": t,
-                "k_max": ref.k_max,
-                "diff": True,
-                "entries": entries,
-            }
-        else:
-            doc = ref.to_json_dict()
-        _emit(json.dumps(doc, indent=1) + "\n", args.output)
+        text = dist.csv_text() if fmt == "csv" else _json_text(dist.to_json_dict())
+    _emit(text, args.output)
     return 0
 
 
@@ -224,7 +219,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "q25": [float(v) for v in ensemble.q25],
             "q75": [float(v) for v in ensemble.q75],
         }
-        atomic_write_text(args.output, json.dumps(steps, indent=1) + "\n")
+        atomic_write_text(args.output, _json_text(steps))
     ensemble.to_summary_json(_summary_path(args.output))
     return 0
 
@@ -234,72 +229,24 @@ def _summary_path(output: str) -> str:
     return base + ".summary.json"
 
 
-def _single_row_result(params: ProtocolParams, t: int | None, n: int, ratio: float,
-                       n_c: float, at_bound: bool) -> SweepResult:
-    spec = SweepSpec(
-        protocols=(params.protocol.value,),
-        xi=params.xi,
-        epsilon=params.epsilon,
-        cos_theta=params.cos_theta,
-        eta=(params.eta,),
-        n_e=(params.n_e,),
-        n_i=(params.n_i,),
-        n_c=(n_c,),
-        saturations=(t,),
-    )
-    row = SweepRow(
-        protocol=params.protocol.value,
-        eta=params.eta,
-        n_e=params.n_e,
-        n_i=params.n_i,
-        n_c=n_c,
-        t=t,
-        n_2sigma=n,
-        speedup=ratio,
-        at_bound=at_bound,
-    )
-    return SweepResult(spec=spec, rows=(row,))
+def _run_point(args: argparse.Namespace, config: dict, spec: SweepSpec) -> int:
+    (point,) = grid_points(spec)
+    result = SweepResult(spec=spec, rows=(evaluate_point(spec, point),))
+    _emit_result(result, _resolve(args, config, "format", "csv"), args.output)
+    return 0
 
 
 def cmd_nmeas(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    params = _params_from(args, config)
-    t = _parse_saturation(_resolve(args, config, "saturation", None))
-    tail_tol = float(_resolve(args, config, "tail_tol", DEFAULT_TAIL_TOL))
-    c_target = float(_resolve(args, config, "c_target", TWO_SIGMA))
-    fmt = _resolve(args, config, "format", "csv")
-
-    n = n_two_sigma(params, t, c_target, tail_tol)
-    ratio = speedup_ratio(params, t, c_target, tail_tol)
-    nc_col = 0.0 if params.protocol is Protocol.DIRECT else params.n_c
-    result = _single_row_result(params, t, n, ratio, nc_col, False)
-    _emit(result.csv_text() if fmt == "csv" else json.dumps(result.json_dict(), indent=1) + "\n",
-          args.output)
-    return 0
+    return _run_point(args, config, _point_spec(args, config))
 
 
 def cmd_speedup(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    params = _params_from(args, config)
-    if params.protocol is Protocol.DIRECT:
+    spec = _point_spec(args, config)
+    if spec.protocols == (Protocol.DIRECT.value,):
         raise ParameterError("speedup compares a two-detector protocol against direct detection")
-    t = _parse_saturation(_resolve(args, config, "saturation", None))
-    tail_tol = float(_resolve(args, config, "tail_tol", DEFAULT_TAIL_TOL))
-    c_target = float(_resolve(args, config, "c_target", TWO_SIGMA))
-    fmt = _resolve(args, config, "format", "csv")
-
-    if args.optimize_nc:
-        opt = optimize_nc(params, t, c_target, tail_tol=tail_tol)
-        n, nc_col, at_bound = opt.n_star, opt.n_c_star, opt.at_bound
-        ratio = speedup_ratio(replace(params, n_c=nc_col), t, c_target, tail_tol)
-    else:
-        n = n_two_sigma(params, t, c_target, tail_tol)
-        ratio = speedup_ratio(params, t, c_target, tail_tol)
-        nc_col, at_bound = params.n_c, False
-    result = _single_row_result(params, t, n, ratio, nc_col, at_bound)
-    _emit(result.csv_text() if fmt == "csv" else json.dumps(result.json_dict(), indent=1) + "\n",
-          args.output)
-    return 0
+    return _run_point(args, config, spec)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -310,25 +257,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     elif args.config is not None:
         spec = SweepSpec.from_dict(_load_config(args.config))
     else:
-        config: dict = {}
-        params = _params_from(args, config)
-        t = _parse_saturation(args.saturation)
-        spec = SweepSpec(
-            protocols=(params.protocol.value,),
-            xi=params.xi,
-            epsilon=params.epsilon,
-            cos_theta=params.cos_theta,
-            eta=(params.eta,),
-            n_e=(params.n_e,),
-            n_i=(params.n_i,),
-            n_c="optimize" if args.optimize_nc else (params.n_c,),
-            saturations=(t,),
-            c_target=float(args.c_target) if args.c_target is not None else TWO_SIGMA,
-        )
-    result = run_sweep(spec)
-    fmt = args.format or "csv"
-    _emit(result.csv_text() if fmt == "csv" else json.dumps(result.json_dict(), indent=1) + "\n",
-          args.output)
+        spec = _point_spec(args, {})
+    _emit_result(run_sweep(spec), args.format or "csv", args.output)
     return 0
 
 

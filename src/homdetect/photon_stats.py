@@ -42,6 +42,8 @@ __all__ = [
     "hom_pmf",
     "build_distribution",
     "apply_saturation",
+    "table_csv_text",
+    "table_entries",
 ]
 
 # Probabilities this far below zero are floating-point noise from the exact
@@ -322,29 +324,50 @@ class CountDistribution:
     # -- serialization ------------------------------------------------------
 
     def to_csv(self, path: str | os.PathLike) -> None:
-        lines = ["j,k,p" if self.is_joint else "j,p"]
-        for outcome, p in self.outcomes():
-            if self.is_joint:
-                lines.append(f"{outcome.j},{outcome.k},{p:.17g}")
-            else:
-                lines.append(f"{outcome.j},{p:.17g}")
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        atomic_write_text(path, self.csv_text())
+
+    def csv_text(self) -> str:
+        return table_csv_text(self.probs, "p")
 
     def to_json_dict(self) -> dict:
-        if self.is_joint:
-            entries = [[o.j, o.k, p] for o, p in self.outcomes()]
-        else:
-            entries = [[o.j, p] for o, p in self.outcomes()]
         return {
             "params": self.params.to_dict(),
             "saturation": self.saturation,
             "k_max": self.k_max,
             "tail_mass": self.tail_mass,
-            "entries": entries,
+            "entries": table_entries(self.probs),
         }
 
     def to_json(self, path: str | os.PathLike) -> None:
         atomic_write_text(path, json.dumps(self.to_json_dict(), indent=1) + "\n")
+
+
+def table_csv_text(table: np.ndarray, value_header: str) -> str:
+    """CSV of a count table indexed like ``CountDistribution.probs``:
+    ``j,k,<value_header>`` rows for a joint table, ``j,<value_header>``
+    for a direct one, values at full 17-digit precision."""
+    if table.ndim == 2:
+        lines = [f"j,k,{value_header}"]
+        for j in range(table.shape[0]):
+            for k in range(table.shape[1]):
+                lines.append(f"{j},{k},{table[j, k]:.17g}")
+    else:
+        lines = [f"j,{value_header}"]
+        for j in range(table.shape[0]):
+            lines.append(f"{j},{table[j]:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def table_entries(table: np.ndarray) -> list[list]:
+    """JSON entries of a count table: [j, k, value] or [j, value] per
+    outcome, in row-major order."""
+    if table.ndim == 2:
+        return [
+            [j, k, float(table[j, k])]
+            for j in range(table.shape[0])
+            for k in range(table.shape[1])
+        ]
+    return [[j, float(table[j])] for j in range(table.shape[0])]
 
 
 def _initial_k_max(per_detector_mean: float) -> int:

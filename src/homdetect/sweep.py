@@ -5,10 +5,6 @@ confidence reaches a target (default 0.954, the two-sigma level).  This
 module evaluates that count across parameter grids, compares each
 two-detector configuration against direct detection on the same emitter
 and backgrounds, and optimizes the reference brightness per grid point.
-
-Grid evaluation can fan out over threads; set HOMDETECT_THREADS to cap
-the worker count (default 1, serial).  Row order is independent of the
-schedule.
 """
 
 from __future__ import annotations
@@ -16,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
 
@@ -25,6 +20,7 @@ import numpy as np
 from .bayes import (
     HypothesisPair,
     HypothesesIndistinguishableError,
+    LogLikMoments,
     _n_real,
     loglik_moments,
     n_for_confidence,
@@ -47,6 +43,8 @@ __all__ = [
     "n_two_sigma",
     "speedup",
     "optimize_nc",
+    "grid_points",
+    "evaluate_point",
     "run_sweep",
     "preset",
     "preset_names",
@@ -161,17 +159,25 @@ def optimize_nc(
     if params.protocol is Protocol.DIRECT:
         raise ParameterError("the trial count of direct detection does not depend on n_c")
 
-    cache: dict[float, float] = {}
+    # n_c -> (real-valued N, its moments); an unscorable brightness keeps
+    # the exception in place of the moments
+    cache: dict[float, tuple[float, LogLikMoments | Exception]] = {}
 
     def f(nc: float) -> float:
         # real-valued crossing point; smooth in n_c where defined
         if nc not in cache:
             try:
                 moments = _moments_at(replace(params, n_c=nc), t, tail_tol)
-                cache[nc] = _n_real(moments, c_target)
-            except (DegenerateParameterError, HypothesesIndistinguishableError):
-                cache[nc] = math.inf
-        return cache[nc]
+                cache[nc] = (_n_real(moments, c_target), moments)
+            except (DegenerateParameterError, HypothesesIndistinguishableError) as exc:
+                cache[nc] = (math.inf, exc)
+        return cache[nc][0]
+
+    def n_int(nc: float) -> int:
+        value, found = cache[nc]
+        if math.isinf(value):
+            raise found
+        return n_for_confidence(c_target, found)
 
     candidates = [0.0] + list(np.geomspace(lo, hi, NC_GRID_POINTS))
     values = [f(nc) for nc in candidates]
@@ -181,13 +187,11 @@ def optimize_nc(
             "no candidate brightness makes the hypotheses distinguishable"
         )
     if max(finite) - min(finite) <= FLAT_REL_TOL * max(1.0, abs(min(finite))):
-        return NcOptimum(n_c_star=0.0, n_star=_n_int(params, 0.0, t, c_target, tail_tol), at_bound=False)
+        return NcOptimum(n_c_star=0.0, n_star=n_int(0.0), at_bound=False)
 
     best = min(range(len(candidates)), key=lambda i: (values[i], candidates[i]))
     if best == len(candidates) - 1:
-        return NcOptimum(
-            n_c_star=hi, n_star=_n_int(params, hi, t, c_target, tail_tol), at_bound=True
-        )
+        return NcOptimum(n_c_star=hi, n_star=n_int(hi), at_bound=True)
 
     if best <= 1:
         # bracket touches the dark endpoint; refine on the linear interval
@@ -201,18 +205,8 @@ def optimize_nc(
 
     # pick by integer trial count, ties toward the smaller brightness
     finalists = sorted({0.0, candidates[best], refined})
-    scored = []
-    for nc in finalists:
-        if math.isfinite(f(nc)):
-            scored.append((_n_int(params, nc, t, c_target, tail_tol), nc))
-    n_star, n_c_star = min(scored)
+    n_star, n_c_star = min((n_int(nc), nc) for nc in finalists if math.isfinite(f(nc)))
     return NcOptimum(n_c_star=n_c_star, n_star=n_star, at_bound=False)
-
-
-def _n_int(
-    params: ProtocolParams, nc: float, t: int | None, c_target: float, tail_tol: float
-) -> int:
-    return n_two_sigma(replace(params, n_c=nc), t, c_target, tail_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -357,93 +351,87 @@ class SweepResult:
         }
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("HOMDETECT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ParameterError(f"HOMDETECT_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
+def grid_points(spec: SweepSpec) -> list[tuple]:
+    """Every grid point of the spec as (protocol, eta, n_e, n_i, t, n_c),
+    in row order: protocol, eta, backgrounds, saturation, brightness.
+    Direct points carry n_c = 0; optimized points carry "optimize"."""
+    noise_pairs = (
+        [(ne, ne) for ne in spec.n_e]
+        if spec.n_i is None
+        else [(ne, ni) for ne in spec.n_e for ni in spec.n_i]
+    )
+    points = []
+    for protocol in spec.protocols:
+        if protocol == Protocol.DIRECT.value:
+            nc_axis: tuple = (0.0,)
+        elif isinstance(spec.n_c, str):
+            nc_axis = ("optimize",)
+        else:
+            nc_axis = spec.n_c
+        for eta in spec.eta:
+            for ne, ni in noise_pairs:
+                for t in spec.saturations:
+                    for nc in nc_axis:
+                        points.append((protocol, eta, ne, ni, t, nc))
+    return points
+
+
+def evaluate_point(
+    spec: SweepSpec, point: tuple, direct_cache: dict[tuple, int] | None = None
+) -> SweepRow:
+    """Evaluate one grid point of the spec; raises when it cannot be
+    evaluated.
+
+    ``direct_cache`` maps (eta, n_e, n_i, t) to the trial count of direct
+    detection, so the points of one sweep share that baseline.
+    """
+    protocol, eta, ne, ni, t, nc = point
+    if direct_cache is None:
+        direct_cache = {}
+    params = ProtocolParams(
+        protocol=protocol,
+        xi=spec.xi,
+        eta=eta,
+        epsilon=spec.epsilon,
+        n_c=0.0 if nc == "optimize" else nc,
+        n_e=ne,
+        n_i=ni,
+        cos_theta=spec.cos_theta,
+    )
+    direct = params.protocol is Protocol.DIRECT
+    if nc == "optimize":
+        opt = optimize_nc(params, t, spec.c_target, spec.nc_bounds, spec.tail_tol)
+        n, nc, at_bound = opt.n_star, opt.n_c_star, opt.at_bound
+    elif not direct:
+        n, at_bound = n_two_sigma(params, t, spec.c_target, spec.tail_tol), False
+    key = (eta, ne, ni, t)
+    if key not in direct_cache:
+        direct_cache[key] = n_two_sigma(
+            _direct_counterpart(params), t, spec.c_target, spec.tail_tol
+        )
+    if direct:
+        n, at_bound = direct_cache[key], False
+    return SweepRow(protocol, eta, ne, ni, nc, t, n, direct_cache[key] / n, at_bound)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate every grid point of the spec.
+    """Evaluate every grid point of the spec, in ``grid_points`` order.
 
     Points that fail (degenerate parameters, indistinguishable
     hypotheses, truncation overflow) become error rows instead of
-    aborting the sweep.  Row order follows the spec axes: protocol,
-    eta, backgrounds, saturation, brightness.
+    aborting the sweep.
     """
-    points: list[tuple] = []
-    for protocol in spec.protocols:
-        for eta in spec.eta:
-            noise_pairs = (
-                [(ne, ne) for ne in spec.n_e]
-                if spec.n_i is None
-                else [(ne, ni) for ne in spec.n_e for ni in spec.n_i]
-            )
-            for ne, ni in noise_pairs:
-                for t in spec.saturations:
-                    if protocol == Protocol.DIRECT.value:
-                        nc_axis: list = [0.0]
-                    elif isinstance(spec.n_c, str):
-                        nc_axis = ["optimize"]
-                    else:
-                        nc_axis = list(spec.n_c)
-                    for nc in nc_axis:
-                        points.append((protocol, eta, ne, ni, t, nc))
-
     direct_cache: dict[tuple, int] = {}
-
-    def n_direct_for(eta: float, ne: float, ni: float, t: int | None) -> int:
-        key = (eta, ne, ni, t)
-        if key not in direct_cache:
-            params = ProtocolParams(
-                protocol=Protocol.DIRECT, xi=spec.xi, eta=eta, n_e=ne, n_i=ni
-            )
-            direct_cache[key] = n_two_sigma(params, t, spec.c_target, spec.tail_tol)
-        return direct_cache[key]
-
-    def evaluate(point: tuple) -> SweepRow:
-        protocol, eta, ne, ni, t, nc = point
+    rows = []
+    for point in grid_points(spec):
         try:
-            if protocol == Protocol.DIRECT.value:
-                n = n_direct_for(eta, ne, ni, t)
-                return SweepRow(protocol, eta, ne, ni, 0.0, t, n, 1.0, False)
-            base = ProtocolParams(
-                protocol=protocol,
-                xi=spec.xi,
-                eta=eta,
-                epsilon=spec.epsilon,
-                n_c=0.0,
-                n_e=ne,
-                n_i=ni,
-                cos_theta=spec.cos_theta,
-            )
-            if nc == "optimize":
-                opt = optimize_nc(base, t, spec.c_target, spec.nc_bounds, spec.tail_tol)
-                nc_val, n, at_bound = opt.n_c_star, opt.n_star, opt.at_bound
-            else:
-                nc_val, at_bound = float(nc), False
-                n = n_two_sigma(replace(base, n_c=nc_val), t, spec.c_target, spec.tail_tol)
-            ratio = n_direct_for(eta, ne, ni, t) / n
-            return SweepRow(protocol, eta, ne, ni, nc_val, t, n, ratio, at_bound)
+            rows.append(evaluate_point(spec, point, direct_cache))
         except (ValueError, RuntimeError) as exc:
-            nc_val = float("nan") if nc == "optimize" else float(nc)
-            return SweepRow(protocol, eta, ne, ni, nc_val, t, None, None, None, error=str(exc))
-
-    workers = _worker_count()
-    if workers == 1:
-        rows = [evaluate(p) for p in points]
-    else:
-        # warm the direct cache serially so threads only read it
-        for protocol, eta, ne, ni, t, _nc in points:
-            try:
-                n_direct_for(eta, ne, ni, t)
-            except (ValueError, RuntimeError):
-                pass
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(evaluate, points))
+            protocol, eta, ne, ni, t, nc = point
+            nc_val = float("nan") if nc == "optimize" else nc
+            rows.append(
+                SweepRow(protocol, eta, ne, ni, nc_val, t, None, None, None, error=str(exc))
+            )
     return SweepResult(spec=spec, rows=tuple(rows))
 
 

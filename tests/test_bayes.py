@@ -15,6 +15,8 @@ from homdetect.bayes import (
     HypothesisPair,
     LogLikMoments,
     OutcomeOutsideSupportError,
+    _confidence_real,
+    _n_real,
     confidence,
     likelihood_ratio,
     loglik_moments,
@@ -295,6 +297,33 @@ def test_n_for_confidence_target_guards():
     for bad in (0.5, 1.0, 0.2, 1.3):
         with pytest.raises(ParameterError):
             n_for_confidence(bad, m)
+
+
+def _n_real_200_halvings(m, c_target):
+    """The real-valued N search with a fixed 200 halvings."""
+    lo, hi = 0.0, 1.0
+    while _confidence_real(hi, m).c_total < c_target:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _confidence_real(mid, m).c_total >= c_target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_n_search_stops_early_with_identical_result():
+    rng = np.random.default_rng(20250501)
+    for _ in range(300):
+        mu_p, mu_a, sigma_p, sigma_a = 10.0 ** rng.uniform(
+            [-4.0, -4.0, -2.0, -2.0], [1.0, 1.0, 1.0, 1.0]
+        )
+        m = LogLikMoments(
+            mu_present=-mu_p, sigma_present=sigma_p, mu_absent=mu_a, sigma_absent=sigma_a
+        )
+        target = rng.uniform(0.6, 0.999)
+        assert _n_real(m, target) == _n_real_200_halvings(m, target)
 
 
 def test_identical_hypotheses_are_flagged():

@@ -229,6 +229,41 @@ def test_sweep_config_document(tmp_path, capsys):
     assert lines[2].split(",")[5] == "2"
 
 
+def test_sweep_flags_keep_tail_tol(capsys):
+    code, out, _ = run(["sweep", "--format", "json", "--tail-tol", "1e-3"] + HEADLINE_FLAGS,
+                       capsys)
+    assert code == 0
+    assert json.loads(out)["spec"]["tail_tol"] == 1e-3
+
+
+@pytest.mark.parametrize("command", [
+    ["nmeas"] + LOW_FLAGS,
+    ["nmeas", "--saturation", "2"] + HEADLINE_FLAGS,
+    ["speedup"] + HEADLINE_FLAGS,
+    ["speedup", "--optimize-nc", "--protocol", "incoherent", "--xi", "0.1", "--eta", "0.95",
+     "--epsilon", "0.9", "--ne", "0.02", "--ni", "0.02"],
+])
+def test_point_json_spec_reproduces_rows(command, tmp_path, capsys):
+    # the spec a point query reports must be the sweep that gives its rows
+    code, out, _ = run(command + ["--c-target", "0.99", "--tail-tol", "1e-6",
+                                  "--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    cfg = tmp_path / "spec.json"
+    cfg.write_text(json.dumps(doc["spec"]))
+    code, out, _ = run(["sweep", "--config", str(cfg), "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["rows"] == doc["rows"]
+
+
+def test_point_queries_exit_two_on_bad_points(capsys):
+    for command in ("nmeas", "speedup"):
+        code, out, err = run([command, "--protocol", "coherent", "--xi", "0", "--nc", "2"],
+                             capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
+
 def test_sweep_preset_and_config_conflict(tmp_path, capsys):
     cfg = tmp_path / "spec.json"
     cfg.write_text("{}")

@@ -6,8 +6,14 @@ from dataclasses import replace
 
 import pytest
 
+from homdetect import sweep as sweep_module
 from homdetect.bayes import HypothesesIndistinguishableError
-from homdetect.photon_stats import ParameterError, Protocol, ProtocolParams
+from homdetect.photon_stats import (
+    DegenerateParameterError,
+    ParameterError,
+    Protocol,
+    ProtocolParams,
+)
 from homdetect.sweep import (
     SweepResult,
     SweepSpec,
@@ -125,6 +131,25 @@ def test_optimize_flags_indistinguishable_grid():
     hopeless = ProtocolParams(protocol=Protocol.INCOHERENT_HOM, xi=0.0, eta=0.9, epsilon=0.9)
     with pytest.raises(HypothesesIndistinguishableError):
         optimize_nc(hopeless)
+
+
+def test_flat_optimum_at_unscorable_dark_reference_is_an_error_row(monkeypatch):
+    # every brightness scores alike except the dark reference, which cannot
+    # be evaluated; the flat optimum n_c = 0 must report that failure
+    real = sweep_module._moments_at
+
+    def moments_at(params, t, tail_tol):
+        if params.n_c == 0.0:
+            raise DegenerateParameterError("dark reference undefined")
+        return real(replace(params, n_c=1.0), t, tail_tol)
+
+    monkeypatch.setattr(sweep_module, "_moments_at", moments_at)
+    with pytest.raises(DegenerateParameterError, match="dark reference"):
+        optimize_nc(HEADLINE)
+    (row,) = run_sweep(tiny_spec(protocols=("coherent",), eta=(0.9,), n_e=(1.0,),
+                                 n_c="optimize")).rows
+    assert row.error == "dark reference undefined"
+    assert math.isnan(row.n_c) and row.n_2sigma is None
 
 
 # ---------------------------------------------------------------------------
@@ -274,20 +299,6 @@ def test_saturated_sweep_uses_integer_thresholds():
     )
     assert all(r.t == 2 for r in result.rows)
     assert "2" in result.csv_text().split("\n")[1].split(",")[5]
-
-
-def test_thread_pool_matches_serial(monkeypatch):
-    spec = tiny_spec()
-    serial = run_sweep(spec)
-    monkeypatch.setenv("HOMDETECT_THREADS", "4")
-    threaded = run_sweep(spec)
-    assert threaded == serial
-
-
-def test_thread_env_validation(monkeypatch):
-    monkeypatch.setenv("HOMDETECT_THREADS", "many")
-    with pytest.raises(ParameterError):
-        run_sweep(tiny_spec(protocols=("direct",), eta=(0.9,), n_e=(1.0,)))
 
 
 def test_optimizing_sweep_emits_optimum_per_row():
