@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
@@ -97,18 +98,11 @@ class HypothesisPair:
         tail_tol: float = DEFAULT_TAIL_TOL,
         saturation: int | None = None,
     ) -> "HypothesisPair":
-        """Build both hypothesis tables at a common size.
-
-        The two tables share the Poisson envelope, so sizes rarely differ;
-        when the adaptive growth does diverge, the smaller table is rebuilt
-        at the larger size.
-        """
+        """Build both hypothesis tables at a common size: the absent table
+        is the present table's Poisson envelope, which ``build_distribution``
+        already grew to the tail tolerance, so it is pinned at that size."""
         present = build_distribution(params, tail_tol=tail_tol)
-        absent = build_distribution(replace(params, xi=0.0), tail_tol=tail_tol)
-        if present.k_max != absent.k_max:
-            k = max(present.k_max, absent.k_max)
-            present = build_distribution(params, tail_tol=tail_tol, k_max=k)
-            absent = build_distribution(replace(params, xi=0.0), tail_tol=tail_tol, k_max=k)
+        absent = build_distribution(replace(params, xi=0.0), tail_tol=tail_tol, k_max=present.k_max)
         if saturation is not None:
             present = apply_saturation(present, saturation)
             absent = apply_saturation(absent, saturation)
@@ -117,6 +111,18 @@ class HypothesisPair:
     @property
     def saturation(self) -> int | None:
         return self.present.saturation
+
+    @cached_property
+    def log_ratio(self) -> np.ndarray:
+        """ln(lambda) for every tabulated outcome, read-only, floored so
+        conclusive outcomes stay finite; outcomes dead under both
+        hypotheses get 0."""
+        pe = self.present.probs
+        pa = self.absent.probs
+        table = np.log(np.maximum(pa, PROB_FLOOR)) - np.log(np.maximum(pe, PROB_FLOOR))
+        table = np.where((pe < PROB_FLOOR) & (pa < PROB_FLOOR), 0.0, table)
+        table.setflags(write=False)
+        return table
 
 
 @dataclass(frozen=True)
@@ -142,15 +148,6 @@ class ConfidenceReport:
     c_absent: float
     c_total: float
     n: float
-
-
-def _log_ratio_table(pair: HypothesisPair) -> np.ndarray:
-    """ln(lambda) for every tabulated outcome, floored so conclusive
-    outcomes stay finite; outcomes dead under both hypotheses get 0."""
-    pe = pair.present.probs
-    pa = pair.absent.probs
-    table = np.log(np.maximum(pa, PROB_FLOOR)) - np.log(np.maximum(pe, PROB_FLOOR))
-    return np.where((pe < PROB_FLOOR) & (pa < PROB_FLOOR), 0.0, table)
 
 
 def likelihood_ratio(pair: HypothesisPair, outcome: Outcome) -> float:
@@ -195,12 +192,11 @@ def loglik_moments(pair: HypothesisPair) -> LogLikMoments:
     for dist, name in ((pair.present, "present"), (pair.absent, "absent")):
         if abs(dist.total() + dist.tail_mass - 1.0) > NORMALIZATION_TOL:
             raise ParameterError(f"{name} distribution is not normalized")
-    table = _log_ratio_table(pair)
 
     def _moments(truth_probs: np.ndarray) -> tuple[float, float]:
         mask = truth_probs > 0.0
         w = truth_probs[mask]
-        x = table[mask]
+        x = pair.log_ratio[mask]
         mu = float(np.dot(w, x))
         second = float(np.dot(w, x * x))
         return mu, math.sqrt(max(0.0, second - mu * mu))

@@ -11,8 +11,10 @@ Subcommands:
 
 Every parameter flag can also come from a JSON config document passed with
 --config; explicit flags win over the document, which wins over defaults,
-so a config run and the equivalent flag run emit identical bytes.  File
-outputs are written atomically.
+so a config run and the equivalent flag run emit identical bytes.  The
+exception is sweep: a preset or a --config sweep document is the whole
+spec, and parameter flags beside it are refused.  File outputs are
+written atomically.
 
 Exit status: 0 on success, 1 when validate-oracle finds a deviation above
 tolerance, 2 for invalid input.
@@ -54,6 +56,15 @@ from .sweep import (
 __all__ = ["main"]
 
 _PARAM_KEYS = ("protocol", "xi", "eta", "epsilon", "n_c", "n_e", "n_i", "cos_theta")
+
+# Destination -> flag of every sweep option that describes one point; a preset
+# or config document is the whole spec, so these are refused beside it.
+_POINT_FLAGS = {
+    "protocol": "--protocol", "xi": "--xi", "eta": "--eta", "epsilon": "--epsilon",
+    "n_c": "--nc", "n_e": "--ne", "n_i": "--ni", "cos_theta": "--cos-theta",
+    "saturation": "--saturation", "tail_tol": "--tail-tol", "c_target": "--c-target",
+    "optimize_nc": "--optimize-nc",
+}
 
 
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
@@ -252,6 +263,14 @@ def cmd_speedup(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.preset is not None and args.config is not None:
         raise ParameterError("pass either --preset or --config, not both")
+    if args.preset is not None or args.config is not None:
+        given = [flag for dest, flag in _POINT_FLAGS.items()
+                 if getattr(args, dest) is not None and getattr(args, dest) is not False]
+        if given:
+            source = "--preset" if args.preset is not None else "--config"
+            raise ParameterError(
+                f"sweep {source} supplies the whole spec; it takes no {', '.join(given)}"
+            )
     if args.preset is not None:
         spec = preset(args.preset)
     elif args.config is not None:

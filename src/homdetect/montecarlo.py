@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import expit
 
-from .bayes import HypothesisPair, _log_ratio_table, confidence, loglik_moments
+from .bayes import HypothesisPair, confidence, loglik_moments
 from .photon_stats import CountDistribution, Outcome, ParameterError, atomic_write_text
 
 __all__ = [
@@ -151,7 +151,7 @@ def simulate_ensemble(config: EnsembleConfig) -> TrajectoryEnsemble:
     pair = config.pair
     dist = config.truth_dist
     cdf = _flat_cdf(dist)
-    log_ratio = _log_ratio_table(pair).ravel()
+    log_ratio = pair.log_ratio.ravel()
 
     u = _trajectory_uniforms(int(config.seed), config.n_trajectories, config.n_measurements)
     idx = np.searchsorted(cdf, u, side="right")

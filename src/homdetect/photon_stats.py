@@ -181,48 +181,43 @@ def _clamp_negative(p: np.ndarray) -> np.ndarray:
     return np.where((p < 0.0) & (p >= NEG_CLAMP), 0.0, p)
 
 
-def _direct_probs(params: ProtocolParams, k_max: int) -> np.ndarray:
-    """Direct-detection pmf on 0..k_max.
+def _pmf_tables(params: ProtocolParams, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pmf on 0..k_max per detector and its Poisson envelope.
 
-    The record is the sum of a Poisson background and the at-most-one
-    emitter photon, which lands with probability eta * xi:
+    The envelope is Poisson(n_noise) for direct detection and two
+    Poisson(n_bar / 2) factors for two detectors (row index = detector 1);
+    n_bar does not depend on xi, so at xi = 0 (bracket 1) it is the pmf.
 
-        p(k) = (1 - eta xi) Pois(k; n) + eta xi Pois(k - 1; n)
-
-    This convolution form stays exact at n = 0, where it reduces to a
-    Bernoulli split between k = 0 and k = 1.
-    """
-    n_noise = derived_means(params).n_noise
-    q = params.eta * params.xi
-    base = _poisson_vec(k_max, n_noise)
-    probs = (1.0 - q) * base
-    probs[1:] += q * base[:-1]
-    return _clamp_negative(probs)
-
-
-def _hom_probs(params: ProtocolParams, k_max: int) -> np.ndarray:
-    """Two-detector joint pmf on {0..k_max}^2, row index = detector 1.
-
-    Both detectors see Poisson(n_bar / 2) envelopes; the emitter photon and
-    its interference with the reference contribute a polynomial bracket in
-    (j + k) and (j - k).  The bracket below is the expansion in which every
-    xi-dependent term carries its own xi factor, so xi = 0 and xi = 1 are
-    exact endpoints with no indeterminate ratios.
+    Direct: the at-most-one emitter photon lands with probability eta xi,
+    p(k) = (1 - eta xi) Pois(k; n) + eta xi Pois(k - 1; n), exact also at
+    n = 0.  Two detectors: the photon and its interference with the
+    reference give a polynomial bracket in (j + k) and (j - k), expanded so
+    that every xi-dependent term carries its own xi factor and xi = 0 and
+    xi = 1 are exact endpoints with no indeterminate ratios.
     """
     n_bar, n_noise = derived_means(params)
     p = params
-    if n_bar == 0.0:
-        if p.xi > 0.0:
-            raise DegenerateParameterError(
-                "two-detector pmf undefined for n_bar = 0 with xi > 0; "
-                "model an unobserved emitter with the direct protocol at eta = 0"
-            )
-        out = np.zeros((k_max + 1, k_max + 1))
-        out[0, 0] = 1.0
-        return out
     counts = np.arange(k_max + 1.0)
-    lp = _log_poisson(counts, n_bar / 2.0)
-    prefactor = np.exp(lp[:, None] + lp[None, :])
+    if p.protocol is Protocol.DIRECT:
+        envelope = _poisson_vec(k_max, n_noise)
+    elif n_bar > 0.0:
+        lp = _log_poisson(counts, n_bar / 2.0)
+        envelope = np.exp(lp[:, None] + lp[None, :])
+    elif p.xi > 0.0:
+        raise DegenerateParameterError(
+            "two-detector pmf undefined for n_bar = 0 with xi > 0; "
+            "model an unobserved emitter with the direct protocol at eta = 0"
+        )
+    else:
+        envelope = np.zeros((k_max + 1, k_max + 1))
+        envelope[0, 0] = 1.0
+    if p.xi == 0.0:
+        return envelope, envelope
+    if p.protocol is Protocol.DIRECT:
+        q = p.eta * p.xi
+        probs = (1.0 - q) * envelope
+        probs[1:] += q * envelope[:-1]
+        return _clamp_negative(probs), envelope
     total = counts[:, None] + counts[None, :]
     diff = counts[:, None] - counts[None, :]
     cross = 2.0 * p.eta * p.cos_theta * math.sqrt(
@@ -235,7 +230,7 @@ def _hom_probs(params: ProtocolParams, k_max: int) -> np.ndarray:
         + p.eta**2 * p.xi * p.epsilon * p.n_c * diff**2 / n_bar**2
         - cross * diff / n_bar
     )
-    return _clamp_negative(prefactor * bracket)
+    return _clamp_negative(envelope * bracket), envelope
 
 
 def direct_pmf(params: ProtocolParams, k: int) -> float:
@@ -244,7 +239,7 @@ def direct_pmf(params: ProtocolParams, k: int) -> float:
         raise ParameterError("direct_pmf requires the direct protocol")
     if k < 0:
         raise ParameterError(f"count must be >= 0, got {k}")
-    return float(_direct_probs(params, k)[k])
+    return float(_pmf_tables(params, k)[0][k])
 
 
 def hom_pmf(params: ProtocolParams, j: int, k: int) -> float:
@@ -253,8 +248,7 @@ def hom_pmf(params: ProtocolParams, j: int, k: int) -> float:
         raise ParameterError("hom_pmf requires a two-detector protocol")
     if j < 0 or k < 0:
         raise ParameterError(f"counts must be >= 0, got ({j}, {k})")
-    m = max(j, k)
-    return float(_hom_probs(params, m)[j, k])
+    return float(_pmf_tables(params, max(j, k))[0][j, k])
 
 
 # ---------------------------------------------------------------------------
@@ -384,15 +378,16 @@ def build_distribution(
     """Enumerate the count distribution until the untabulated tail is small.
 
     The table starts at a 12-sigma Poisson bound per detector and grows by
-    half until ``1 - sum(probs) <= tail_tol``.  Passing ``k_max`` pins the
-    table size instead (no growth, no tail check).  Raises TruncationError
-    if the cap of 10000 counts per detector cannot reach the tolerance.
+    half until both it and its Poisson envelope (the ``xi = 0`` table) have
+    ``1 - sum <= tail_tol``, so an absent table pinned at the same size
+    meets the tolerance too.  Passing ``k_max`` pins the table size instead
+    (no growth, no tail check).  Raises TruncationError if the cap of 10000
+    counts per detector cannot reach the tolerance.
     """
     if not (tail_tol > 0.0):
         raise ParameterError(f"tail_tol must be > 0, got {tail_tol}")
     n_bar = derived_means(params).n_bar
-    direct = params.protocol is Protocol.DIRECT
-    per_det = n_bar if direct else n_bar / 2.0
+    per_det = n_bar if params.protocol is Protocol.DIRECT else n_bar / 2.0
 
     fixed = k_max is not None
     k = k_max if fixed else _initial_k_max(per_det)
@@ -402,9 +397,10 @@ def build_distribution(
                 f"k_max {k} exceeds the cap of {K_MAX_HARD_CAP}; "
                 f"tail tolerance {tail_tol} unreachable at n_bar = {n_bar}"
             )
-        probs = _direct_probs(params, k) if direct else _hom_probs(params, k)
+        probs, envelope = _pmf_tables(params, k)
         tail = max(0.0, 1.0 - float(probs.sum()))
-        if fixed or tail <= tail_tol:
+        envelope_tail = tail if envelope is probs else 1.0 - float(envelope.sum())
+        if fixed or max(tail, envelope_tail) <= tail_tol:
             return CountDistribution(params=params, probs=probs, tail_mass=tail)
         k = math.ceil(1.5 * k)
 

@@ -247,13 +247,9 @@ class SweepSpec:
                 raise ParameterError(f'n_c must be a grid or "optimize", got {self.n_c!r}')
         else:
             object.__setattr__(self, "n_c", tuple(float(v) for v in self.n_c))
-        sats = []
-        for t in self.saturations:
-            if t is None or (isinstance(t, str) and t == "inf"):
-                sats.append(None)
-            else:
-                sats.append(int(t))
-        object.__setattr__(self, "saturations", tuple(sats))
+        sats = tuple(None if t is None or t == "inf" else int(t) for t in self.saturations)
+        object.__setattr__(self, "saturations", sats)
+        object.__setattr__(self, "nc_bounds", tuple(self.nc_bounds))
 
     def to_dict(self) -> dict:
         return {
@@ -273,17 +269,9 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
-        d = dict(d)
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ParameterError(f"unknown sweep spec keys: {', '.join(unknown)}")
-        for key in ("protocols", "eta", "n_e", "saturations", "nc_bounds"):
-            if key in d and isinstance(d[key], list):
-                d[key] = tuple(d[key])
-        if isinstance(d.get("n_i"), list):
-            d["n_i"] = tuple(d["n_i"])
-        if isinstance(d.get("n_c"), list):
-            d["n_c"] = tuple(d["n_c"])
         return cls(**d)
 
 

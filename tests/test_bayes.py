@@ -30,6 +30,7 @@ from homdetect.photon_stats import (
     ParameterError,
     Protocol,
     ProtocolParams,
+    apply_saturation,
     build_distribution,
 )
 
@@ -71,6 +72,35 @@ def test_pair_rejects_mismatches():
     if absent_small.probs.shape != present.probs.shape:
         with pytest.raises(ParameterError):
             HypothesisPair(present=present, absent=absent_small)
+
+
+@pytest.mark.parametrize("saturation", [None, 2])
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_pair_tables_equal_standalone_builds(protocol, saturation):
+    # the absent table is built once, pinned at the present table's size;
+    # it must still be exactly the table an adaptive build of its own gives
+    rng = np.random.default_rng(20261018)
+    for i in range(34):
+        edge = i < 8
+        params = ProtocolParams(
+            protocol=protocol,
+            xi=float(rng.choice([0.0, 1.0])) if edge else rng.uniform(),
+            eta=float(rng.choice([0.0, 1.0])) if i % 2 else rng.uniform(),
+            epsilon=rng.uniform(),
+            n_c=0.0 if edge else 10.0 ** rng.uniform(-2.0, 2.0),
+            n_e=0.0 if edge else 10.0 ** rng.uniform(-2.0, 1.0),
+            n_i=10.0 ** rng.uniform(-3.0, 0.0),
+            cos_theta=rng.uniform(-1.0, 1.0),
+        )
+        tail_tol = float(rng.choice([1e-12, 1e-8]))
+        pair = HypothesisPair.from_params(params, tail_tol=tail_tol, saturation=saturation)
+        for got, xi in ((pair.present, params.xi), (pair.absent, 0.0)):
+            alone = build_distribution(replace(params, xi=xi), tail_tol=tail_tol)
+            assert alone.tail_mass <= tail_tol
+            if saturation is not None:
+                alone = apply_saturation(alone, saturation)
+            assert np.array_equal(got.probs, alone.probs), params
+            assert got.tail_mass == alone.tail_mass
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +193,14 @@ def test_moments_frozen_values(case):
     assert m.sigma_present == pytest.approx(s_p, rel=1e-12)
     assert m.mu_absent == pytest.approx(mu_a, rel=1e-12)
     assert m.sigma_absent == pytest.approx(s_a, rel=1e-12)
+
+
+def test_log_ratio_is_one_read_only_table_per_pair():
+    pair = HypothesisPair.from_params(LOW_NOISE)
+    table = pair.log_ratio
+    assert table is pair.log_ratio
+    assert not table.flags.writeable
+    assert table[1] == pytest.approx(math.log(likelihood_ratio(pair, Outcome(1))), rel=1e-14)
 
 
 def test_moments_match_independent_summation():

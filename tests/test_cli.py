@@ -272,6 +272,25 @@ def test_sweep_preset_and_config_conflict(tmp_path, capsys):
     assert "not both" in err
 
 
+@pytest.mark.parametrize("source", ["preset", "config"])
+def test_sweep_spec_sources_reject_point_flags(source, tmp_path, capsys):
+    # a preset or config document is the whole spec; point flags beside it
+    # used to be dropped without a word
+    cfg = tmp_path / "spec.json"
+    cfg.write_text('{"protocols": ["direct"]}')
+    spec = ["--preset", "fig2b"] if source == "preset" else ["--config", str(cfg)]
+    code, out, err = run(["sweep"] + spec + ["--saturation", "2", "--eta", "0.5", "--xi", "0",
+                                             "--tail-tol", "1e-3", "--optimize-nc"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: sweep --{source}")
+    for flag in ("--saturation", "--eta", "--xi", "--tail-tol", "--optimize-nc"):
+        assert flag in err
+    target = tmp_path / "rows.json"
+    code, _, _ = run(["sweep"] + spec + ["-o", str(target), "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(target.read_text())["rows"]
+
+
 def test_sweep_config_with_unknown_key_exits_cleanly(tmp_path, capsys):
     cfg = tmp_path / "spec.json"
     cfg.write_text('{"protocols": ["direct"], "noise": [1.0]}')

@@ -167,6 +167,15 @@ def test_spec_normalizes_saturations_and_protocols():
         SweepSpec(n_c="maximize")
 
 
+def test_spec_normalizes_nc_bounds_to_a_tuple():
+    spec = SweepSpec(nc_bounds=[1e-3, 1e3])
+    assert spec.nc_bounds == (1e-3, 1e3)
+    assert spec == SweepSpec(nc_bounds=(1e-3, 1e3))
+    assert hash(spec) == hash(SweepSpec(nc_bounds=(1e-3, 1e3)))
+    # no float cast: integer bounds keep their JSON spelling
+    assert SweepSpec(nc_bounds=[1, 10]).to_dict()["nc_bounds"] == [1, 10]
+
+
 def test_spec_round_trips_through_json():
     spec = SweepSpec(
         protocols=("coherent", "incoherent"),
