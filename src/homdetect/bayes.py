@@ -190,7 +190,7 @@ def loglik_moments(pair: HypothesisPair) -> LogLikMoments:
     the discarded contribution is far below the quoted precision.
     """
     for dist, name in ((pair.present, "present"), (pair.absent, "absent")):
-        if abs(dist.total() + dist.tail_mass - 1.0) > NORMALIZATION_TOL:
+        if not (abs(dist.total() + dist.tail_mass - 1.0) <= NORMALIZATION_TOL):
             raise ParameterError(f"{name} distribution is not normalized")
 
     def _moments(truth_probs: np.ndarray) -> tuple[float, float]:

@@ -9,12 +9,16 @@ Subcommands:
     sweep            evaluate a parameter grid (named preset or config file)
     validate-oracle  cross-check the closed form against the number basis
 
-Every parameter flag can also come from a JSON config document passed with
---config; explicit flags win over the document, which wins over defaults,
-so a config run and the equivalent flag run emit identical bytes.  The
+Every option of a subcommand, -o, --diff and --optimize-nc included, can
+also come from a JSON config document passed with --config, keyed by its
+destination name (n_c for --nc, tail_tol for --tail-tol).  The document
+is merged into the parsed flags once, before dispatch: a key that names
+no option of the subcommand, or holds a list or an object, exits 2;
+explicit flags win over the document, which wins over defaults, so a
+config run and the equivalent flag run emit identical bytes.  The
 exception is sweep: a preset or a --config sweep document is the whole
-spec, and parameter flags beside it are refused.  File outputs are
-written atomically.
+spec, and parameter flags beside it are refused.  validate-oracle takes
+no --saturation or --tail-tol.  File outputs are written atomically.
 
 Exit status: 0 on success, 1 when validate-oracle finds a deviation above
 tolerance, 2 for invalid input.
@@ -45,6 +49,7 @@ from .sweep import (
     SweepResult,
     SweepSpec,
     TWO_SIGMA,
+    _parse_saturation,
     evaluate_point,
     grid_points,
     optimize_nc,  # noqa: F401  unused here; bench/spans.py wraps this binding
@@ -76,19 +81,17 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--ne", dest="n_e", type=float, default=None, help="excitation background")
     sub.add_argument("--ni", dest="n_i", type=float, default=None, help="dark counts per detector")
     sub.add_argument("--cos-theta", dest="cos_theta", type=float, default=None)
-    sub.add_argument("--saturation", default=None, help="detector cutoff, integer or 'inf'")
-    sub.add_argument("--tail-tol", dest="tail_tol", type=float, default=None)
     sub.add_argument("--config", default=None, help="JSON document supplying any flag")
 
 
-def _add_output_flags(sub: argparse.ArgumentParser) -> None:
+def _add_table_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--saturation", default=None, help="detector cutoff, integer or 'inf'")
+    sub.add_argument("--tail-tol", dest="tail_tol", type=float, default=None)
     sub.add_argument("-o", "--output", default=None, help="output path (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default=None)
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _load_config(path: str) -> dict:
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -96,35 +99,35 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _resolve(args: argparse.Namespace, config: dict, key: str, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+def _merge_config(args: argparse.Namespace) -> None:
+    """Fill every option the command line left unset from the --config
+    document.  Each key must name an option of the subcommand and hold one
+    value; a flag given on the command line wins, even a falsy one."""
+    doc = _load_config(args.config)
+    unknown = sorted(set(doc) - (set(vars(args)) - {"command", "func", "config"}))
+    if unknown:
+        raise ParameterError(f"{args.command} --config takes no key {', '.join(unknown)}")
+    for key, value in doc.items():
+        current = getattr(args, key)
+        if isinstance(value, (list, dict)) or (current is False and not isinstance(value, bool)):
+            raise ParameterError(f"config key {key!r} cannot be {json.dumps(value)}")
+        if current is None or current is False:
+            setattr(args, key, value)
 
 
-def _params_from(args: argparse.Namespace, config: dict, default_protocol: str | None = None
+def _params_from(args: argparse.Namespace, default_protocol: str | None = None
                  ) -> ProtocolParams:
-    protocol = _resolve(args, config, "protocol", default_protocol)
-    if protocol is None:
+    given = {key: getattr(args, key) for key in _PARAM_KEYS if getattr(args, key) is not None}
+    given.setdefault("protocol", default_protocol)
+    if given["protocol"] is None:
         raise ParameterError("--protocol is required (or supply it via --config)")
-    fields = {"protocol": Protocol(protocol)}
-    defaults = ProtocolParams(protocol=Protocol(protocol))
-    for key in _PARAM_KEYS[1:]:
-        fields[key] = float(_resolve(args, config, key, getattr(defaults, key)))
-    return ProtocolParams(**fields)
+    return ProtocolParams(**given)
 
 
-def _parse_saturation(raw) -> int | None:
-    if raw is None or raw == "inf":
-        return None
-    try:
-        t = int(raw)
-    except (TypeError, ValueError):
-        raise ParameterError(f"saturation must be an integer >= 1 or 'inf', got {raw!r}") from None
-    return t
+def _table_options(args: argparse.Namespace) -> tuple[int | None, float]:
+    """The detector cutoff and tail tolerance every count table is built with."""
+    tail_tol = DEFAULT_TAIL_TOL if args.tail_tol is None else float(args.tail_tol)
+    return _parse_saturation(args.saturation), tail_tol
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -138,14 +141,16 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=1) + "\n"
 
 
-def _emit_result(result: SweepResult, fmt: str, output: str | None) -> None:
-    _emit(result.csv_text() if fmt == "csv" else _json_text(result.json_dict()), output)
+def _emit_result(result: SweepResult, args: argparse.Namespace) -> None:
+    csv = (args.format or "csv") == "csv"
+    _emit(result.csv_text() if csv else _json_text(result.json_dict()), args.output)
 
 
-def _point_spec(args: argparse.Namespace, config: dict) -> SweepSpec:
+def _point_spec(args: argparse.Namespace) -> SweepSpec:
     """The one-point sweep that nmeas, speedup and the flag form of sweep
     evaluate, carrying every flag that changes its numbers."""
-    params = _params_from(args, config)
+    params = _params_from(args)
+    t, tail_tol = _table_options(args)
     return SweepSpec(
         protocols=(params.protocol.value,),
         xi=params.xi,
@@ -155,9 +160,9 @@ def _point_spec(args: argparse.Namespace, config: dict) -> SweepSpec:
         n_e=(params.n_e,),
         n_i=(params.n_i,),
         n_c="optimize" if getattr(args, "optimize_nc", False) else (params.n_c,),
-        saturations=(_parse_saturation(_resolve(args, config, "saturation", None)),),
-        c_target=float(_resolve(args, config, "c_target", TWO_SIGMA)),
-        tail_tol=float(_resolve(args, config, "tail_tol", DEFAULT_TAIL_TOL)),
+        saturations=(t,),
+        c_target=TWO_SIGMA if args.c_target is None else float(args.c_target),
+        tail_tol=tail_tol,
     )
 
 
@@ -167,11 +172,9 @@ def _point_spec(args: argparse.Namespace, config: dict) -> SweepSpec:
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    params = _params_from(args, config)
-    t = _parse_saturation(_resolve(args, config, "saturation", None))
-    tail_tol = float(_resolve(args, config, "tail_tol", DEFAULT_TAIL_TOL))
-    fmt = _resolve(args, config, "format", "csv")
+    params = _params_from(args)
+    t, tail_tol = _table_options(args)
+    fmt = args.format or "csv"
 
     if args.diff:
         pair = HypothesisPair.from_params(params, tail_tol=tail_tol, saturation=t)
@@ -196,17 +199,12 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    params = _params_from(args, config)
-    t = _parse_saturation(_resolve(args, config, "saturation", None))
-    tail_tol = float(_resolve(args, config, "tail_tol", DEFAULT_TAIL_TOL))
-    fmt = _resolve(args, config, "format", "csv")
-    truth = _resolve(args, config, "truth", None)
-    n_meas = _resolve(args, config, "n_measurements", None)
-    seed = _resolve(args, config, "seed", None)
-    if truth is None or n_meas is None or seed is None:
+    params = _params_from(args)
+    t, tail_tol = _table_options(args)
+    fmt = args.format or "csv"
+    if args.truth is None or args.n_measurements is None or args.seed is None:
         raise ParameterError("simulate requires --truth, --n-measurements and --seed")
-    n_traj = int(_resolve(args, config, "n_trajectories", 100_000))
+    n_traj = 100_000 if args.n_trajectories is None else int(args.n_trajectories)
     if args.output is None:
         raise ParameterError("simulate requires -o/--output for its two result files")
 
@@ -214,10 +212,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     ensemble = simulate_ensemble(
         EnsembleConfig(
             pair=pair,
-            truth=Truth(truth),
-            n_measurements=int(n_meas),
+            truth=Truth(args.truth),
+            n_measurements=int(args.n_measurements),
             n_trajectories=n_traj,
-            seed=int(seed),
+            seed=int(args.seed),
         )
     )
 
@@ -240,24 +238,21 @@ def _summary_path(output: str) -> str:
     return base + ".summary.json"
 
 
-def _run_point(args: argparse.Namespace, config: dict, spec: SweepSpec) -> int:
+def _run_point(args: argparse.Namespace, spec: SweepSpec) -> int:
     (point,) = grid_points(spec)
-    result = SweepResult(spec=spec, rows=(evaluate_point(spec, point),))
-    _emit_result(result, _resolve(args, config, "format", "csv"), args.output)
+    _emit_result(SweepResult(spec=spec, rows=(evaluate_point(spec, point),)), args)
     return 0
 
 
 def cmd_nmeas(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    return _run_point(args, config, _point_spec(args, config))
+    return _run_point(args, _point_spec(args))
 
 
 def cmd_speedup(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    spec = _point_spec(args, config)
+    spec = _point_spec(args)
     if spec.protocols == (Protocol.DIRECT.value,):
         raise ParameterError("speedup compares a two-detector protocol against direct detection")
-    return _run_point(args, config, spec)
+    return _run_point(args, spec)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -276,17 +271,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     elif args.config is not None:
         spec = SweepSpec.from_dict(_load_config(args.config))
     else:
-        spec = _point_spec(args, {})
-    _emit_result(run_sweep(spec), args.format or "csv", args.output)
+        spec = _point_spec(args)
+    _emit_result(run_sweep(spec), args)
     return 0
 
 
 def cmd_validate_oracle(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    params = _params_from(args, config, default_protocol="coherent")
-    fock_dim = int(_resolve(args, config, "fock_dim", 40))
-    tol = float(_resolve(args, config, "tol", 1e-8))
-    jk_sum_max = int(_resolve(args, config, "jk_sum_max", 10))
+    params = _params_from(args, default_protocol="coherent")
+    fock_dim = 40 if args.fock_dim is None else int(args.fock_dim)
+    tol = 1e-8 if args.tol is None else float(args.tol)
+    jk_sum_max = 10 if args.jk_sum_max is None else int(args.jk_sum_max)
 
     cfg = OracleConfig(params=params, fock_dim=fock_dim)
     worst, where, ok = compare_with_closed_form(cfg, jk_sum_max=jk_sum_max, tol=tol)
@@ -310,14 +304,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_dist = subparsers.add_parser("dist", help="tabulate a count distribution")
     _add_param_flags(p_dist)
-    _add_output_flags(p_dist)
+    _add_table_flags(p_dist)
     p_dist.add_argument("--diff", action="store_true",
                         help="emit the difference from the emitter-absent table")
     p_dist.set_defaults(func=cmd_dist)
 
     p_sim = subparsers.add_parser("simulate", help="run a trajectory ensemble")
     _add_param_flags(p_sim)
-    _add_output_flags(p_sim)
+    _add_table_flags(p_sim)
     p_sim.add_argument("--truth", choices=[t.value for t in Truth], default=None)
     p_sim.add_argument("--n-measurements", dest="n_measurements", type=int, default=None)
     p_sim.add_argument("--n-trajectories", dest="n_trajectories", type=int, default=None)
@@ -326,13 +320,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_nmeas = subparsers.add_parser("nmeas", help="trials needed for a target confidence")
     _add_param_flags(p_nmeas)
-    _add_output_flags(p_nmeas)
+    _add_table_flags(p_nmeas)
     p_nmeas.add_argument("--c-target", dest="c_target", type=float, default=None)
     p_nmeas.set_defaults(func=cmd_nmeas)
 
     p_speed = subparsers.add_parser("speedup", help="trial-count ratio against direct detection")
     _add_param_flags(p_speed)
-    _add_output_flags(p_speed)
+    _add_table_flags(p_speed)
     p_speed.add_argument("--c-target", dest="c_target", type=float, default=None)
     p_speed.add_argument("--optimize-nc", action="store_true",
                          help="optimize the reference brightness first")
@@ -340,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = subparsers.add_parser("sweep", help="evaluate a parameter grid")
     _add_param_flags(p_sweep)
-    _add_output_flags(p_sweep)
+    _add_table_flags(p_sweep)
     p_sweep.add_argument("--preset", choices=preset_names(), default=None)
     p_sweep.add_argument("--c-target", dest="c_target", type=float, default=None)
     p_sweep.add_argument("--optimize-nc", action="store_true",
@@ -363,6 +357,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config is not None and args.command != "sweep":
+            _merge_config(args)
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -200,14 +200,15 @@ def _pmf_tables(params: ProtocolParams, k_max: int) -> tuple[np.ndarray, np.ndar
     counts = np.arange(k_max + 1.0)
     if p.protocol is Protocol.DIRECT:
         envelope = _poisson_vec(k_max, n_noise)
+    elif p.xi > 0.0 and n_bar**2 == 0.0:
+        # the bracket divides by n_bar**2, which underflows below about 2e-162
+        raise DegenerateParameterError(
+            f"two-detector pmf undefined for n_bar = {n_bar} (n_bar**2 = 0) with xi > 0; "
+            "model an unobserved emitter with the direct protocol at eta = 0"
+        )
     elif n_bar > 0.0:
         lp = _log_poisson(counts, n_bar / 2.0)
         envelope = np.exp(lp[:, None] + lp[None, :])
-    elif p.xi > 0.0:
-        raise DegenerateParameterError(
-            "two-detector pmf undefined for n_bar = 0 with xi > 0; "
-            "model an unobserved emitter with the direct protocol at eta = 0"
-        )
     else:
         envelope = np.zeros((k_max + 1, k_max + 1))
         envelope[0, 0] = 1.0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
@@ -60,6 +61,23 @@ NC_REL_TOL = 1e-3
 FLAT_REL_TOL = 1e-9
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _parse_saturation(raw) -> int | None:
+    """A detector cutoff from a flag, a config value or a spec entry: None
+    or "inf" for none, else an integer, an integer string or an integral
+    float.  Anything else, booleans included, is refused rather than
+    truncated; ``apply_saturation`` checks the range."""
+    if raw is None or raw == "inf":
+        return None
+    if isinstance(raw, float) and raw.is_integer():
+        return int(raw)
+    if isinstance(raw, (numbers.Integral, str)) and not isinstance(raw, bool):
+        try:
+            return int(raw)
+        except ValueError:
+            pass
+    raise ParameterError(f"saturation must be an integer >= 1 or 'inf', got {raw!r}")
 
 
 class NcOptimum(NamedTuple):
@@ -237,19 +255,30 @@ class SweepSpec:
     tail_tol: float = DEFAULT_TAIL_TOL
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "protocols", tuple(Protocol(p).value for p in self.protocols))
-        for name in ("eta", "n_e"):
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
-        if self.n_i is not None:
-            object.__setattr__(self, "n_i", tuple(float(v) for v in self.n_i))
+        for name in ("xi", "epsilon", "cos_theta", "c_target", "tail_tol"):
+            value = getattr(self, name)
+            if not isinstance(value, (numbers.Real, str)):
+                raise ParameterError(f"sweep spec {name} must be a number, got {value!r}")
+        self._normalize("protocols", lambda p: Protocol(p).value)
+        for name in ("eta", "n_e") if self.n_i is None else ("eta", "n_e", "n_i"):
+            self._normalize(name, float)
         if isinstance(self.n_c, str):
             if self.n_c != "optimize":
                 raise ParameterError(f'n_c must be a grid or "optimize", got {self.n_c!r}')
         else:
-            object.__setattr__(self, "n_c", tuple(float(v) for v in self.n_c))
-        sats = tuple(None if t is None or t == "inf" else int(t) for t in self.saturations)
-        object.__setattr__(self, "saturations", sats)
-        object.__setattr__(self, "nc_bounds", tuple(self.nc_bounds))
+            self._normalize("n_c", float)
+        self._normalize("saturations", _parse_saturation)
+        self._normalize("nc_bounds", lambda b: b)
+
+    def _normalize(self, name: str, convert: Callable) -> None:
+        """Store a list field as a tuple of converted entries."""
+        values = getattr(self, name)
+        if not isinstance(values, (list, tuple)):
+            raise ParameterError(f"sweep spec {name} must be a list, got {values!r}")
+        try:
+            object.__setattr__(self, name, tuple(convert(v) for v in values))
+        except TypeError:
+            raise ParameterError(f"sweep spec {name} holds a non-number: {values!r}") from None
 
     def to_dict(self) -> dict:
         return {

@@ -235,6 +235,14 @@ def test_moment_signs_for_distinguishable_pair():
         assert m.mu_present < 0.0 < m.mu_absent
 
 
+def test_moments_refuse_a_nan_table():
+    pair = HypothesisPair.from_params(LOW_NOISE)
+    nan_table = np.full_like(pair.present.probs, np.nan)
+    nan_pair = HypothesisPair(present=replace(pair.present, probs=nan_table), absent=pair.absent)
+    with pytest.raises(ParameterError, match="present distribution is not normalized"):
+        loglik_moments(nan_pair)
+
+
 def test_hom_moments_signs():
     params = ProtocolParams(
         protocol=Protocol.COHERENT_HOM, xi=0.1, eta=0.9, epsilon=0.9, n_c=6.0, n_e=1.0, n_i=1.0

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from homdetect.bayes import HypothesisPair
+from homdetect import cli
 from homdetect.cli import main
 from homdetect.photon_stats import Protocol, ProtocolParams, build_distribution
 
@@ -356,25 +357,145 @@ def test_validate_oracle_rejects_bright_reference(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_config_equals_flags(tmp_path, capsys):
+HEADLINE = {"protocol": "coherent", "xi": 0.1, "eta": 0.9, "epsilon": 0.9,
+            "n_c": 6.0, "n_e": 1.0, "n_i": 1.0}
+LOW = {"protocol": "direct", "xi": 0.1, "eta": 0.8, "n_e": 0.02, "n_i": 0.02}
+OPTIMIZED = {"protocol": "incoherent", "xi": 0.1, "eta": 0.95, "epsilon": 0.9,
+             "n_e": 0.02, "n_i": 0.02, "optimize_nc": True}
+
+# every command form, as options; "output" names a file in the run's own directory
+CONFIG_FORMS = [
+    ("dist", {**HEADLINE, "saturation": 2, "format": "json"}),
+    ("dist", {**HEADLINE, "diff": True, "tail_tol": 1e-10}),
+    ("simulate", {**LOW, "truth": "present", "n_measurements": 10, "n_trajectories": 300,
+                  "seed": 4, "output": "run.csv"}),
+    ("nmeas", {**HEADLINE, "c_target": 0.99, "saturation": "inf"}),
+    ("speedup", {**OPTIMIZED, "format": "json"}),
+    ("validate-oracle", {"n_c": 1.0, "xi": 0.1, "eta": 0.8, "jk_sum_max": 6}),
+]
+
+
+def as_flags(options):
+    flags = []
+    for key, value in options.items():
+        flag = {"n_c": "--nc", "n_e": "--ne", "n_i": "--ni"}.get(key, "--" + key.replace("_", "-"))
+        flags += [flag] if value is True else [flag, str(value)]
+    return flags
+
+
+def config_file(tmp_path, doc):
     cfg = tmp_path / "params.json"
-    cfg.write_text(json.dumps({
-        "protocol": "coherent", "xi": 0.1, "eta": 0.9, "epsilon": 0.9,
-        "n_c": 6.0, "n_e": 1.0, "n_i": 1.0,
-    }))
-    _, by_flags, _ = run(["nmeas"] + HEADLINE_FLAGS, capsys)
-    _, by_config, _ = run(["nmeas", "--config", str(cfg)], capsys)
-    assert by_flags == by_config
+    cfg.write_text(json.dumps(doc))
+    return str(cfg)
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse refuses the command line
+        return exc.code
+
+
+def test_config_equals_flags(tmp_path, capsys):
+    for i, (command, options) in enumerate(CONFIG_FORMS):
+        results = []
+        for side in ("flags", "config"):
+            side_dir = tmp_path / f"{i}-{side}"
+            side_dir.mkdir()
+            opts = {k: str(side_dir / v) if k == "output" else v for k, v in options.items()}
+            if side == "flags":
+                argv = [command] + as_flags(opts)
+            else:
+                argv = [command, "--config", config_file(tmp_path, opts)]
+            code, out, err = run(argv, capsys)
+            files = {p.name: p.read_bytes() for p in side_dir.iterdir()}
+            results.append((code, out, err, files))
+        assert results[0][0] == 0, (command, results[0][2])
+        assert results[0] == results[1], command
 
 
 def test_explicit_flags_override_config(tmp_path, capsys):
-    cfg = tmp_path / "params.json"
-    cfg.write_text(json.dumps({"protocol": "direct", "xi": 0.1, "eta": 0.8,
-                               "n_e": 1.0, "n_i": 1.0}))
-    _, base, _ = run(["nmeas", "--config", str(cfg)], capsys)
-    _, overridden, _ = run(["nmeas", "--config", str(cfg), "--ne", "0.02", "--ni", "0.02"], capsys)
+    cfg = config_file(tmp_path, {"protocol": "direct", "xi": 0.1, "eta": 0.8,
+                                 "n_e": 1.0, "n_i": 1.0})
+    _, base, _ = run(["nmeas", "--config", cfg], capsys)
+    _, overridden, _ = run(["nmeas", "--config", cfg, "--ne", "0.02", "--ni", "0.02"], capsys)
     assert int(base.strip().split("\n")[1].split(",")[6]) == 3254
     assert int(overridden.strip().split("\n")[1].split(",")[6]) == 117
+    # a falsy value on the command line still wins over the document
+    _, zero, _ = run(["nmeas", "--config", cfg, "--ne", "0"], capsys)
+    _, by_flags, _ = run(["nmeas", "--protocol", "direct", "--xi", "0.1", "--eta", "0.8",
+                          "--ne", "0", "--ni", "1"], capsys)
+    assert zero == by_flags != base
+
+
+@pytest.mark.parametrize("command, doc, same_as, refused", [
+    # a misspelled key, and a key of another subcommand
+    (["nmeas"] + HEADLINE_FLAGS, {"saturaton": 2}, None, ["saturaton"]),
+    (["nmeas"] + HEADLINE_FLAGS, {"fock_dim": 20}, None, ["fock_dim"]),
+    (["validate-oracle", "--nc", "1"], {"output": "out.txt"}, None, ["output"]),
+    # flags validate-oracle never read
+    (["validate-oracle", "--nc", "1", "--saturation", "2", "--tail-tol", "1e-3"], None, None,
+     ["--saturation", "--tail-tol"]),
+    # options the subcommand has take effect from the document
+    (["speedup"] + as_flags({k: v for k, v in OPTIMIZED.items() if k != "optimize_nc"}),
+     {"optimize_nc": True}, ["--optimize-nc"], None),
+    (["dist"] + HEADLINE_FLAGS, {"diff": True}, ["--diff"], None),
+    (["nmeas"] + HEADLINE_FLAGS, {"output": "out.csv"}, ["-o", "out.csv"], None),
+], ids=["misspelled-key", "other-command-key", "oracle-output", "oracle-table-flags",
+        "optimize-nc", "diff", "output"])
+def test_config_keys_and_flags_are_read_or_refused(command, doc, same_as, refused,
+                                                   tmp_path, monkeypatch, capsys):
+    # each of these used to exit 0 with the key or flag silently dropped
+    monkeypatch.chdir(tmp_path)
+    argv = command if doc is None else command + ["--config", config_file(tmp_path, doc)]
+    code = exit_code(argv)
+    out, err = capsys.readouterr()
+    if refused is not None:
+        assert code == 2 and out == ""
+        assert all(name in err for name in refused)
+        return
+    written = (tmp_path / "out.csv").read_bytes() if "output" in doc else None
+    assert run(command + same_as, capsys)[:2] == (code, out)
+    assert written is None or written == (tmp_path / "out.csv").read_bytes()
+    assert code == 0 and (out != "") == (written is None)
+
+
+@pytest.mark.parametrize("command, doc", [
+    (["sweep"], {"protocols": ["direct"], "eta": 0.9}),
+    (["sweep"], {"protocols": ["direct"], "saturations": "inf"}),
+    (["sweep"], {"protocols": ["direct"], "xi": [0.1]}),
+    (["nmeas"] + HEADLINE_FLAGS, {"eta": [0.9]}),
+    (["dist"] + HEADLINE_FLAGS, {"diff": "yes"}),
+], ids=["sweep-scalar-list-field", "sweep-string-list-field", "sweep-list-scalar-field",
+        "list-value", "non-bool-switch"])
+def test_config_values_of_the_wrong_type_exit_two(command, doc, tmp_path, capsys):
+    code, out, err = run(command + ["--config", config_file(tmp_path, doc)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and list(doc)[-1] in err
+
+
+@pytest.mark.parametrize("value", ["2.7", "true", '"Inf"'])
+def test_saturation_is_refused_not_truncated(value, tmp_path, capsys):
+    cfg = tmp_path / "params.json"
+    cfg.write_text(f'{{"saturation": {value}}}')
+    code, out, err = run(["nmeas", "--config", str(cfg)] + HEADLINE_FLAGS, capsys)
+    assert code == 2 and out == ""
+    assert "saturation must be an integer >= 1 or 'inf'" in err
+
+
+def test_every_sweep_point_flag_is_refused_beside_a_spec():
+    # a sweep flag missing from _POINT_FLAGS would be dropped beside --preset
+    options = vars(cli._build_parser().parse_args(["sweep"]))
+    for key in ("command", "func", "preset", "config", "output", "format"):
+        del options[key]
+    assert set(options) == set(cli._POINT_FLAGS)
+
+
+def test_underflowed_background_exits_two_not_nan(capsys):
+    code, out, err = run(["dist", "--protocol", "coherent", "--nc", "0", "--ne", "0",
+                          "--ni", "1e-170", "--format", "json"], capsys)
+    assert code == 2 and out == ""
+    assert "n_bar" in err
 
 
 def test_missing_config_file_exits_two(capsys):

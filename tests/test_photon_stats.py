@@ -230,6 +230,9 @@ def test_incoherent_equals_phase_zero_coherent_bitwise():
 def test_hom_degenerate_dark_port_raises():
     with pytest.raises(DegenerateParameterError):
         hom_pmf(hom_params(xi=0.5, eta=0.0, n_c=1.0), 0, 0)
+    # n_bar**2 underflows to 0 here, which would divide 0 by 0
+    with pytest.raises(DegenerateParameterError):
+        hom_pmf(hom_params(xi=0.5, n_c=0.0, n_e=0.0, n_i=1e-170), 0, 0)
 
 
 def test_hom_vacuum_inputs_give_point_mass_at_zero():

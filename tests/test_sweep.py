@@ -4,6 +4,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from homdetect import sweep as sweep_module
@@ -165,6 +166,16 @@ def test_spec_normalizes_saturations_and_protocols():
         SweepSpec(protocols=("telepathy",))
     with pytest.raises(ParameterError):
         SweepSpec(n_c="maximize")
+
+
+def test_spec_saturations_are_integers_or_inf():
+    spec = SweepSpec(saturations=[None, "inf", 2, "3", 4.0, np.int64(5)])
+    assert spec.saturations == (None, None, 2, 3, 4, 5)
+    assert all(type(t) is int for t in spec.saturations[2:])
+    # refused, never truncated: 2.7 used to run at t = 2 and true at t = 1
+    for bad in (2.7, True, "Inf", "2.5", float("inf"), [2]):
+        with pytest.raises(ParameterError, match="saturation must be"):
+            SweepSpec(saturations=(bad,))
 
 
 def test_spec_normalizes_nc_bounds_to_a_tuple():
