@@ -12,13 +12,15 @@ Subcommands:
 Every option of a subcommand, -o, --diff and --optimize-nc included, can
 also come from a JSON config document passed with --config, keyed by its
 destination name (n_c for --nc, tail_tol for --tail-tol).  The document
-is merged into the parsed flags once, before dispatch: a key that names
-no option of the subcommand, or holds a list or an object, exits 2;
-explicit flags win over the document, which wins over defaults, so a
-config run and the equivalent flag run emit identical bytes.  The
-exception is sweep: a preset or a --config sweep document is the whole
-spec, and parameter flags beside it are refused.  validate-oracle takes
-no --saturation or --tail-tol.  File outputs are written atomically.
+is read as flags placed before the command line's own and parsed with
+them, once, by the subcommand's parser: key k with value v reads as
+--flag=v, a switch takes true or false, null leaves the option unset,
+and a list, an object or a key that names no option exits 2.  A value
+of the wrong type or choice exits 2 with the flag's own message, and an
+explicit flag wins, so a config run and the equivalent flag run emit
+identical bytes.  The exception is sweep: a preset or a --config sweep
+document is the whole spec, and parameter flags beside it are refused.
+File outputs are written atomically.
 
 Exit status: 0 on success, 1 when validate-oracle finds a deviation above
 tolerance, 2 for invalid input.
@@ -43,12 +45,10 @@ from .photon_stats import (
     build_distribution,
     table_csv_text,
     table_entries,
-    DEFAULT_TAIL_TOL,
 )
 from .sweep import (
     SweepResult,
     SweepSpec,
-    TWO_SIGMA,
     _parse_saturation,
     evaluate_point,
     grid_points,
@@ -88,7 +88,7 @@ def _add_table_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--saturation", default=None, help="detector cutoff, integer or 'inf'")
     sub.add_argument("--tail-tol", dest="tail_tol", type=float, default=None)
     sub.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
+    sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _load_config(path: str) -> dict:
@@ -99,35 +99,42 @@ def _load_config(path: str) -> dict:
     return doc
 
 
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill every option the command line left unset from the --config
-    document.  Each key must name an option of the subcommand and hold one
-    value; a flag given on the command line wins, even a falsy one."""
-    doc = _load_config(args.config)
-    unknown = sorted(set(doc) - (set(vars(args)) - {"command", "func", "config"}))
+def _config_flags(parser: argparse.ArgumentParser, command: str, path: str) -> list[str]:
+    """The --config document of a point command as flags of its subcommand
+    parser, so each value meets the type and choice checks of its flag."""
+    (commands,) = [a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    options = {a.dest: a for a in commands[command]._actions if a.dest not in ("config", "help")}
+    doc = _load_config(path)
+    unknown = sorted(set(doc) - set(options))
     if unknown:
-        raise ParameterError(f"{args.command} --config takes no key {', '.join(unknown)}")
+        raise ParameterError(f"{command} --config takes no key {', '.join(unknown)}")
+    flags = []
     for key, value in doc.items():
-        current = getattr(args, key)
-        if isinstance(value, (list, dict)) or (current is False and not isinstance(value, bool)):
+        switch = options[key].nargs == 0
+        if value is None or (switch and value is False):
+            continue
+        if isinstance(value, (list, dict)) or (switch and value is not True):
             raise ParameterError(f"config key {key!r} cannot be {json.dumps(value)}")
-        if current is None or current is False:
-            setattr(args, key, value)
+        # the long form, the last option string, keeps a value such as -0.5 whole
+        flag = options[key].option_strings[-1]
+        flags.append(flag if switch else f"{flag}={value}")
+    return flags
+
+
+def _given(args: argparse.Namespace, *keys: str) -> dict:
+    """The options among keys that were set, so the library's own defaults
+    apply to the rest."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
 def _params_from(args: argparse.Namespace, default_protocol: str | None = None
                  ) -> ProtocolParams:
-    given = {key: getattr(args, key) for key in _PARAM_KEYS if getattr(args, key) is not None}
+    given = _given(args, *_PARAM_KEYS)
     given.setdefault("protocol", default_protocol)
     if given["protocol"] is None:
         raise ParameterError("--protocol is required (or supply it via --config)")
     return ProtocolParams(**given)
-
-
-def _table_options(args: argparse.Namespace) -> tuple[int | None, float]:
-    """The detector cutoff and tail tolerance every count table is built with."""
-    tail_tol = DEFAULT_TAIL_TOL if args.tail_tol is None else float(args.tail_tol)
-    return _parse_saturation(args.saturation), tail_tol
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -142,7 +149,7 @@ def _json_text(doc: dict) -> str:
 
 
 def _emit_result(result: SweepResult, args: argparse.Namespace) -> None:
-    csv = (args.format or "csv") == "csv"
+    csv = args.format == "csv"
     _emit(result.csv_text() if csv else _json_text(result.json_dict()), args.output)
 
 
@@ -150,7 +157,6 @@ def _point_spec(args: argparse.Namespace) -> SweepSpec:
     """The one-point sweep that nmeas, speedup and the flag form of sweep
     evaluate, carrying every flag that changes its numbers."""
     params = _params_from(args)
-    t, tail_tol = _table_options(args)
     return SweepSpec(
         protocols=(params.protocol.value,),
         xi=params.xi,
@@ -160,9 +166,8 @@ def _point_spec(args: argparse.Namespace) -> SweepSpec:
         n_e=(params.n_e,),
         n_i=(params.n_i,),
         n_c="optimize" if getattr(args, "optimize_nc", False) else (params.n_c,),
-        saturations=(t,),
-        c_target=TWO_SIGMA if args.c_target is None else float(args.c_target),
-        tail_tol=tail_tol,
+        saturations=(_parse_saturation(args.saturation),),
+        **_given(args, "c_target", "tail_tol"),
     )
 
 
@@ -173,13 +178,13 @@ def _point_spec(args: argparse.Namespace) -> SweepSpec:
 
 def cmd_dist(args: argparse.Namespace) -> int:
     params = _params_from(args)
-    t, tail_tol = _table_options(args)
-    fmt = args.format or "csv"
+    t = _parse_saturation(args.saturation)
+    tol = _given(args, "tail_tol")
 
     if args.diff:
-        pair = HypothesisPair.from_params(params, tail_tol=tail_tol, saturation=t)
+        pair = HypothesisPair.from_params(params, saturation=t, **tol)
         table = pair.present.probs - pair.absent.probs
-        if fmt == "csv":
+        if args.format == "csv":
             text = table_csv_text(table, "dp")
         else:
             text = _json_text({
@@ -190,36 +195,30 @@ def cmd_dist(args: argparse.Namespace) -> int:
                 "entries": table_entries(table),
             })
     else:
-        dist = build_distribution(params, tail_tol=tail_tol)
+        dist = build_distribution(params, **tol)
         if t is not None:
             dist = apply_saturation(dist, t)
-        text = dist.csv_text() if fmt == "csv" else _json_text(dist.to_json_dict())
+        text = dist.csv_text() if args.format == "csv" else _json_text(dist.to_json_dict())
     _emit(text, args.output)
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     params = _params_from(args)
-    t, tail_tol = _table_options(args)
-    fmt = args.format or "csv"
+    t = _parse_saturation(args.saturation)
     if args.truth is None or args.n_measurements is None or args.seed is None:
         raise ParameterError("simulate requires --truth, --n-measurements and --seed")
-    n_traj = 100_000 if args.n_trajectories is None else int(args.n_trajectories)
     if args.output is None:
         raise ParameterError("simulate requires -o/--output for its two result files")
 
-    pair = HypothesisPair.from_params(params, tail_tol=tail_tol, saturation=t)
+    pair = HypothesisPair.from_params(params, saturation=t, **_given(args, "tail_tol"))
     ensemble = simulate_ensemble(
         EnsembleConfig(
-            pair=pair,
-            truth=Truth(args.truth),
-            n_measurements=int(args.n_measurements),
-            n_trajectories=n_traj,
-            seed=int(args.seed),
+            pair=pair, **_given(args, "truth", "n_measurements", "n_trajectories", "seed")
         )
     )
 
-    if fmt == "csv":
+    if args.format == "csv":
         ensemble.to_csv(args.output)
     else:
         steps = {
@@ -278,16 +277,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_validate_oracle(args: argparse.Namespace) -> int:
     params = _params_from(args, default_protocol="coherent")
-    fock_dim = 40 if args.fock_dim is None else int(args.fock_dim)
-    tol = 1e-8 if args.tol is None else float(args.tol)
-    jk_sum_max = 10 if args.jk_sum_max is None else int(args.jk_sum_max)
-
-    cfg = OracleConfig(params=params, fock_dim=fock_dim)
-    worst, where, ok = compare_with_closed_form(cfg, jk_sum_max=jk_sum_max, tol=tol)
+    cfg = OracleConfig(params=params, **_given(args, "fock_dim"))
+    worst, where, ok = compare_with_closed_form(cfg, jk_sum_max=args.jk_sum_max, tol=args.tol)
     status = "PASS" if ok else "FAIL"
     sys.stdout.write(
         f"{status}: max |closed - oracle| = {worst:.3e} at (j, k) = {where} "
-        f"over j + k <= {jk_sum_max}, tolerance {tol:.1e}\n"
+        f"over j + k <= {args.jk_sum_max}, tolerance {args.tol:.1e}\n"
     )
     return 0 if ok else 1
 
@@ -346,19 +341,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_param_flags(p_oracle)
     p_oracle.add_argument("--fock-dim", dest="fock_dim", type=int, default=None)
-    p_oracle.add_argument("--tol", type=float, default=None)
-    p_oracle.add_argument("--jk-sum-max", dest="jk_sum_max", type=int, default=None)
+    p_oracle.add_argument("--tol", type=float, default=1e-8)
+    p_oracle.add_argument("--jk-sum-max", dest="jk_sum_max", type=int, default=10)
     p_oracle.set_defaults(func=cmd_validate_oracle)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         if args.config is not None and args.command != "sweep":
-            _merge_config(args)
+            # the document's flags go first, so a flag on the command line wins
+            at = argv.index(args.command) + 1
+            flags = _config_flags(parser, args.command, args.config)
+            args = parser.parse_args(argv[:at] + flags + argv[at:])
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

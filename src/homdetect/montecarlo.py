@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -54,11 +55,15 @@ class EnsembleConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "truth", Truth(self.truth))
+        for name in ("n_measurements", "n_trajectories", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.n_measurements < 1:
             raise ParameterError(f"n_measurements must be >= 1, got {self.n_measurements}")
         if self.n_trajectories < 1:
             raise ParameterError(f"n_trajectories must be >= 1, got {self.n_trajectories}")
-        if not (0 <= int(self.seed) < 2**63):
+        if not (0 <= self.seed < 2**63):
             raise ParameterError(f"seed must be a nonnegative 63-bit integer, got {self.seed}")
 
     @property

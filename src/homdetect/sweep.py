@@ -80,6 +80,17 @@ def _parse_saturation(raw) -> int | None:
     raise ParameterError(f"saturation must be an integer >= 1 or 'inf', got {raw!r}")
 
 
+def _spec_number(value) -> float:
+    """A number of a sweep spec as a float, from a real or a numeric string;
+    anything else, booleans and other strings included, raises TypeError."""
+    try:
+        if isinstance(value, (numbers.Real, str)) and not isinstance(value, bool):
+            return float(value)
+    except ValueError:
+        pass
+    raise TypeError(f"not a number: {value!r}")
+
+
 class NcOptimum(NamedTuple):
     """Best reference brightness for one configuration.
 
@@ -257,18 +268,20 @@ class SweepSpec:
     def __post_init__(self) -> None:
         for name in ("xi", "epsilon", "cos_theta", "c_target", "tail_tol"):
             value = getattr(self, name)
-            if not isinstance(value, (numbers.Real, str)):
-                raise ParameterError(f"sweep spec {name} must be a number, got {value!r}")
+            try:
+                object.__setattr__(self, name, _spec_number(value))
+            except TypeError:
+                raise ParameterError(f"sweep spec {name} must be a number, got {value!r}") from None
         self._normalize("protocols", lambda p: Protocol(p).value)
         for name in ("eta", "n_e") if self.n_i is None else ("eta", "n_e", "n_i"):
-            self._normalize(name, float)
+            self._normalize(name, _spec_number)
         if isinstance(self.n_c, str):
             if self.n_c != "optimize":
                 raise ParameterError(f'n_c must be a grid or "optimize", got {self.n_c!r}')
         else:
-            self._normalize("n_c", float)
+            self._normalize("n_c", _spec_number)
         self._normalize("saturations", _parse_saturation)
-        self._normalize("nc_bounds", lambda b: b)
+        self._normalize("nc_bounds", _spec_number)
 
     def _normalize(self, name: str, convert: Callable) -> None:
         """Store a list field as a tuple of converted entries."""

@@ -414,6 +414,37 @@ def test_config_equals_flags(tmp_path, capsys):
         assert results[0] == results[1], command
 
 
+SIM_RUN = ["simulate", "-o", "run.csv"] + LOW_FLAGS + ["--truth", "present",
+                                                      "--n-trajectories", "300"]
+
+
+@pytest.mark.parametrize("command, doc, flags, code", [
+    (["nmeas"] + HEADLINE_FLAGS, {"format": "xml"}, ["--format", "xml"], 2),
+    (SIM_RUN + ["--seed", "4"], {"n_measurements": 2.5}, ["--n-measurements", "2.5"], 2),
+    (SIM_RUN + ["--n-measurements", "10"], {"seed": 2.5}, ["--seed", "2.5"], 2),
+    (["nmeas"] + HEADLINE_FLAGS, {"xi": True}, ["--xi", "True"], 2),
+    (["validate-oracle", "--nc", "1"], {"fock_dim": 2.5}, ["--fock-dim", "2.5"], 2),
+    (["nmeas"] + HEADLINE_FLAGS, {"cos_theta": -0.5}, ["--cos-theta", "-0.5"], 0),
+    (["nmeas"] + HEADLINE_FLAGS, {"tail_tol": "1e-10"}, ["--tail-tol", "1e-10"], 0),
+], ids=["format-choice", "n-measurements-int", "seed-int", "xi-true", "fock-dim-int",
+        "negative-value", "number-string"])
+def test_config_value_runs_as_its_flag(command, doc, flags, code, tmp_path, monkeypatch,
+                                       capsys):
+    # each refused value used to run another experiment than asked: xml
+    # printed JSON, 2.5 ran as 2 and true as xi = 1
+    results = []
+    for side in ("flags", "config"):
+        side_dir = tmp_path / side
+        side_dir.mkdir()
+        monkeypatch.chdir(side_dir)
+        extra = flags if side == "flags" else ["--config", config_file(tmp_path, doc)]
+        side_code = exit_code(command + extra)
+        out, err = capsys.readouterr()
+        results.append((side_code, out, err, {p.name: p.read_bytes() for p in side_dir.iterdir()}))
+    assert results[0] == results[1]
+    assert results[0][0] == code, results[0][2]
+
+
 def test_explicit_flags_override_config(tmp_path, capsys):
     cfg = config_file(tmp_path, {"protocol": "direct", "xi": 0.1, "eta": 0.8,
                                  "n_e": 1.0, "n_i": 1.0})

@@ -12,7 +12,16 @@ from homdetect.fock_oracle import (
     oracle_table,
     traced_pmf,
 )
-from homdetect.photon_stats import ParameterError, Protocol, ProtocolParams, hom_pmf
+from homdetect.photon_stats import (
+    DegenerateParameterError,
+    ParameterError,
+    Protocol,
+    ProtocolParams,
+    apply_saturation,
+    build_distribution,
+    derived_means,
+    hom_pmf,
+)
 
 
 def coherent(**kw):
@@ -152,3 +161,51 @@ def test_compare_reports_location_and_verdict():
     # an impossible tolerance flips the verdict but not the measurement
     worst2, _, ok2 = compare_with_closed_form(cfg, jk_sum_max=4, tol=0.0)
     assert worst2 == worst and not ok2
+
+
+# ---------------------------------------------------------------------------
+# seeded property test
+# ---------------------------------------------------------------------------
+
+
+def test_closed_form_matches_oracle_at_random_points():
+    # xi, eta and epsilon sit at 0 or 1 two times in three and the inputs
+    # often go dark, so the edges and the degenerate n_bar = 0 are covered
+    rng = np.random.default_rng(20261018)
+
+    def unit():
+        return (0.0, 1.0, float(rng.uniform()))[rng.integers(3)]
+
+    def background():
+        return (0.0, float(10.0 ** rng.uniform(-3.0, 0.5)))[rng.integers(2)]
+
+    degenerate = 0
+    for _ in range(60):
+        params = ProtocolParams(
+            protocol=(Protocol.COHERENT_HOM, Protocol.INCOHERENT_HOM)[rng.integers(2)],
+            xi=unit(), eta=unit(), epsilon=unit(),
+            n_c=(0.0, float(rng.uniform(0.0, 4.0)))[rng.integers(2)],
+            n_e=background(), n_i=background(),
+            cos_theta=float(rng.uniform(-1.0, 1.0)),
+        )
+        direct = ProtocolParams(protocol=Protocol.DIRECT, xi=params.xi, eta=params.eta,
+                                n_e=params.n_e, n_i=params.n_i)
+        cfg = OracleConfig(params=params, fock_dim=30)
+        tables = [direct]
+        if params.xi > 0.0 and derived_means(params).n_bar == 0.0:
+            degenerate += 1
+            with pytest.raises(DegenerateParameterError):
+                build_distribution(params)
+            with pytest.raises(DegenerateParameterError):
+                compare_with_closed_form(cfg, tol=1e-12)
+        else:
+            worst, where, ok = compare_with_closed_form(cfg, tol=1e-12)
+            assert ok, (params, worst, where)
+            tables.append(params)
+        for p in tables:
+            dist = build_distribution(p)
+            assert np.all(dist.probs >= 0.0), p
+            assert abs(dist.total() + dist.tail_mass - 1.0) <= 1e-12, p
+            saturated = apply_saturation(dist, int(rng.integers(1, 5)))
+            assert abs(saturated.total() - (dist.total() + dist.tail_mass)) <= 1e-12, p
+    assert degenerate > 0

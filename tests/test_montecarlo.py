@@ -55,6 +55,17 @@ def test_config_validation():
         config(seed=2**63)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 2.5), ("n_measurements", 2.5), ("n_trajectories", 2.5),
+    ("seed", True), ("n_measurements", "3"),
+])
+def test_config_refuses_what_it_would_truncate(field, value):
+    # seed 2.5 used to run as seed 2; the counts failed later inside numpy
+    with pytest.raises(ParameterError, match=field):
+        config(**{field: value})
+    assert getattr(config(**{field: np.int64(3)}), field) == 3
+
+
 def test_truth_accepts_strings_and_selects_distribution():
     c = config(truth="absent")
     assert c.truth is Truth.ABSENT

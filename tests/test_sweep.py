@@ -183,8 +183,31 @@ def test_spec_normalizes_nc_bounds_to_a_tuple():
     assert spec.nc_bounds == (1e-3, 1e3)
     assert spec == SweepSpec(nc_bounds=(1e-3, 1e3))
     assert hash(spec) == hash(SweepSpec(nc_bounds=(1e-3, 1e3)))
-    # no float cast: integer bounds keep their JSON spelling
+    # bounds are spec numbers like every other: floats, equal to the ints given
     assert SweepSpec(nc_bounds=[1, 10]).to_dict()["nc_bounds"] == [1, 10]
+
+
+@pytest.mark.parametrize("field, value, same_as", [
+    ("c_target", "0.9", 0.9),
+    ("tail_tol", "1e-12", 1e-12),
+    ("xi", "0.1", 0.1),
+    ("nc_bounds", ["1", "1000"], [1.0, 1000.0]),
+    ("eta", ["0.9", 1], [0.9, 1.0]),
+    ("xi", True, None),
+    ("eta", [True], None),
+    ("nc_bounds", [False, 1000], None),
+    ("c_target", "two sigma", None),
+])
+def test_spec_numbers_follow_one_rule(field, value, same_as):
+    # a numeric string used to stay a string in scalar fields (a TypeError
+    # deep in the sweep, or echoed in the JSON spec) and a boolean ran as 1
+    if same_as is None:
+        with pytest.raises(ParameterError, match=f"sweep spec {field}"):
+            SweepSpec.from_dict({field: value})
+        return
+    spec = SweepSpec.from_dict({field: value})
+    assert spec == SweepSpec.from_dict({field: same_as})
+    assert json.dumps(spec.to_dict()) == json.dumps(SweepSpec.from_dict({field: same_as}).to_dict())
 
 
 def test_spec_round_trips_through_json():
