@@ -98,11 +98,12 @@ class HypothesisPair:
         tail_tol: float = DEFAULT_TAIL_TOL,
         saturation: int | None = None,
     ) -> "HypothesisPair":
-        """Build both hypothesis tables at a common size: the absent table
-        is the present table's Poisson envelope, which ``build_distribution``
-        already grew to the tail tolerance, so it is pinned at that size."""
+        """Build both hypothesis tables, each checked against ``tail_tol``.
+        The table size depends only on n_bar, which does not depend on xi,
+        so both land on the same size; the absent table is the present
+        table's Poisson envelope."""
         present = build_distribution(params, tail_tol=tail_tol)
-        absent = build_distribution(replace(params, xi=0.0), tail_tol=tail_tol, k_max=present.k_max)
+        absent = build_distribution(replace(params, xi=0.0), tail_tol=tail_tol)
         if saturation is not None:
             present = apply_saturation(present, saturation)
             absent = apply_saturation(absent, saturation)

@@ -29,9 +29,9 @@ from .photon_stats import (
     ParameterError,
     Protocol,
     ProtocolParams,
+    _pmf_tables,
     _poisson_vec,
     derived_means,
-    hom_pmf,
 )
 
 __all__ = [
@@ -271,10 +271,11 @@ def compare_with_closed_form(
     Returns (max deviation, argmax pair, within tolerance).
     """
     table = oracle_table(cfg, jk_sum_max, jk_sum_max)
+    closed = _pmf_tables(cfg.params, jk_sum_max)
     worst, where = -1.0, (0, 0)
     for j in range(jk_sum_max + 1):
         for k in range(jk_sum_max + 1 - j):
-            dev = abs(table[j, k] - hom_pmf(cfg.params, j, k))
+            dev = abs(table[j, k] - closed[j, k])
             if dev > worst:
                 worst, where = dev, (j, k)
     return worst, where, worst <= tol

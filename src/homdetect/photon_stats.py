@@ -50,7 +50,7 @@ __all__ = [
 # bracket; anything lower is a genuine bug and is left visible.
 NEG_CLAMP = -1e-15
 
-# Adaptive enumeration gives up past this many counts per detector.
+# Tables larger than this many counts per detector are refused.
 K_MAX_HARD_CAP = 10_000
 
 DEFAULT_TAIL_TOL = 1e-12
@@ -65,7 +65,7 @@ class DegenerateParameterError(ParameterError):
 
 
 class TruncationError(RuntimeError):
-    """Count enumeration could not reach the requested tail tolerance."""
+    """A count table would be too large or leave too much mass untabulated."""
 
 
 class Protocol(str, Enum):
@@ -101,6 +101,9 @@ class ProtocolParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "protocol", Protocol(self.protocol))
+        for name in ("xi", "eta", "epsilon", "n_c", "n_e", "n_i", "cos_theta"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ParameterError(f"{name} must be a number, got {getattr(self, name)!r}")
         for name in ("xi", "eta", "epsilon"):
             v = float(getattr(self, name))
             object.__setattr__(self, name, v)
@@ -181,12 +184,12 @@ def _clamp_negative(p: np.ndarray) -> np.ndarray:
     return np.where((p < 0.0) & (p >= NEG_CLAMP), 0.0, p)
 
 
-def _pmf_tables(params: ProtocolParams, k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pmf on 0..k_max per detector and its Poisson envelope.
+def _pmf_tables(params: ProtocolParams, k_max: int) -> np.ndarray:
+    """The pmf on 0..k_max per detector (row index = detector 1).
 
-    The envelope is Poisson(n_noise) for direct detection and two
-    Poisson(n_bar / 2) factors for two detectors (row index = detector 1);
-    n_bar does not depend on xi, so at xi = 0 (bracket 1) it is the pmf.
+    It is a Poisson envelope, Poisson(n_noise) for direct detection and two
+    Poisson(n_bar / 2) factors for two detectors, times a bracket that is 1
+    at xi = 0.
 
     Direct: the at-most-one emitter photon lands with probability eta xi,
     p(k) = (1 - eta xi) Pois(k; n) + eta xi Pois(k - 1; n), exact also at
@@ -213,12 +216,12 @@ def _pmf_tables(params: ProtocolParams, k_max: int) -> tuple[np.ndarray, np.ndar
         envelope = np.zeros((k_max + 1, k_max + 1))
         envelope[0, 0] = 1.0
     if p.xi == 0.0:
-        return envelope, envelope
+        return envelope
     if p.protocol is Protocol.DIRECT:
         q = p.eta * p.xi
         probs = (1.0 - q) * envelope
         probs[1:] += q * envelope[:-1]
-        return _clamp_negative(probs), envelope
+        return _clamp_negative(probs)
     total = counts[:, None] + counts[None, :]
     diff = counts[:, None] - counts[None, :]
     cross = 2.0 * p.eta * p.cos_theta * math.sqrt(
@@ -231,7 +234,7 @@ def _pmf_tables(params: ProtocolParams, k_max: int) -> tuple[np.ndarray, np.ndar
         + p.eta**2 * p.xi * p.epsilon * p.n_c * diff**2 / n_bar**2
         - cross * diff / n_bar
     )
-    return _clamp_negative(envelope * bracket), envelope
+    return _clamp_negative(envelope * bracket)
 
 
 def direct_pmf(params: ProtocolParams, k: int) -> float:
@@ -240,7 +243,7 @@ def direct_pmf(params: ProtocolParams, k: int) -> float:
         raise ParameterError("direct_pmf requires the direct protocol")
     if k < 0:
         raise ParameterError(f"count must be >= 0, got {k}")
-    return float(_pmf_tables(params, k)[0][k])
+    return float(_pmf_tables(params, k)[k])
 
 
 def hom_pmf(params: ProtocolParams, j: int, k: int) -> float:
@@ -249,7 +252,7 @@ def hom_pmf(params: ProtocolParams, j: int, k: int) -> float:
         raise ParameterError("hom_pmf requires a two-detector protocol")
     if j < 0 or k < 0:
         raise ParameterError(f"counts must be >= 0, got ({j}, {k})")
-    return float(_pmf_tables(params, max(j, k))[0][j, k])
+    return float(_pmf_tables(params, max(j, k))[j, k])
 
 
 # ---------------------------------------------------------------------------
@@ -365,45 +368,35 @@ def table_entries(table: np.ndarray) -> list[list]:
     return [[j, float(table[j])] for j in range(table.shape[0])]
 
 
-def _initial_k_max(per_detector_mean: float) -> int:
-    # mean + 12 sigma of the Poisson envelope; the extra photon and the
-    # bracket polynomial are swallowed by the floor and the wide margin
-    return max(20, math.ceil(per_detector_mean + 12.0 * math.sqrt(per_detector_mean + 1.0)))
-
-
 def build_distribution(
-    params: ProtocolParams,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    k_max: int | None = None,
+    params: ProtocolParams, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> CountDistribution:
-    """Enumerate the count distribution until the untabulated tail is small.
+    """Enumerate the count distribution on 0..max(20, mu + 12 sqrt(mu + 1))
+    per detector, mu the mean count per detector.
 
-    The table starts at a 12-sigma Poisson bound per detector and grows by
-    half until both it and its Poisson envelope (the ``xi = 0`` table) have
-    ``1 - sum <= tail_tol``, so an absent table pinned at the same size
-    meets the tolerance too.  Passing ``k_max`` pins the table size instead
-    (no growth, no tail check).  Raises TruncationError if the cap of 10000
-    counts per detector cannot reach the tolerance.
+    The Poisson mass beyond that size is below 1e-17 per detector, so
+    ``tail_tol`` never changes the table: it is the largest untabulated
+    mass ``1 - sum`` accepted, and a table above it raises
+    TruncationError.  A size above 10000 counts per detector is refused
+    with TruncationError before anything is allocated.
     """
     if not (tail_tol > 0.0):
         raise ParameterError(f"tail_tol must be > 0, got {tail_tol}")
     n_bar = derived_means(params).n_bar
     per_det = n_bar if params.protocol is Protocol.DIRECT else n_bar / 2.0
-
-    fixed = k_max is not None
-    k = k_max if fixed else _initial_k_max(per_det)
-    while True:
-        if k > K_MAX_HARD_CAP:
-            raise TruncationError(
-                f"k_max {k} exceeds the cap of {K_MAX_HARD_CAP}; "
-                f"tail tolerance {tail_tol} unreachable at n_bar = {n_bar}"
-            )
-        probs, envelope = _pmf_tables(params, k)
-        tail = max(0.0, 1.0 - float(probs.sum()))
-        envelope_tail = tail if envelope is probs else 1.0 - float(envelope.sum())
-        if fixed or max(tail, envelope_tail) <= tail_tol:
-            return CountDistribution(params=params, probs=probs, tail_mass=tail)
-        k = math.ceil(1.5 * k)
+    # the extra photon and the bracket polynomial fit in the floor and margin
+    k = max(20, math.ceil(per_det + 12.0 * math.sqrt(per_det + 1.0)))
+    if k > K_MAX_HARD_CAP:
+        raise TruncationError(
+            f"k_max {k} at n_bar = {n_bar} exceeds the cap of {K_MAX_HARD_CAP} counts per detector"
+        )
+    probs = _pmf_tables(params, k)
+    tail = max(0.0, 1.0 - float(probs.sum()))
+    if tail > tail_tol:
+        raise TruncationError(
+            f"untabulated mass {tail:.3g} > tail_tol {tail_tol} at k_max {k}, n_bar = {n_bar}"
+        )
+    return CountDistribution(params=params, probs=probs, tail_mass=tail)
 
 
 def apply_saturation(dist: CountDistribution, t: int) -> CountDistribution:
@@ -420,7 +413,7 @@ def apply_saturation(dist: CountDistribution, t: int) -> CountDistribution:
         raise ParameterError(f"saturation threshold must be an integer >= 1, got {t}")
     if dist.tail_mass > 1e-12:
         raise ParameterError(
-            f"tail mass {dist.tail_mass} too large to fold; rebuild with a tighter tail_tol"
+            f"tail mass {dist.tail_mass} exceeds 1e-12, too much to fold into the corner bin"
         )
     p = dist.probs
     if dist.is_joint:

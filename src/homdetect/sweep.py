@@ -282,6 +282,11 @@ class SweepSpec:
             self._normalize("n_c", _spec_number)
         self._normalize("saturations", _parse_saturation)
         self._normalize("nc_bounds", _spec_number)
+        b = self.nc_bounds
+        if len(b) != 2 or not (0.0 < b[0] < b[1] < math.inf):
+            raise ParameterError(
+                f"sweep spec nc_bounds must be two finite numbers with 0 < lo < hi, got {list(b)}"
+            )
 
     def _normalize(self, name: str, convert: Callable) -> None:
         """Store a list field as a tuple of converted entries."""

@@ -26,6 +26,7 @@ from homdetect.bayes import (
     posterior_trajectory,
 )
 from homdetect.photon_stats import (
+    CountDistribution,
     Outcome,
     ParameterError,
     Protocol,
@@ -63,22 +64,22 @@ def test_pair_rejects_mismatches():
     present = build_distribution(LOW_NOISE)
     with pytest.raises(ParameterError):
         HypothesisPair(present=present, absent=present)  # absent has xi != 0
-    absent_wrong = build_distribution(
-        replace(LOW_NOISE, xi=0.0, n_i=0.5), k_max=present.k_max
-    )
+    absent_wrong = build_distribution(replace(LOW_NOISE, xi=0.0, n_i=0.5))
     with pytest.raises(ParameterError):
         HypothesisPair(present=present, absent=absent_wrong)
-    absent_small = build_distribution(replace(LOW_NOISE, xi=0.0), k_max=3)
-    if absent_small.probs.shape != present.probs.shape:
-        with pytest.raises(ParameterError):
-            HypothesisPair(present=present, absent=absent_small)
+    absent = build_distribution(replace(LOW_NOISE, xi=0.0))
+    absent_small = CountDistribution(
+        params=absent.params, probs=absent.probs[:4].copy(), tail_mass=absent.tail_mass
+    )
+    with pytest.raises(ParameterError, match="shapes"):
+        HypothesisPair(present=present, absent=absent_small)
 
 
 @pytest.mark.parametrize("saturation", [None, 2])
 @pytest.mark.parametrize("protocol", list(Protocol))
 def test_pair_tables_equal_standalone_builds(protocol, saturation):
-    # the absent table is built once, pinned at the present table's size;
-    # it must still be exactly the table an adaptive build of its own gives
+    # both tables land on one size (n_bar does not depend on xi) and each is
+    # exactly the table a build of its own gives
     rng = np.random.default_rng(20261018)
     for i in range(34):
         edge = i < 8

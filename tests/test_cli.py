@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -301,6 +302,16 @@ def test_sweep_config_with_unknown_key_exits_cleanly(tmp_path, capsys):
     assert "noise" in err
 
 
+def test_sweep_config_with_short_nc_bounds_exits_two(tmp_path, capsys):
+    # it used to exit 0 with an unpacking error on every row
+    cfg = tmp_path / "spec.json"
+    cfg.write_text('{"protocols": ["coherent"], "n_c": "optimize", "nc_bounds": [1]}')
+    code, out, err = run(["sweep", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "nc_bounds" in err
+
+
 def test_sweep_preset_runs(tmp_path, capsys):
     target = tmp_path / "fig2b.csv"
     code, _, _ = run(["sweep", "--preset", "fig2b", "-o", str(target)], capsys)
@@ -548,3 +559,26 @@ def test_console_script_matches_module():
     )
     assert result.returncode == 0
     assert result.stdout.strip().split("\n")[1].split(",")[6] == "117"
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_untabulable_point_exits_two_within_two_gib():
+    # n_bar ~ 3000: rounding in 1 - sum exceeds tail_tol; the point must be
+    # refused after one table, not by running out of memory on larger ones
+    result = subprocess.run(
+        [sys.executable, "-m", "homdetect.cli", "nmeas", "--protocol", "incoherent",
+         "--eta", "0.99", "--nc", "3000", "--ne", "10", "--ni", "10"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, OMP_NUM_THREADS="1"),
+        preexec_fn=_limit_address_space,
+        timeout=120,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error:"), result.stderr

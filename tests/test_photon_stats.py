@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from homdetect import photon_stats
 from homdetect.photon_stats import (
     CountDistribution,
     DegenerateParameterError,
@@ -51,6 +52,14 @@ def hom_params(protocol=Protocol.COHERENT_HOM, **kw):
         ("n_i", -3.0),
         ("cos_theta", 1.2),
         ("cos_theta", -1.2),
+        # booleans are not numbers, though float() reads them as 0 or 1
+        ("xi", True),
+        ("eta", np.bool_(True)),
+        ("epsilon", False),
+        ("n_c", np.bool_(False)),
+        ("n_e", True),
+        ("n_i", np.bool_(True)),
+        ("cos_theta", False),
     ],
 )
 def test_rejects_out_of_range(field, value):
@@ -292,19 +301,14 @@ def test_marginals_of_each_detector_share_the_same_mean():
 # ---------------------------------------------------------------------------
 
 
-def test_build_distribution_respects_fixed_k_max():
-    dist = build_distribution(hom_params(n_c=1.0), k_max=5)
-    assert dist.probs.shape == (6, 6)
-    direct = build_distribution(direct_params(n_e=1.0), k_max=7)
-    assert direct.probs.shape == (8,)
-
-
 def test_build_distribution_tail_shrinks_with_tolerance():
     p = hom_params(xi=0.1, eta=0.9, epsilon=0.9, n_c=6.0, n_e=1.0, n_i=1.0)
     loose = build_distribution(p, tail_tol=1e-6)
     tight = build_distribution(p, tail_tol=1e-13)
     assert tight.tail_mass <= 1e-13
     assert tight.k_max >= loose.k_max
+    # the table size follows the envelope alone; tail_tol only checks it
+    assert np.array_equal(loose.probs, tight.probs)
 
 
 def test_build_distribution_rejects_bad_tail_tol():
@@ -317,10 +321,34 @@ def test_truncation_cap_raises():
         build_distribution(direct_params(xi=0.0, n_e=0.0, n_i=9000.0), tail_tol=1e-12)
 
 
+def test_rounding_above_tail_tol_refuses_after_one_table(monkeypatch):
+    # at n_bar ~ 3000 the rounding in 1 - sum (~3e-12) exceeds the default
+    # tail_tol; a larger table cannot lower it, so one table is built and
+    # refused instead of growing tables until memory runs out
+    params = hom_params(
+        protocol=Protocol.INCOHERENT_HOM, eta=0.99, n_c=3000.0, n_e=10.0, n_i=10.0
+    )
+    sizes = []
+    real = photon_stats._pmf_tables
+
+    def once(p, k_max):
+        if sizes:
+            raise AssertionError(f"second table built at k_max {k_max} after {sizes}")
+        sizes.append(k_max)
+        return real(p, k_max)
+
+    monkeypatch.setattr(photon_stats, "_pmf_tables", once)
+    with pytest.raises(TruncationError, match="untabulated mass"):
+        build_distribution(params)
+    assert sizes == [1965]
+
+
 def test_outcomes_row_major_order():
-    dist = build_distribution(hom_params(n_c=0.5), k_max=2)
+    dist = build_distribution(hom_params(n_c=0.5))
+    top = dist.k_max
     order = [o for o, _ in dist.outcomes()]
-    assert order[:4] == [Outcome(0, 0), Outcome(0, 1), Outcome(0, 2), Outcome(1, 0)]
+    assert len(order) == (top + 1) ** 2
+    assert order[: top + 2] == [Outcome(0, k) for k in range(top + 1)] + [Outcome(1, 0)]
     total = sum(p for _, p in dist.outcomes())
     assert total == pytest.approx(dist.total(), rel=1e-14)
 
@@ -401,32 +429,33 @@ def test_saturation_beyond_table_keeps_values():
 
 
 def test_csv_round_trip(tmp_path):
-    dist = build_distribution(hom_params(n_c=0.8, n_e=0.1), k_max=3)
+    dist = build_distribution(hom_params(n_c=0.8, n_e=0.1))
     path = tmp_path / "dist.csv"
     dist.to_csv(path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "j,k,p"
-    assert len(lines) == 1 + 16
+    assert len(lines) == 1 + (dist.k_max + 1) ** 2
     j, k, p = lines[1].split(",")
     assert (int(j), int(k)) == (0, 0)
     assert float(p) == dist.prob(0, 0)
 
 
 def test_csv_direct_header(tmp_path):
-    dist = build_distribution(direct_params(n_e=0.2), k_max=4)
+    dist = build_distribution(direct_params(n_e=0.2))
     path = tmp_path / "d.csv"
     dist.to_csv(path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "j,p"
-    assert len(lines) == 6
+    assert len(lines) == 1 + dist.k_max + 1
 
 
 def test_json_round_trip(tmp_path):
-    dist = build_distribution(hom_params(n_c=0.8), k_max=2)
+    dist = build_distribution(hom_params(n_c=0.8))
     path = tmp_path / "dist.json"
     dist.to_json(path)
     doc = json.loads(path.read_text())
-    assert doc["k_max"] == 2
+    assert doc["k_max"] == dist.k_max == 20
+    assert len(doc["entries"]) == (dist.k_max + 1) ** 2
     assert doc["saturation"] is None
     assert ProtocolParams.from_dict(doc["params"]) == dist.params
     assert doc["entries"][1] == [0, 1, dist.prob(0, 1)]

@@ -197,6 +197,12 @@ def test_spec_normalizes_nc_bounds_to_a_tuple():
     ("eta", [True], None),
     ("nc_bounds", [False, 1000], None),
     ("c_target", "two sigma", None),
+    # nc_bounds is two finite numbers with 0 < lo < hi
+    ("nc_bounds", [1], None),
+    ("nc_bounds", [10, 1], None),
+    ("nc_bounds", [0, 10], None),
+    ("nc_bounds", [1, 10, 100], None),
+    ("nc_bounds", [1, "inf"], None),
 ])
 def test_spec_numbers_follow_one_rule(field, value, same_as):
     # a numeric string used to stay a string in scalar fields (a TypeError
