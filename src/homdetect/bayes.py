@@ -28,7 +28,6 @@ from .photon_stats import (
     ProtocolParams,
     build_distribution,
     apply_saturation,
-    DEFAULT_TAIL_TOL,
 )
 
 __all__ = [
@@ -93,17 +92,14 @@ class HypothesisPair:
 
     @classmethod
     def from_params(
-        cls,
-        params: ProtocolParams,
-        tail_tol: float = DEFAULT_TAIL_TOL,
-        saturation: int | None = None,
+        cls, params: ProtocolParams, saturation: int | None = None
     ) -> "HypothesisPair":
-        """Build both hypothesis tables, each checked against ``tail_tol``.
+        """Build both hypothesis tables, each with its own tail check.
         The table size depends only on n_bar, which does not depend on xi,
         so both land on the same size; the absent table is the present
         table's Poisson envelope."""
-        present = build_distribution(params, tail_tol=tail_tol)
-        absent = build_distribution(replace(params, xi=0.0), tail_tol=tail_tol)
+        present = build_distribution(params)
+        absent = build_distribution(replace(params, xi=0.0))
         if saturation is not None:
             present = apply_saturation(present, saturation)
             absent = apply_saturation(absent, saturation)
@@ -187,8 +183,9 @@ def posterior_trajectory(pair: HypothesisPair, outcomes) -> np.ndarray:
 def loglik_moments(pair: HypothesisPair) -> LogLikMoments:
     """Exact per-trial moments of ln(lambda) under both truths.
 
-    Sums run over the enumerated tables, whose tails are at most 1e-12, so
-    the discarded contribution is far below the quoted precision.
+    Sums run over the enumerated tables, whose tails are at most 1.8e-10
+    (the tail allowance at the 10000-count cap), so the discarded
+    contribution is far below the quoted precision.
     """
     for dist, name in ((pair.present, "present"), (pair.absent, "absent")):
         if not (abs(dist.total() + dist.tail_mass - 1.0) <= NORMALIZATION_TOL):

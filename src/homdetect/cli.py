@@ -11,7 +11,7 @@ Subcommands:
 
 Every option of a subcommand, -o, --diff and --optimize-nc included, can
 also come from a JSON config document passed with --config, keyed by its
-destination name (n_c for --nc, tail_tol for --tail-tol).  The document
+destination name (n_c for --nc, c_target for --c-target).  The document
 is read as flags placed before the command line's own and parsed with
 them, once, by the subcommand's parser: key k with value v reads as
 --flag=v, a switch takes true or false, null leaves the option unset,
@@ -67,7 +67,7 @@ _PARAM_KEYS = ("protocol", "xi", "eta", "epsilon", "n_c", "n_e", "n_i", "cos_the
 _POINT_FLAGS = {
     "protocol": "--protocol", "xi": "--xi", "eta": "--eta", "epsilon": "--epsilon",
     "n_c": "--nc", "n_e": "--ne", "n_i": "--ni", "cos_theta": "--cos-theta",
-    "saturation": "--saturation", "tail_tol": "--tail-tol", "c_target": "--c-target",
+    "saturation": "--saturation", "c_target": "--c-target",
     "optimize_nc": "--optimize-nc",
 }
 
@@ -86,7 +86,6 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
 
 def _add_table_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--saturation", default=None, help="detector cutoff, integer or 'inf'")
-    sub.add_argument("--tail-tol", dest="tail_tol", type=float, default=None)
     sub.add_argument("-o", "--output", default=None, help="output path (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -167,7 +166,7 @@ def _point_spec(args: argparse.Namespace) -> SweepSpec:
         n_i=(params.n_i,),
         n_c="optimize" if getattr(args, "optimize_nc", False) else (params.n_c,),
         saturations=(_parse_saturation(args.saturation),),
-        **_given(args, "c_target", "tail_tol"),
+        **_given(args, "c_target"),
     )
 
 
@@ -179,10 +178,8 @@ def _point_spec(args: argparse.Namespace) -> SweepSpec:
 def cmd_dist(args: argparse.Namespace) -> int:
     params = _params_from(args)
     t = _parse_saturation(args.saturation)
-    tol = _given(args, "tail_tol")
-
     if args.diff:
-        pair = HypothesisPair.from_params(params, saturation=t, **tol)
+        pair = HypothesisPair.from_params(params, saturation=t)
         table = pair.present.probs - pair.absent.probs
         if args.format == "csv":
             text = table_csv_text(table, "dp")
@@ -195,7 +192,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
                 "entries": table_entries(table),
             })
     else:
-        dist = build_distribution(params, **tol)
+        dist = build_distribution(params)
         if t is not None:
             dist = apply_saturation(dist, t)
         text = dist.csv_text() if args.format == "csv" else _json_text(dist.to_json_dict())
@@ -211,7 +208,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.output is None:
         raise ParameterError("simulate requires -o/--output for its two result files")
 
-    pair = HypothesisPair.from_params(params, saturation=t, **_given(args, "tail_tol"))
+    pair = HypothesisPair.from_params(params, saturation=t)
     ensemble = simulate_ensemble(
         EnsembleConfig(
             pair=pair, **_given(args, "truth", "n_measurements", "n_trajectories", "seed")

@@ -206,10 +206,10 @@ def _traced_table(cfg: OracleConfig, cos_theta: float, k_hi: int, l_hi: int) -> 
     # remainders follow from truncated Poisson sums.
     p = cfg.params
     n_l = (1.0 - p.eta) * p.epsilon * p.n_c / 2.0
-    pois_row = _poisson_vec(M - 1, n_l)
+    counts = np.arange(M, dtype=float)
+    pois_row = _poisson_vec(counts, n_l)
     head = float(pois_row.sum())
     tail_ww = max(0.0, 1.0 - head * head)
-    counts = np.arange(M, dtype=float)
     head_raised = float(((counts + 1.0) * pois_row)[: M - 1].sum())
     tail_xx = 2.0 * (1.0 - p.eta) * max(0.0, (n_l + 1.0) - head_raised * head)
     worst = 2.0 * float(np.max(np.abs(Bs) ** 2)) * tail_ww + 2.0 * float(
@@ -248,8 +248,8 @@ def oracle_table(cfg: OracleConfig, j_max: int, k_max: int) -> np.ndarray:
     else:
         traced = _traced_table(cfg, p.cos_theta, j_max, k_max)
     nu = derived_means(p).n_noise / 2.0
-    noise_j = _poisson_vec(j_max, nu)
-    noise_k = _poisson_vec(k_max, nu)
+    noise_j = _poisson_vec(np.arange(j_max + 1.0), nu)
+    noise_k = _poisson_vec(np.arange(k_max + 1.0), nu)
     out = np.zeros((j_max + 1, k_max + 1))
     for dj in range(j_max + 1):
         for dk in range(k_max + 1):
@@ -271,7 +271,7 @@ def compare_with_closed_form(
     Returns (max deviation, argmax pair, within tolerance).
     """
     table = oracle_table(cfg, jk_sum_max, jk_sum_max)
-    closed = _pmf_tables(cfg.params, jk_sum_max)
+    closed = _pmf_tables(cfg.params, np.arange(jk_sum_max + 1.0))
     worst, where = -1.0, (0, 0)
     for j in range(jk_sum_max + 1):
         for k in range(jk_sum_max + 1 - j):

@@ -53,8 +53,6 @@ NEG_CLAMP = -1e-15
 # Tables larger than this many counts per detector are refused.
 K_MAX_HARD_CAP = 10_000
 
-DEFAULT_TAIL_TOL = 1e-12
-
 
 class ParameterError(ValueError):
     """A protocol parameter is outside its physical range."""
@@ -171,21 +169,21 @@ def _log_poisson(k: np.ndarray, mean: float) -> np.ndarray:
     return -mean + k * math.log(mean) - gammaln(k + 1.0)
 
 
-def _poisson_vec(k_max: int, mean: float) -> np.ndarray:
-    """Poisson pmf on 0..k_max; exact delta at zero mean."""
+def _poisson_vec(counts: np.ndarray, mean: float) -> np.ndarray:
+    """Poisson pmf at the given counts (0 at a negative count); exact delta
+    at zero mean."""
     if mean == 0.0:
-        out = np.zeros(k_max + 1)
-        out[0] = 1.0
-        return out
-    return np.exp(_log_poisson(np.arange(k_max + 1.0), mean))
+        return 1.0 * (counts == 0.0)
+    return np.exp(_log_poisson(counts, mean))
 
 
 def _clamp_negative(p: np.ndarray) -> np.ndarray:
     return np.where((p < 0.0) & (p >= NEG_CLAMP), 0.0, p)
 
 
-def _pmf_tables(params: ProtocolParams, k_max: int) -> np.ndarray:
-    """The pmf on 0..k_max per detector (row index = detector 1).
+def _pmf_tables(params: ProtocolParams, counts: np.ndarray) -> np.ndarray:
+    """The pmf at the given counts per detector (row index = detector 1),
+    a 1-D table for direct detection and a 2-D one otherwise.
 
     It is a Poisson envelope, Poisson(n_noise) for direct detection and two
     Poisson(n_bar / 2) factors for two detectors, times a bracket that is 1
@@ -200,9 +198,8 @@ def _pmf_tables(params: ProtocolParams, k_max: int) -> np.ndarray:
     """
     n_bar, n_noise = derived_means(params)
     p = params
-    counts = np.arange(k_max + 1.0)
     if p.protocol is Protocol.DIRECT:
-        envelope = _poisson_vec(k_max, n_noise)
+        envelope = _poisson_vec(counts, n_noise)
     elif p.xi > 0.0 and n_bar**2 == 0.0:
         # the bracket divides by n_bar**2, which underflows below about 2e-162
         raise DegenerateParameterError(
@@ -213,15 +210,12 @@ def _pmf_tables(params: ProtocolParams, k_max: int) -> np.ndarray:
         lp = _log_poisson(counts, n_bar / 2.0)
         envelope = np.exp(lp[:, None] + lp[None, :])
     else:
-        envelope = np.zeros((k_max + 1, k_max + 1))
-        envelope[0, 0] = 1.0
+        envelope = 1.0 * np.outer(counts == 0.0, counts == 0.0)
     if p.xi == 0.0:
         return envelope
     if p.protocol is Protocol.DIRECT:
         q = p.eta * p.xi
-        probs = (1.0 - q) * envelope
-        probs[1:] += q * envelope[:-1]
-        return _clamp_negative(probs)
+        return _clamp_negative((1.0 - q) * envelope + q * _poisson_vec(counts - 1.0, n_noise))
     total = counts[:, None] + counts[None, :]
     diff = counts[:, None] - counts[None, :]
     cross = 2.0 * p.eta * p.cos_theta * math.sqrt(
@@ -237,22 +231,30 @@ def _pmf_tables(params: ProtocolParams, k_max: int) -> np.ndarray:
     return _clamp_negative(envelope * bracket)
 
 
+def _is_whole(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _record(*counts) -> np.ndarray:
+    """The counts of one record as floats; each must be an integer >= 0,
+    since the pmf formulas take any real count."""
+    if not all(_is_whole(c) and c >= 0 for c in counts):
+        raise ParameterError(f"counts must be integers >= 0, got {counts}")
+    return np.array(counts, dtype=float)
+
+
 def direct_pmf(params: ProtocolParams, k: int) -> float:
     """Probability of recording k counts in one direct-detection trial."""
     if params.protocol is not Protocol.DIRECT:
         raise ParameterError("direct_pmf requires the direct protocol")
-    if k < 0:
-        raise ParameterError(f"count must be >= 0, got {k}")
-    return float(_pmf_tables(params, k)[k])
+    return float(_pmf_tables(params, _record(k))[0])
 
 
 def hom_pmf(params: ProtocolParams, j: int, k: int) -> float:
     """Probability of the joint record (j, k) in one two-detector trial."""
     if params.protocol is Protocol.DIRECT:
         raise ParameterError("hom_pmf requires a two-detector protocol")
-    if j < 0 or k < 0:
-        raise ParameterError(f"counts must be >= 0, got ({j}, {k})")
-    return float(_pmf_tables(params, max(j, k))[j, k])
+    return float(_pmf_tables(params, _record(j, k))[0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +298,7 @@ class CountDistribution:
             if k is not None:
                 k = min(k, self.saturation)
         elif j > self.k_max or (k is not None and k > self.k_max):
-            # untabulated outcomes sit in the tail, below tail_tol
+            # untabulated outcomes sit in the tail, within _tail_allowance
             return 0.0
         if self.is_joint:
             if k is None:
@@ -368,20 +370,32 @@ def table_entries(table: np.ndarray) -> list[list]:
     return [[j, float(table[j])] for j in range(table.shape[0])]
 
 
-def build_distribution(
-    params: ProtocolParams, tail_tol: float = DEFAULT_TAIL_TOL
-) -> CountDistribution:
+def _tail_allowance(params: ProtocolParams, k_max: int) -> float:
+    """Largest untabulated mass ``1 - sum`` accepted in a table of 0..k_max
+    counts per detector: 1e-12, or the rounding that summing the table can
+    leave, whichever is larger.
+
+    Each Poisson factor exp(k ln mu - mu - ln k!) carries a relative error
+    of about eps k ln mu (eps = ulp(1.0)), so the sum of a table at mean mu
+    per detector over d detectors can miss 1 by eps (k_max + 1)(1 + ln mu) d;
+    the factor 4 is a margin, as measured rounding stays below 0.4 of that.
+    """
+    d = 1 if params.protocol is Protocol.DIRECT else 2
+    mu = derived_means(params).n_bar / d
+    rounding = 4.0 * math.ulp(1.0) * (k_max + 1) * (1.0 + math.log(max(mu, 1.0))) * d
+    return max(1e-12, rounding)
+
+
+def build_distribution(params: ProtocolParams) -> CountDistribution:
     """Enumerate the count distribution on 0..max(20, mu + 12 sqrt(mu + 1))
     per detector, mu the mean count per detector.
 
-    The Poisson mass beyond that size is below 1e-17 per detector, so
-    ``tail_tol`` never changes the table: it is the largest untabulated
-    mass ``1 - sum`` accepted, and a table above it raises
-    TruncationError.  A size above 10000 counts per detector is refused
-    with TruncationError before anything is allocated.
+    The Poisson mass beyond that size is below 1e-17 per detector, so the
+    untabulated mass ``1 - sum`` is rounding; a table whose ``1 - sum``
+    exceeds ``_tail_allowance`` raises TruncationError.  A size above 10000
+    counts per detector is refused with TruncationError before anything is
+    allocated.
     """
-    if not (tail_tol > 0.0):
-        raise ParameterError(f"tail_tol must be > 0, got {tail_tol}")
     n_bar = derived_means(params).n_bar
     per_det = n_bar if params.protocol is Protocol.DIRECT else n_bar / 2.0
     # the extra photon and the bracket polynomial fit in the floor and margin
@@ -390,11 +404,12 @@ def build_distribution(
         raise TruncationError(
             f"k_max {k} at n_bar = {n_bar} exceeds the cap of {K_MAX_HARD_CAP} counts per detector"
         )
-    probs = _pmf_tables(params, k)
+    probs = _pmf_tables(params, np.arange(k + 1.0))
     tail = max(0.0, 1.0 - float(probs.sum()))
-    if tail > tail_tol:
+    allowance = _tail_allowance(params, k)
+    if tail > allowance:
         raise TruncationError(
-            f"untabulated mass {tail:.3g} > tail_tol {tail_tol} at k_max {k}, n_bar = {n_bar}"
+            f"untabulated mass {tail:.3g} > {allowance:.3g} allowed at k_max {k}, n_bar = {n_bar}"
         )
     return CountDistribution(params=params, probs=probs, tail_mass=tail)
 
@@ -409,11 +424,12 @@ def apply_saturation(dist: CountDistribution, t: int) -> CountDistribution:
     """
     if dist.saturation is not None:
         raise ParameterError("distribution is already saturated")
-    if not isinstance(t, (int, np.integer)) or t < 1:
+    if not _is_whole(t) or t < 1:
         raise ParameterError(f"saturation threshold must be an integer >= 1, got {t}")
-    if dist.tail_mass > 1e-12:
+    allowance = _tail_allowance(dist.params, dist.k_max)
+    if dist.tail_mass > allowance:
         raise ParameterError(
-            f"tail mass {dist.tail_mass} exceeds 1e-12, too much to fold into the corner bin"
+            f"tail mass {dist.tail_mass} exceeds {allowance:.3g}, too much to fold into the corner bin"
         )
     p = dist.probs
     if dist.is_joint:

@@ -27,7 +27,6 @@ from .bayes import (
     n_for_confidence,
 )
 from .photon_stats import (
-    DEFAULT_TAIL_TOL,
     DegenerateParameterError,
     ParameterError,
     Protocol,
@@ -103,20 +102,14 @@ class NcOptimum(NamedTuple):
     at_bound: bool
 
 
-def _moments_at(params: ProtocolParams, t: int | None, tail_tol: float):
-    pair = HypothesisPair.from_params(params, tail_tol=tail_tol, saturation=t)
-    return loglik_moments(pair)
+def _moments_at(params: ProtocolParams, t: int | None):
+    return loglik_moments(HypothesisPair.from_params(params, saturation=t))
 
 
-def n_two_sigma(
-    params: ProtocolParams,
-    t: int | None = None,
-    c_target: float = TWO_SIGMA,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> int:
+def n_two_sigma(params: ProtocolParams, t: int | None = None, c_target: float = TWO_SIGMA) -> int:
     """Smallest trial count reaching the target averaged confidence, with
     detectors saturating at t (None for unbounded counters)."""
-    return n_for_confidence(c_target, _moments_at(params, t, tail_tol))
+    return n_for_confidence(c_target, _moments_at(params, t))
 
 
 def _direct_counterpart(params: ProtocolParams) -> ProtocolParams:
@@ -131,19 +124,14 @@ def _direct_counterpart(params: ProtocolParams) -> ProtocolParams:
     )
 
 
-def speedup(
-    params: ProtocolParams,
-    t: int | None = None,
-    c_target: float = TWO_SIGMA,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> float:
+def speedup(params: ProtocolParams, t: int | None = None, c_target: float = TWO_SIGMA) -> float:
     """How many times fewer trials the given protocol needs than direct
     detection under the same emitter, efficiency, backgrounds, and
     saturation."""
     if params.protocol is Protocol.DIRECT:
         return 1.0
-    n_direct = n_two_sigma(_direct_counterpart(params), t, c_target, tail_tol)
-    n_protocol = n_two_sigma(params, t, c_target, tail_tol)
+    n_direct = n_two_sigma(_direct_counterpart(params), t, c_target)
+    n_protocol = n_two_sigma(params, t, c_target)
     return n_direct / n_protocol
 
 
@@ -171,7 +159,6 @@ def optimize_nc(
     t: int | None = None,
     c_target: float = TWO_SIGMA,
     bounds: tuple[float, float] = (1e-3, 1e3),
-    tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> NcOptimum:
     """Reference brightness minimizing the required trial count.
 
@@ -196,7 +183,7 @@ def optimize_nc(
         # real-valued crossing point; smooth in n_c where defined
         if nc not in cache:
             try:
-                moments = _moments_at(replace(params, n_c=nc), t, tail_tol)
+                moments = _moments_at(replace(params, n_c=nc), t)
                 cache[nc] = (_n_real(moments, c_target), moments)
             except (DegenerateParameterError, HypothesesIndistinguishableError) as exc:
                 cache[nc] = (math.inf, exc)
@@ -263,10 +250,9 @@ class SweepSpec:
     saturations: tuple[int | None, ...] = (None,)
     c_target: float = TWO_SIGMA
     nc_bounds: tuple[float, float] = (1e-3, 1e3)
-    tail_tol: float = DEFAULT_TAIL_TOL
 
     def __post_init__(self) -> None:
-        for name in ("xi", "epsilon", "cos_theta", "c_target", "tail_tol"):
+        for name in ("xi", "epsilon", "cos_theta", "c_target"):
             value = getattr(self, name)
             try:
                 object.__setattr__(self, name, _spec_number(value))
@@ -311,7 +297,6 @@ class SweepSpec:
             "saturations": ["inf" if t is None else t for t in self.saturations],
             "c_target": self.c_target,
             "nc_bounds": list(self.nc_bounds),
-            "tail_tol": self.tail_tol,
         }
 
     @classmethod
@@ -435,15 +420,13 @@ def evaluate_point(
     )
     direct = params.protocol is Protocol.DIRECT
     if nc == "optimize":
-        opt = optimize_nc(params, t, spec.c_target, spec.nc_bounds, spec.tail_tol)
+        opt = optimize_nc(params, t, spec.c_target, spec.nc_bounds)
         n, nc, at_bound = opt.n_star, opt.n_c_star, opt.at_bound
     elif not direct:
-        n, at_bound = n_two_sigma(params, t, spec.c_target, spec.tail_tol), False
+        n, at_bound = n_two_sigma(params, t, spec.c_target), False
     key = (eta, ne, ni, t)
     if key not in direct_cache:
-        direct_cache[key] = n_two_sigma(
-            _direct_counterpart(params), t, spec.c_target, spec.tail_tol
-        )
+        direct_cache[key] = n_two_sigma(_direct_counterpart(params), t, spec.c_target)
     if direct:
         n, at_bound = direct_cache[key], False
     return SweepRow(protocol, eta, ne, ni, nc, t, n, direct_cache[key] / n, at_bound)

@@ -93,11 +93,10 @@ def test_pair_tables_equal_standalone_builds(protocol, saturation):
             n_i=10.0 ** rng.uniform(-3.0, 0.0),
             cos_theta=rng.uniform(-1.0, 1.0),
         )
-        tail_tol = float(rng.choice([1e-12, 1e-8]))
-        pair = HypothesisPair.from_params(params, tail_tol=tail_tol, saturation=saturation)
+        pair = HypothesisPair.from_params(params, saturation=saturation)
         for got, xi in ((pair.present, params.xi), (pair.absent, 0.0)):
-            alone = build_distribution(replace(params, xi=xi), tail_tol=tail_tol)
-            assert alone.tail_mass <= tail_tol
+            alone = build_distribution(replace(params, xi=xi))
+            assert alone.tail_mass <= 1e-12
             if saturation is not None:
                 alone = apply_saturation(alone, saturation)
             assert np.array_equal(got.probs, alone.probs), params

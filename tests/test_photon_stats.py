@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -155,6 +158,10 @@ def test_direct_pmf_validates_inputs():
         direct_pmf(hom_params(), 0)
     with pytest.raises(ParameterError):
         direct_pmf(direct_params(), -1)
+    # the pmf is evaluated at the count itself, so a non-integer is refused
+    for bad in (1.5, 1.0, True):
+        with pytest.raises(ParameterError, match="integers"):
+            direct_pmf(direct_params(), bad)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +197,7 @@ def test_hom_count_difference_mean_matches_closed_form():
     ]
     for kw in cases:
         p = hom_params(**kw)
-        dist = build_distribution(p, tail_tol=1e-13)
+        dist = build_distribution(p)
         counts = np.arange(dist.k_max + 1.0)
         mean_diff = float((dist.probs * (counts[None, :] - counts[:, None])).sum())
         predicted = (
@@ -204,7 +211,7 @@ def test_hom_count_difference_mean_matches_closed_form():
 
 def test_hom_frozen_difference_mean():
     p = hom_params(xi=0.1, eta=0.8, epsilon=0.9, n_c=1.0, n_e=0.8, n_i=0.8)
-    dist = build_distribution(p, tail_tol=1e-13)
+    dist = build_distribution(p)
     counts = np.arange(dist.k_max + 1.0)
     mean_diff = float((dist.probs * (counts[None, :] - counts[:, None])).sum())
     assert mean_diff == pytest.approx(0.45536798306424664, rel=1e-10)
@@ -256,6 +263,34 @@ def test_hom_pmf_validates_inputs():
         hom_pmf(direct_params(), 0, 0)
     with pytest.raises(ParameterError):
         hom_pmf(hom_params(), -1, 0)
+    for bad in ((2.5, 0), (0, 1.0), (True, 0)):
+        with pytest.raises(ParameterError, match="integers"):
+            hom_pmf(hom_params(), *bad)
+    assert hom_pmf(hom_params(), np.int64(1), 2) == hom_pmf(hom_params(), 1, 2)
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_single_cells_at_a_large_count_within_two_gib():
+    # one cell used to cost the whole table up to its count, 20 GB here
+    code = ("from homdetect.photon_stats import ProtocolParams, direct_pmf, hom_pmf; "
+            "print(hom_pmf(ProtocolParams(protocol='coherent', n_c=1.0), 50000, 0), "
+            "direct_pmf(ProtocolParams(protocol='direct', n_e=1.0), 50000))")
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, OMP_NUM_THREADS="1"),
+        preexec_fn=_limit_address_space,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0.0", "0.0"]
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +321,7 @@ def test_hom_normalization_grid(protocol, xi, epsilon, n_c):
 def test_marginals_of_each_detector_share_the_same_mean():
     # phase zero keeps the two outputs statistically identical
     p = hom_params(xi=0.4, eta=0.9, epsilon=0.8, n_c=1.2, n_e=0.2, n_i=0.1, cos_theta=0.0)
-    dist = build_distribution(p, tail_tol=1e-13)
+    dist = build_distribution(p)
     counts = np.arange(dist.k_max + 1.0)
     mean_1 = float(dist.probs.sum(axis=1) @ counts)
     mean_2 = float(dist.probs.sum(axis=0) @ counts)
@@ -301,46 +336,53 @@ def test_marginals_of_each_detector_share_the_same_mean():
 # ---------------------------------------------------------------------------
 
 
-def test_build_distribution_tail_shrinks_with_tolerance():
-    p = hom_params(xi=0.1, eta=0.9, epsilon=0.9, n_c=6.0, n_e=1.0, n_i=1.0)
-    loose = build_distribution(p, tail_tol=1e-6)
-    tight = build_distribution(p, tail_tol=1e-13)
-    assert tight.tail_mass <= 1e-13
-    assert tight.k_max >= loose.k_max
-    # the table size follows the envelope alone; tail_tol only checks it
-    assert np.array_equal(loose.probs, tight.probs)
-
-
-def test_build_distribution_rejects_bad_tail_tol():
-    with pytest.raises(ParameterError):
-        build_distribution(direct_params(), tail_tol=0.0)
-
-
 def test_truncation_cap_raises():
     with pytest.raises(TruncationError):
-        build_distribution(direct_params(xi=0.0, n_e=0.0, n_i=9000.0), tail_tol=1e-12)
+        build_distribution(direct_params(xi=0.0, n_e=0.0, n_i=9000.0))
 
 
-def test_rounding_above_tail_tol_refuses_after_one_table(monkeypatch):
-    # at n_bar ~ 3000 the rounding in 1 - sum (~3e-12) exceeds the default
-    # tail_tol; a larger table cannot lower it, so one table is built and
-    # refused instead of growing tables until memory runs out
+def test_bright_reference_table_builds_once_within_allowance(monkeypatch):
+    # at n_bar ~ 3000 the rounding in 1 - sum (~3e-12) used to exceed a
+    # fixed 1e-12 and refuse the table; the allowance grows with the table,
+    # so the one table built at the 12-sigma size is accepted
     params = hom_params(
         protocol=Protocol.INCOHERENT_HOM, eta=0.99, n_c=3000.0, n_e=10.0, n_i=10.0
     )
     sizes = []
     real = photon_stats._pmf_tables
 
-    def once(p, k_max):
+    def once(p, counts):
         if sizes:
-            raise AssertionError(f"second table built at k_max {k_max} after {sizes}")
-        sizes.append(k_max)
-        return real(p, k_max)
+            raise AssertionError(f"second table built over {counts.size} counts after {sizes}")
+        sizes.append(counts.size - 1)
+        return real(p, counts)
 
     monkeypatch.setattr(photon_stats, "_pmf_tables", once)
+    dist = build_distribution(params)
+    assert sizes == [1965] and dist.k_max == 1965
+    assert 1e-12 < dist.tail_mass <= photon_stats._tail_allowance(params, 1965)
+
+
+@pytest.mark.parametrize("params", [
+    direct_params(n_e=0.5),
+    hom_params(n_c=6.0, n_e=1.0, n_i=1.0),
+    hom_params(protocol=Protocol.INCOHERENT_HOM, eta=0.99, n_c=3000.0, n_e=10.0, n_i=10.0),
+], ids=["direct", "coherent", "bright-incoherent"])
+def test_table_missing_mass_raises(params, monkeypatch):
+    # the allowance covers rounding only: a table short of 1e-9 is refused
+    real = photon_stats._pmf_tables
+    monkeypatch.setattr(photon_stats, "_pmf_tables",
+                        lambda p, counts: real(p, counts) * (1.0 - 1e-9))
     with pytest.raises(TruncationError, match="untabulated mass"):
         build_distribution(params)
-    assert sizes == [1965]
+
+
+def test_tail_allowance_bounds():
+    # the 1e-12 floor holds for small tables, and at the 10000-count cap the
+    # allowance stays below the 1e-9 normalization check of the moments
+    assert photon_stats._tail_allowance(direct_params(n_e=0.5), 20) == 1e-12
+    at_cap = photon_stats._tail_allowance(hom_params(eta=1.0, n_c=17640.0), 10_000)
+    assert 1e-10 < at_cap < 1e-9
 
 
 def test_outcomes_row_major_order():
@@ -412,6 +454,15 @@ def test_saturation_validation():
     once = apply_saturation(dist, 2)
     with pytest.raises(ParameterError):
         apply_saturation(once, 1)
+
+
+def test_saturation_refuses_a_boolean_threshold():
+    # True passed the integer check and then indexed as a mask, adding the
+    # folded mass to every bin: this table came back as [1.0, 0.1125]
+    dist = build_distribution(direct_params(xi=0.1, eta=0.8, n_e=0.02, n_i=0.02))
+    for flag in (True, False, np.bool_(True)):
+        with pytest.raises(ParameterError, match="saturation threshold"):
+            apply_saturation(dist, flag)
 
 
 def test_saturation_beyond_table_keeps_values():

@@ -139,10 +139,10 @@ def test_flat_optimum_at_unscorable_dark_reference_is_an_error_row(monkeypatch):
     # be evaluated; the flat optimum n_c = 0 must report that failure
     real = sweep_module._moments_at
 
-    def moments_at(params, t, tail_tol):
+    def moments_at(params, t):
         if params.n_c == 0.0:
             raise DegenerateParameterError("dark reference undefined")
-        return real(replace(params, n_c=1.0), t, tail_tol)
+        return real(replace(params, n_c=1.0), t)
 
     monkeypatch.setattr(sweep_module, "_moments_at", moments_at)
     with pytest.raises(DegenerateParameterError, match="dark reference"):
@@ -189,7 +189,7 @@ def test_spec_normalizes_nc_bounds_to_a_tuple():
 
 @pytest.mark.parametrize("field, value, same_as", [
     ("c_target", "0.9", 0.9),
-    ("tail_tol", "1e-12", 1e-12),
+    ("epsilon", "0.5", 0.5),
     ("xi", "0.1", 0.1),
     ("nc_bounds", ["1", "1000"], [1.0, 1000.0]),
     ("eta", ["0.9", 1], [0.9, 1.0]),
@@ -392,3 +392,37 @@ def test_preset_lookup():
 def test_presets_are_fresh_instances():
     assert preset("fig2b") is not preset("fig2b")
     assert preset("fig2b") == preset("fig2b")
+
+
+# The N column of the fig2a and fig2b presets, row by row.  These rows pass
+# through every saturation (t = inf, 4, 2, 1), so apply_saturation is pinned too.
+FIG2A_N = (
+    69, 69, 69, 69, 93, 93, 93, 93, 132, 132, 132, 134, 200, 200, 200, 205, 318, 318, 318, 336,
+    526, 526, 530, 596, 894, 895, 927, 1161, 1550, 1557, 1746, 2616, 2716, 2812, 3878, 7667,
+    4789, 5890, 12720, 37967, 8476, 21352, 104115, 542980, 15032, 385012, 5998457, 58428540,
+    26690, 247123902, 13259441846, 238790328407, 36, 40, 75, 197, 36, 41, 75, 200, 37, 41, 77,
+    204, 37, 42, 79, 212, 38, 43, 83, 227, 40, 46, 91, 256, 43, 51, 108, 317, 48, 61, 144, 460,
+    57, 83, 240, 883, 73, 147, 597, 2766, 102, 446, 3189, 20687, 153, 4513, 73623, 734331, 244,
+    587656, 25718300, 418751841, 907, 1512, 5361, 14103, 914, 1531, 5447, 14325, 926, 1565,
+    5603, 14727, 947, 1626, 5888, 15464, 986, 1741, 6427, 16850, 1056, 1964, 7490, 19570, 1186,
+    2427, 9748, 25323, 1432, 3515, 15187, 39156, 1918, 6713, 31074, 80777, 2919, 20687, 92756,
+    267979, 5082, 128552, 502095, 2054207, 9911, 1393470, 10186021, 73192351, 20703, 116224897,
+    3142303512, 41742444795,
+)
+FIG2B_N = (
+    2716, 2812, 3878, 7667, 1020, 762, 560, 408, 297, 217, 161, 122, 95, 76, 63, 54, 49, 1035,
+    774, 569, 416, 303, 223, 167, 128, 102, 87, 81, 88, 126, 1283, 964, 714, 528, 392, 296,
+    231, 189, 166, 163, 190, 284, 632, 2233, 1688, 1264, 948, 721, 563, 461, 404, 391, 438,
+    605, 1134, 3344, 4227, 4266, 4311, 4351, 4361, 4294, 4088, 3708, 3193, 2650, 2175, 1809,
+    1547, 4326, 4384, 4461, 4554, 4652, 4732, 4760, 4725, 4697, 4871, 5613, 7504, 10687, 5627,
+    5842, 6166, 6660, 7428, 8648, 10647, 14021, 19681, 27531, 32061, 30411, 34530, 10336,
+    11032, 12142, 13987, 17247, 23559, 37578, 74718, 166258, 167757, 96645, 80711, 121972,
+)
+
+
+@pytest.mark.parametrize("name, expected", [("fig2a", FIG2A_N), ("fig2b", FIG2B_N)],
+                         ids=["fig2a", "fig2b"])
+def test_fast_presets_keep_their_trial_counts(name, expected):
+    rows = run_sweep(preset(name)).rows
+    assert all(r.error is None for r in rows)
+    assert tuple(r.n_2sigma for r in rows) == expected
