@@ -105,10 +105,6 @@ class HypothesisPair:
             absent = apply_saturation(absent, saturation)
         return cls(present=present, absent=absent)
 
-    @property
-    def saturation(self) -> int | None:
-        return self.present.saturation
-
     @cached_property
     def log_ratio(self) -> np.ndarray:
         """ln(lambda) for every tabulated outcome, read-only, floored so
@@ -147,37 +143,32 @@ class ConfidenceReport:
     n: float
 
 
+def _log_ratio_at(pair: HypothesisPair, outcome: Outcome) -> float:
+    """The entry of ``pair.log_ratio`` for one record."""
+    cell = pair.present.cell(*outcome)
+    if cell is None:
+        raise OutcomeOutsideSupportError(
+            f"outcome {outcome} beyond the unsaturated table (k_max = {pair.present.k_max})"
+        )
+    return pair.log_ratio[cell]
+
+
 def likelihood_ratio(pair: HypothesisPair, outcome: Outcome) -> float:
-    """Per-trial ratio lambda = P(outcome | absent) / P(outcome | present).
+    """Per-trial ratio lambda = P(outcome | absent) / P(outcome | present),
+    read from the floored ``pair.log_ratio`` table that the moments and
+    ensembles use.
 
     Counts beyond a saturated boundary clip onto it; for unsaturated
     tables they are outside the enumerated support and raise.
     """
-    j, k = outcome.j, outcome.k
-    joint = pair.present.is_joint
-    if joint != (k is not None):
-        raise ParameterError("outcome arity does not match the distribution")
-    if pair.saturation is None:
-        top = pair.present.k_max
-        if j > top or (k is not None and k > top):
-            raise OutcomeOutsideSupportError(
-                f"outcome {outcome} beyond the table (k_max = {top}); "
-                "rebuild with a larger table or apply saturation"
-            )
-    pe = max(pair.present.prob(j, k), PROB_FLOOR)
-    pa = max(pair.absent.prob(j, k), PROB_FLOOR)
-    if pe == PROB_FLOOR and pa == PROB_FLOOR:
-        return 1.0
-    return pa / pe
+    return math.exp(_log_ratio_at(pair, outcome))
 
 
 def posterior_trajectory(pair: HypothesisPair, outcomes) -> np.ndarray:
-    """Posterior probability of presence after each outcome in turn,
-    starting from even prior odds."""
-    if len(outcomes) == 0:
-        return np.zeros(0)
-    log_lambdas = [math.log(likelihood_ratio(pair, o)) for o in outcomes]
-    return expit(-np.cumsum(log_lambdas))
+    """Posterior probability of presence after each outcome of an iterable
+    in turn, starting from even prior odds; equal to an ensemble
+    trajectory that draws the same records."""
+    return expit(-np.cumsum([_log_ratio_at(pair, o) for o in outcomes]))
 
 
 def loglik_moments(pair: HypothesisPair) -> LogLikMoments:

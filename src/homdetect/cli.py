@@ -29,6 +29,7 @@ tolerance, 2 for invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -62,15 +63,6 @@ __all__ = ["main"]
 
 _PARAM_KEYS = ("protocol", "xi", "eta", "epsilon", "n_c", "n_e", "n_i", "cos_theta")
 
-# Destination -> flag of every sweep option that describes one point; a preset
-# or config document is the whole spec, so these are refused beside it.
-_POINT_FLAGS = {
-    "protocol": "--protocol", "xi": "--xi", "eta": "--eta", "epsilon": "--epsilon",
-    "n_c": "--nc", "n_e": "--ne", "n_i": "--ni", "cos_theta": "--cos-theta",
-    "saturation": "--saturation", "c_target": "--c-target",
-    "optimize_nc": "--optimize-nc",
-}
-
 
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--protocol", choices=[p.value for p in Protocol], default=None)
@@ -98,12 +90,18 @@ def _load_config(path: str) -> dict:
     return doc
 
 
+def _options(parser: argparse.ArgumentParser, command: str) -> dict[str, argparse.Action]:
+    """Destination -> action of every option of a subcommand but --help
+    and --config."""
+    (commands,) = [a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest: a for a in commands[command]._actions if a.dest not in ("config", "help")}
+
+
 def _config_flags(parser: argparse.ArgumentParser, command: str, path: str) -> list[str]:
     """The --config document of a point command as flags of its subcommand
     parser, so each value meets the type and choice checks of its flag."""
-    (commands,) = [a.choices for a in parser._actions
-                   if isinstance(a, argparse._SubParsersAction)]
-    options = {a.dest: a for a in commands[command]._actions if a.dest not in ("config", "help")}
+    options = _options(parser, command)
     doc = _load_config(path)
     unknown = sorted(set(doc) - set(options))
     if unknown:
@@ -251,12 +249,15 @@ def cmd_speedup(args: argparse.Namespace) -> int:
     return _run_point(args, spec)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace, options: dict[str, argparse.Action]) -> int:
     if args.preset is not None and args.config is not None:
         raise ParameterError("pass either --preset or --config, not both")
     if args.preset is not None or args.config is not None:
-        given = [flag for dest, flag in _POINT_FLAGS.items()
-                 if getattr(args, dest) is not None and getattr(args, dest) is not False]
+        # a preset or config document is the whole spec, so every option
+        # that describes one point is refused beside it
+        given = [a.option_strings[-1] for dest, a in options.items()
+                 if dest not in ("preset", "output", "format")
+                 and getattr(args, dest) is not None and getattr(args, dest) is not False]
         if given:
             source = "--preset" if args.preset is not None else "--config"
             raise ParameterError(
@@ -331,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--c-target", dest="c_target", type=float, default=None)
     p_sweep.add_argument("--optimize-nc", action="store_true",
                          help="optimize the reference brightness per point")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=functools.partial(cmd_sweep, options=_options(parser, "sweep")))
 
     p_oracle = subparsers.add_parser(
         "validate-oracle", help="cross-check the closed form against the number basis"

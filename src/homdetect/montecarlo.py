@@ -123,19 +123,22 @@ class LogLambdaHistogram:
     sigma_y: float
 
 
-def _flat_cdf(dist: CountDistribution) -> np.ndarray:
-    return np.cumsum(dist.probs.ravel())
+def _draw_cells(dist: CountDistribution, u: np.ndarray) -> np.ndarray:
+    """Flat row-major table indices of the records that uniforms u draw,
+    by inverting the cumulative table; a u above its rounded top lands
+    on the last cell."""
+    cdf = np.cumsum(dist.probs.ravel())
+    idx = np.searchsorted(cdf, u, side="right")
+    # in place: a second index array would add u.size words to the peak
+    np.clip(idx, 0, cdf.size - 1, out=idx)
+    return idx
 
 
 def sample_outcome(dist: CountDistribution, rng: np.random.Generator) -> Outcome:
-    """Draw one count record by inverting the cumulative table in
-    row-major order."""
-    cdf = _flat_cdf(dist)
-    flat = min(int(np.searchsorted(cdf, rng.random(), side="right")), cdf.size - 1)
-    if dist.is_joint:
-        j, k = divmod(flat, dist.probs.shape[1])
-        return Outcome(j, k)
-    return Outcome(flat)
+    """Draw one count record from one uniform of rng, by the inverse-CDF
+    draw that ``simulate_ensemble`` makes."""
+    (flat,) = _draw_cells(dist, rng.random(1))
+    return Outcome(*(int(i) for i in np.unravel_index(flat, dist.probs.shape)))
 
 
 def _trajectory_uniforms(seed: int, n_trajectories: int, n_measurements: int) -> np.ndarray:
@@ -149,20 +152,16 @@ def _trajectory_uniforms(seed: int, n_trajectories: int, n_measurements: int) ->
 def simulate_ensemble(config: EnsembleConfig) -> TrajectoryEnsemble:
     """Run the full ensemble and summarize the posterior per step.
 
-    Identical configs give bit-identical results: sampling inverts the
-    same cumulative table with per-trajectory keyed streams, and the
-    summaries are plain deterministic reductions.
+    Trajectory i draws its records as ``sample_outcome`` does from
+    ``Philox(key=[seed, i])`` and scores them from ``pair.log_ratio``, so
+    its posterior is ``posterior_trajectory`` of those records, bit for
+    bit.  Identical configs give bit-identical results, and the summaries
+    are plain deterministic reductions.
     """
-    pair = config.pair
-    dist = config.truth_dist
-    cdf = _flat_cdf(dist)
-    log_ratio = pair.log_ratio.ravel()
-
-    u = _trajectory_uniforms(int(config.seed), config.n_trajectories, config.n_measurements)
-    idx = np.searchsorted(cdf, u, side="right")
-    np.clip(idx, 0, cdf.size - 1, out=idx)
-    cum_log = np.cumsum(log_ratio[idx], axis=1)
-    del u, idx
+    idx = _draw_cells(config.truth_dist, _trajectory_uniforms(
+        int(config.seed), config.n_trajectories, config.n_measurements))
+    cum_log = np.cumsum(config.pair.log_ratio.ravel()[idx], axis=1)
+    del idx
 
     pe = expit(-cum_log)
     mean_pe = pe.mean(axis=0)

@@ -235,26 +235,26 @@ def _is_whole(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _record(*counts) -> np.ndarray:
-    """The counts of one record as floats; each must be an integer >= 0,
-    since the pmf formulas take any real count."""
+def _record(*counts) -> tuple[int, ...]:
+    """The counts of one record, each an integer >= 0: the pmf formulas
+    would take any real count, and a table index a boolean."""
     if not all(_is_whole(c) and c >= 0 for c in counts):
         raise ParameterError(f"counts must be integers >= 0, got {counts}")
-    return np.array(counts, dtype=float)
+    return counts
 
 
 def direct_pmf(params: ProtocolParams, k: int) -> float:
     """Probability of recording k counts in one direct-detection trial."""
     if params.protocol is not Protocol.DIRECT:
         raise ParameterError("direct_pmf requires the direct protocol")
-    return float(_pmf_tables(params, _record(k))[0])
+    return float(_pmf_tables(params, np.array(_record(k), dtype=float))[0])
 
 
 def hom_pmf(params: ProtocolParams, j: int, k: int) -> float:
     """Probability of the joint record (j, k) in one two-detector trial."""
     if params.protocol is Protocol.DIRECT:
         raise ParameterError("hom_pmf requires a two-detector protocol")
-    return float(_pmf_tables(params, _record(j, k))[0, 1])
+    return float(_pmf_tables(params, np.array(_record(j, k), dtype=float))[0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -288,25 +288,24 @@ class CountDistribution:
     def is_joint(self) -> bool:
         return self.probs.ndim == 2
 
-    def prob(self, j: int, k: int | None = None) -> float:
-        """Probability of one outcome; counts above a saturated boundary
-        are clipped onto it."""
-        if j < 0 or (k is not None and k < 0):
-            raise ValueError(f"counts must be >= 0, got ({j}, {k})")
+    def cell(self, j: int, k: int | None = None) -> tuple[int, ...] | None:
+        """Table index of the record (j) or (j, k), or None beyond an
+        unsaturated table; counts above a saturated boundary are clipped
+        onto it.  Counts must be integers >= 0, one per detector."""
+        counts = _record(j) if k is None else _record(j, k)
+        if len(counts) != self.probs.ndim:
+            raise ParameterError(f"this table takes {self.probs.ndim} count(s), got {counts}")
         if self.saturation is not None:
-            j = min(j, self.saturation)
-            if k is not None:
-                k = min(k, self.saturation)
-        elif j > self.k_max or (k is not None and k > self.k_max):
-            # untabulated outcomes sit in the tail, within _tail_allowance
-            return 0.0
-        if self.is_joint:
-            if k is None:
-                raise ValueError("joint distribution requires two counts")
-            return float(self.probs[j, k])
-        if k is not None:
-            raise ValueError("direct distribution takes a single count")
-        return float(self.probs[j])
+            return tuple(min(c, self.saturation) for c in counts)
+        if max(counts) > self.k_max:
+            return None
+        return counts
+
+    def prob(self, j: int, k: int | None = None) -> float:
+        """Probability of the record (j) or (j, k), read at ``cell``; 0 for
+        an untabulated record, whose mass is in ``tail_mass``."""
+        cell = self.cell(j, k)
+        return 0.0 if cell is None else float(self.probs[cell])
 
     def total(self) -> float:
         return float(self.probs.sum())

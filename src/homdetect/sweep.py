@@ -90,6 +90,14 @@ def _spec_number(value) -> float:
     raise TypeError(f"not a number: {value!r}")
 
 
+def _check_nc_bounds(name: str, bounds) -> None:
+    """The search bounds of n_c must be two finite numbers with 0 < lo < hi."""
+    if len(bounds) != 2 or not (0.0 < bounds[0] < bounds[1] < math.inf):
+        raise ParameterError(
+            f"{name} must be two finite numbers with 0 < lo < hi, got {list(bounds)}"
+        )
+
+
 class NcOptimum(NamedTuple):
     """Best reference brightness for one configuration.
 
@@ -169,9 +177,8 @@ def optimize_nc(
     point is the upper bound, the bound is returned with at_bound set
     rather than chasing an asymptotic optimum.
     """
+    _check_nc_bounds("bounds", bounds)
     lo, hi = bounds
-    if not (0.0 < lo < hi):
-        raise ParameterError(f"bounds must satisfy 0 < lo < hi, got {bounds}")
     if params.protocol is Protocol.DIRECT:
         raise ParameterError("the trial count of direct detection does not depend on n_c")
 
@@ -268,17 +275,16 @@ class SweepSpec:
             self._normalize("n_c", _spec_number)
         self._normalize("saturations", _parse_saturation)
         self._normalize("nc_bounds", _spec_number)
-        b = self.nc_bounds
-        if len(b) != 2 or not (0.0 < b[0] < b[1] < math.inf):
-            raise ParameterError(
-                f"sweep spec nc_bounds must be two finite numbers with 0 < lo < hi, got {list(b)}"
-            )
+        _check_nc_bounds("sweep spec nc_bounds", self.nc_bounds)
 
     def _normalize(self, name: str, convert: Callable) -> None:
-        """Store a list field as a tuple of converted entries."""
+        """Store a nonempty list field as a tuple of converted entries; an
+        empty axis would run no point."""
         values = getattr(self, name)
         if not isinstance(values, (list, tuple)):
             raise ParameterError(f"sweep spec {name} must be a list, got {values!r}")
+        if not values:
+            raise ParameterError(f"sweep spec {name} must not be empty")
         try:
             object.__setattr__(self, name, tuple(convert(v) for v in values))
         except TypeError:

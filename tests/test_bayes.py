@@ -50,12 +50,12 @@ def test_from_params_builds_aligned_tables():
     assert pair.present.params.xi == 0.1
     assert pair.absent.params.xi == 0.0
     assert pair.present.probs.shape == pair.absent.probs.shape
-    assert pair.saturation is None
+    assert pair.present.saturation is None
 
 
 def test_from_params_with_saturation():
     pair = HypothesisPair.from_params(LOW_NOISE, saturation=2)
-    assert pair.saturation == 2
+    assert pair.present.saturation == 2
     assert pair.present.probs.shape == (3,)
     assert pair.present.total() == pytest.approx(1.0, abs=1e-12)
 
@@ -131,6 +131,16 @@ def test_ratio_arity_and_support_guards():
         likelihood_ratio(pair, Outcome(pair.present.k_max + 1))
 
 
+@pytest.mark.parametrize("count", [1.5, True, -1])
+def test_ratio_refuses_counts_that_are_not_integers_at_least_zero(count):
+    direct = HypothesisPair.from_params(LOW_NOISE)
+    joint = HypothesisPair.from_params(replace(LOW_NOISE, protocol=Protocol.COHERENT_HOM))
+    with pytest.raises(ParameterError, match="integers"):
+        likelihood_ratio(direct, Outcome(count))
+    with pytest.raises(ParameterError, match="integers"):
+        likelihood_ratio(joint, Outcome(0, count))
+
+
 def test_saturated_pair_clips_high_counts():
     pair = HypothesisPair.from_params(LOW_NOISE, saturation=2)
     assert likelihood_ratio(pair, Outcome(50)) == likelihood_ratio(pair, Outcome(2))
@@ -142,9 +152,17 @@ def test_posterior_trajectory_matches_manual_chain():
     traj = posterior_trajectory(pair, outcomes)
     acc = 0.0
     for i, o in enumerate(outcomes):
-        acc += math.log(likelihood_ratio(pair, o))
-        assert traj[i] == pytest.approx(float(expit(-acc)), rel=1e-14)
+        acc += pair.log_ratio[o.j]
+        assert traj[i] == float(expit(-acc))
     assert posterior_trajectory(pair, []).size == 0
+
+
+def test_posterior_trajectory_takes_any_iterable():
+    pair = HypothesisPair.from_params(LOW_NOISE)
+    outcomes = [Outcome(0), Outcome(1), Outcome(2)]
+    from_list = posterior_trajectory(pair, outcomes)
+    assert np.array_equal(posterior_trajectory(pair, (o for o in outcomes)), from_list)
+    assert posterior_trajectory(pair, iter([])).size == 0
 
 
 def test_posterior_starts_even_and_converges():
@@ -200,7 +218,9 @@ def test_log_ratio_is_one_read_only_table_per_pair():
     table = pair.log_ratio
     assert table is pair.log_ratio
     assert not table.flags.writeable
-    assert table[1] == pytest.approx(math.log(likelihood_ratio(pair, Outcome(1))), rel=1e-14)
+    # the scalar ratio reads this table, so the two agree exactly
+    for o in (Outcome(0), Outcome(1), Outcome(pair.present.k_max)):
+        assert likelihood_ratio(pair, o) == math.exp(table[o.j])
 
 
 def test_moments_match_independent_summation():

@@ -530,12 +530,27 @@ def test_saturation_is_refused_not_truncated(value, tmp_path, capsys):
     assert "saturation must be an integer >= 1 or 'inf'" in err
 
 
-def test_every_sweep_point_flag_is_refused_beside_a_spec():
-    # a sweep flag missing from _POINT_FLAGS would be dropped beside --preset
-    options = vars(cli._build_parser().parse_args(["sweep"]))
-    for key in ("command", "func", "preset", "config", "output", "format"):
-        del options[key]
-    assert set(options) == set(cli._POINT_FLAGS)
+def test_every_sweep_point_flag_is_refused_beside_a_spec(capsys):
+    # a flag dropped beside --preset would leave its value silently unused
+    options = cli._options(cli._build_parser(), "sweep")
+    point = [a for dest, a in options.items() if dest not in ("preset", "output", "format")]
+    assert {"--protocol", "--nc", "--saturation", "--optimize-nc"} <= {
+        a.option_strings[-1] for a in point}
+    for action in point:
+        flag = action.option_strings[-1]
+        value = [] if action.nargs == 0 else [action.choices[-1] if action.choices else "1"]
+        code, out, err = run(["sweep", "--preset", "fig2a", flag] + value, capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: sweep --preset supplies the whole spec; it takes no {flag}\n"
+
+
+@pytest.mark.parametrize("field", ["protocols", "eta", "n_e", "n_i", "n_c", "saturations"])
+def test_sweep_config_with_an_empty_axis_exits_two(field, tmp_path, capsys):
+    # an empty axis used to print only the CSV header and exit 0
+    doc = {"protocols": ["coherent"], field: []}
+    code, out, err = run(["sweep", "--config", config_file(tmp_path, doc)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: sweep spec {field} must not be empty\n"
 
 
 def test_underflowed_background_exits_two_not_nan(capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from homdetect.bayes import HypothesisPair, loglik_moments
+from homdetect.bayes import HypothesisPair, loglik_moments, posterior_trajectory
 from homdetect.montecarlo import (
     EnsembleConfig,
     Truth,
@@ -132,6 +132,22 @@ def test_sample_outcome_arity():
     joint = HypothesisPair.from_params(HOM).present
     o2 = sample_outcome(joint, rng)
     assert o2.k is not None
+
+
+@pytest.mark.parametrize("truth", list(Truth))
+@pytest.mark.parametrize("t", [None, 2])
+@pytest.mark.parametrize("params", [LOW_NOISE, HOM], ids=["direct", "coherent"])
+def test_one_trajectory_ensemble_is_the_posterior_of_its_draws(params, t, truth):
+    # one draw and one log-ratio table serve both paths, so they agree bit
+    # for bit, not to rounding
+    pair = HypothesisPair.from_params(params, saturation=t)
+    seed = 29
+    ens = simulate_ensemble(EnsembleConfig(
+        pair=pair, truth=truth, n_measurements=40, n_trajectories=1, seed=seed))
+    dist = ens.config.truth_dist
+    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    draws = [sample_outcome(dist, rng) for _ in range(40)]
+    assert np.array_equal(ens.mean_pe, posterior_trajectory(pair, draws))
 
 
 # ---------------------------------------------------------------------------

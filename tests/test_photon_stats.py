@@ -413,6 +413,26 @@ def test_prob_guards():
         flat.prob(0, 1)
 
 
+@pytest.mark.parametrize("count", [1.5, True, -1])
+def test_prob_and_cell_refuse_counts_that_are_not_integers_at_least_zero(count):
+    # prob(1.5) used to raise IndexError and prob(True) a numpy TypeError
+    flat = build_distribution(direct_params(n_e=0.5))
+    joint = build_distribution(hom_params(n_c=0.5))
+    for call in (lambda: flat.prob(count), lambda: flat.cell(count),
+                 lambda: joint.prob(count, 0), lambda: joint.cell(0, count)):
+        with pytest.raises(ParameterError, match="integers"):
+            call()
+
+
+def test_cell_locates_clips_and_leaves_the_table():
+    joint = build_distribution(hom_params(n_c=0.5))
+    assert joint.cell(1, 2) == (1, 2)
+    assert joint.cell(joint.k_max + 1, 0) is None
+    sat = apply_saturation(joint, 2)
+    assert sat.cell(7, 1) == (2, 1)
+    assert sat.prob(7, 1) == float(sat.probs[2, 1])
+
+
 # ---------------------------------------------------------------------------
 # saturation
 # ---------------------------------------------------------------------------

@@ -96,6 +96,15 @@ def test_optimize_rejects_direct_and_bad_bounds():
         optimize_nc(HEADLINE, bounds=(2.0, 1.0))
 
 
+@pytest.mark.parametrize("bounds", [(1e-3, math.inf), (1e-3, math.nan)])
+def test_optimize_refuses_bounds_the_sweep_spec_refuses(bounds):
+    # an infinite upper bound used to reach np.geomspace and fail there
+    with pytest.raises(ParameterError, match="finite"):
+        optimize_nc(HEADLINE, bounds=bounds)
+    with pytest.raises(ParameterError, match="finite"):
+        SweepSpec(nc_bounds=bounds)
+
+
 def test_coherent_optimum_saturates_at_the_bound():
     opt = optimize_nc(HEADLINE)
     assert opt.at_bound
@@ -229,6 +238,13 @@ def test_spec_round_trips_through_json():
     assert SweepSpec.from_dict(doc) == spec
     grid = SweepSpec(n_c=(0.5, 6.0))
     assert SweepSpec.from_dict(json.loads(json.dumps(grid.to_dict()))) == grid
+
+
+@pytest.mark.parametrize("field", ["protocols", "eta", "n_e", "n_i", "n_c", "saturations"])
+def test_spec_refuses_an_empty_axis(field):
+    # an empty axis used to run no point at all and succeed
+    with pytest.raises(ParameterError, match=f"sweep spec {field} must not be empty"):
+        SweepSpec.from_dict({field: []})
 
 
 def test_spec_rejects_unknown_keys():
