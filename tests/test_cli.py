@@ -602,3 +602,25 @@ def test_bright_reference_point_runs_within_two_gib():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip().split("\n")[1].split(",")[6] == "685"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_oversize_ensemble_is_refused_before_it_allocates(tmp_path):
+    # 10^7 x 50 float64 is 4 GB, which the address limit could not map: the
+    # size estimate refuses the run first, with exit 2 and no output file
+    out = tmp_path / "out.csv"
+    result = subprocess.run(
+        [sys.executable, "-m", "homdetect.cli", "simulate"] + LOW_FLAGS
+        + ["--truth", "present", "--n-measurements", "50", "--n-trajectories", "10000000",
+           "--seed", "1", "-o", str(out)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, OMP_NUM_THREADS="1"),
+        preexec_fn=_limit_address_space,
+        timeout=120,
+    )
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert "10000000 trajectories x 50 measurements" in result.stderr
+    assert "budget" in result.stderr
+    assert not out.exists()

@@ -5,12 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 from scipy.stats import chisquare
 
 from homdetect.bayes import HypothesisPair, loglik_moments, posterior_trajectory
 from homdetect.montecarlo import (
+    ENSEMBLE_BUDGET_BYTES,
     EnsembleConfig,
     Truth,
+    _chunk_rows,
+    _estimated_bytes,
+    _trajectory_uniforms,
     loglambda_histogram,
     sample_outcome,
     simulate_ensemble,
@@ -179,6 +184,46 @@ def test_trajectories_are_keyed_not_sequential():
     assert np.array_equal(small.final_log_lambda, large.final_log_lambda[:40])
 
 
+@pytest.mark.parametrize("m", [3, 20])
+def test_trajectories_are_keyed_across_chunks(m):
+    # one chunk against three: the first run's rows are the second's
+    # prefix, and rows on either side of a chunk boundary are the draws
+    # of numpy's Philox under their own key
+    rows = _chunk_rows(m)
+    small = simulate_ensemble(config(n_measurements=m, n_trajectories=rows - 24))
+    large = simulate_ensemble(config(n_measurements=m, n_trajectories=2 * rows + 24))
+    assert np.array_equal(small.final_log_lambda, large.final_log_lambda[: rows - 24])
+    pair, dist = large.config.pair, large.config.truth_dist
+    for i in (rows - 1, rows, 2 * rows, 2 * rows + 23):
+        rng = np.random.Generator(np.random.Philox(key=[11, i]))
+        draws = [sample_outcome(dist, rng) for _ in range(m)]
+        scores = np.cumsum([pair.log_ratio[dist.cell(o.j, o.k)] for o in draws])
+        assert large.final_log_lambda[i] == scores[-1]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 - 1])
+@pytest.mark.parametrize("m", [1, 3, 4, 5, 50])
+def test_trajectory_uniforms_are_numpy_philox(seed, m):
+    # numpy's generator is the oracle; ranges start past zero and cross a
+    # chunk boundary, and m = 1, 3, 5, 50 end in a partial block
+    rows = _chunk_rows(m)
+    for start, stop in ((0, 3), (7, 12), (rows - 2, rows + 3)):
+        u = _trajectory_uniforms(seed, start, stop, m)
+        expected = np.array([
+            np.random.Generator(np.random.Philox(key=[seed, i])).random(m)
+            for i in range(start, stop)
+        ])
+        assert u.shape == (stop - start, m)
+        assert np.array_equal(u.view(np.uint64), expected.view(np.uint64))
+
+
+def test_oversize_ensemble_is_refused():
+    c = config(n_measurements=50, n_trajectories=10_000_000)
+    assert _estimated_bytes(10_000_000, 50) > ENSEMBLE_BUDGET_BYTES
+    with pytest.raises(ParameterError, match="budget"):
+        simulate_ensemble(c)
+
+
 # ---------------------------------------------------------------------------
 # summary semantics
 # ---------------------------------------------------------------------------
@@ -193,14 +238,21 @@ def test_quartiles_bracket_and_single_trajectory_degenerates():
     assert np.array_equal(single.q25, single.mean_pe)
 
 
+def _assert_nearest_rank_quartiles(n):
+    ens = simulate_ensemble(config(n_trajectories=n, n_measurements=5))
+    # recompute from a fresh run's final posteriors via a full sort
+    again = simulate_ensemble(config(n_trajectories=n, n_measurements=5))
+    final_pe = np.sort(expit(-again.final_log_lambda))
+    assert ens.q25[-1] == final_pe[math.ceil(0.25 * n) - 1]
+    assert ens.q75[-1] == final_pe[math.ceil(0.75 * n) - 1]
+
+
 def test_quartiles_are_nearest_rank():
-    ens = simulate_ensemble(config(n_trajectories=101, n_measurements=5))
-    # recompute from a fresh run's final posteriors via sorting
-    again = simulate_ensemble(config(n_trajectories=101, n_measurements=5))
-    final_pe = 1.0 / (1.0 + np.exp(again.final_log_lambda))
-    final_pe.sort()
-    assert ens.q25[-1] == pytest.approx(final_pe[math.ceil(0.25 * 101) - 1], rel=1e-12)
-    assert ens.q75[-1] == pytest.approx(final_pe[math.ceil(0.75 * 101) - 1], rel=1e-12)
+    _assert_nearest_rank_quartiles(101)
+
+
+def test_quartiles_are_nearest_rank_after_a_partial_chunk():
+    _assert_nearest_rank_quartiles(_chunk_rows(5) + 37)
 
 
 def test_empirical_matches_analytic_at_scale():
