@@ -208,17 +208,13 @@ def lognormal_pdf(lam: float, mu_y: float, sigma_y: float) -> float:
     return math.exp(-0.5 * z * z) / (lam * sigma_y * math.sqrt(2.0 * math.pi))
 
 
-def _confidence_real(n: float, moments: LogLikMoments) -> ConfidenceReport:
-    m = moments
-    if m.sigma_present <= 0.0 or m.sigma_absent <= 0.0:
-        raise DegenerateMomentsError(
-            "zero log-ratio spread; the hypotheses are not discriminable "
-            "by the normal approximation"
-        )
+def _confidences(n: float, m: LogLikMoments) -> tuple[float, float, float]:
+    """Confidence after a real-valued n trials under the present truth, the
+    absent truth and averaged; the spreads must be > 0."""
     root = math.sqrt(n / 2.0)
     c_p = 0.5 * (1.0 - math.erf(root * m.mu_present / m.sigma_present))
     c_a = 0.5 * (1.0 + math.erf(root * m.mu_absent / m.sigma_absent))
-    return ConfidenceReport(c_present=c_p, c_absent=c_a, c_total=0.5 * (c_p + c_a), n=n)
+    return c_p, c_a, 0.5 * (c_p + c_a)
 
 
 def confidence(n: int, moments: LogLikMoments) -> ConfidenceReport:
@@ -226,7 +222,13 @@ def confidence(n: int, moments: LogLikMoments) -> ConfidenceReport:
     and averaged, in the normal approximation of the log ratio."""
     if n < 1:
         raise ParameterError(f"trial count must be >= 1, got {n}")
-    return _confidence_real(float(n), moments)
+    if moments.sigma_present <= 0.0 or moments.sigma_absent <= 0.0:
+        raise DegenerateMomentsError(
+            "zero log-ratio spread; the hypotheses are not discriminable "
+            "by the normal approximation"
+        )
+    c_p, c_a, c_total = _confidences(float(n), moments)
+    return ConfidenceReport(c_present=c_p, c_absent=c_a, c_total=c_total, n=float(n))
 
 
 # Bracket expansion in n_for_confidence stops here; beyond it the target
@@ -248,7 +250,7 @@ def _n_real(moments: LogLikMoments, c_target: float) -> float:
             "for the confidence to approach 1"
         )
     lo, hi = 0.0, 1.0
-    while _confidence_real(hi, m).c_total < c_target:
+    while _confidences(hi, m)[2] < c_target:
         hi *= 2.0
         if hi > _N_SEARCH_CAP:
             raise HypothesesIndistinguishableError(
@@ -259,7 +261,7 @@ def _n_real(moments: LogLikMoments, c_target: float) -> float:
         if not lo < mid < hi:
             # lo and hi are adjacent floats; no further step moves hi
             break
-        if _confidence_real(mid, m).c_total >= c_target:
+        if _confidences(mid, m)[2] >= c_target:
             hi = mid
         else:
             lo = mid
@@ -272,9 +274,9 @@ def n_for_confidence(c_target: float, moments: LogLikMoments) -> int:
     n = max(1, math.ceil(_n_real(moments, c_target)))
     # the bisection root is accurate to ~1 ulp; walk the integer boundary
     # so minimality is exact
-    while n > 1 and _confidence_real(n - 1.0, moments).c_total >= c_target:
+    while n > 1 and _confidences(n - 1.0, moments)[2] >= c_target:
         n -= 1
-    while _confidence_real(float(n), moments).c_total < c_target:
+    while _confidences(float(n), moments)[2] < c_target:
         n += 1
     return n
 

@@ -178,12 +178,32 @@ def _poisson_vec(counts: np.ndarray, mean: float) -> np.ndarray:
 
 
 def _clamp_negative(p: np.ndarray) -> np.ndarray:
-    return np.where((p < 0.0) & (p >= NEG_CLAMP), 0.0, p)
+    """Zero, in place, the cells of the contiguous table p that lie in
+    [NEG_CLAMP, 0); only its negative cells are read a second time."""
+    flat = p.reshape(-1)
+    negative = np.flatnonzero(flat < 0.0)
+    flat[negative[flat[negative] >= NEG_CLAMP]] = 0.0
+    return p
 
 
-def _pmf_tables(params: ProtocolParams, counts: np.ndarray) -> np.ndarray:
-    """The pmf at the given counts per detector (row index = detector 1),
-    a 1-D table for direct detection and a 2-D one otherwise.
+def _hankel(terms: np.ndarray, width: int) -> np.ndarray:
+    """View of a contiguous 1-D vector whose cell (r, c) is terms[r + c],
+    with the given number of columns; numpy checks the strides against the
+    vector's length."""
+    return np.ndarray(
+        (terms.size - width + 1, width),
+        dtype=terms.dtype,
+        buffer=terms,
+        strides=(terms.itemsize, terms.itemsize),
+    )
+
+
+def _pmf_tables(
+    params: ProtocolParams, counts: np.ndarray, cols: np.ndarray | None = None
+) -> np.ndarray:
+    """The pmf over contiguous count ranges, ``counts`` for detector 1 (the
+    row index) and ``cols`` for detector 2 (default ``counts``): a 1-D
+    table for direct detection and a 2-D one otherwise.
 
     It is a Poisson envelope, Poisson(n_noise) for direct detection and two
     Poisson(n_bar / 2) factors for two detectors, times a bracket that is 1
@@ -195,40 +215,53 @@ def _pmf_tables(params: ProtocolParams, counts: np.ndarray) -> np.ndarray:
     reference give a polynomial bracket in (j + k) and (j - k), expanded so
     that every xi-dependent term carries its own xi factor and xi = 0 and
     xi = 1 are exact endpoints with no indeterminate ratios.
+
+    The bracket depends on the cell (j, k) only through s = j + k and
+    d = j - k.  Its three terms, 1 - eta xi + eta xi n_noise s / n_bar^2,
+    eta^2 xi epsilon n_c d^2 / n_bar^2 and cross d / n_bar, are evaluated
+    once per value of s or d, on vectors of length rows + cols - 1, and
+    read back as views whose cell (j, k) is the term at j + k (a Hankel
+    matrix) or at j - k (a Toeplitz one).  The table is then
+    ((H + T_quad) - T_lin) times the envelope: per cell the same
+    operations in the same order as the elementwise expression, so every
+    cell has the same bits.
     """
     n_bar, n_noise = derived_means(params)
     p = params
     if p.protocol is Protocol.DIRECT:
         envelope = _poisson_vec(counts, n_noise)
-    elif p.xi > 0.0 and n_bar**2 == 0.0:
+        if p.xi == 0.0:
+            return envelope
+        q = p.eta * p.xi
+        return _clamp_negative((1.0 - q) * envelope + q * _poisson_vec(counts - 1.0, n_noise))
+    cols = counts if cols is None else cols
+    if p.xi > 0.0 and n_bar**2 == 0.0:
         # the bracket divides by n_bar**2, which underflows below about 2e-162
         raise DegenerateParameterError(
             f"two-detector pmf undefined for n_bar = {n_bar} (n_bar**2 = 0) with xi > 0; "
             "model an unobserved emitter with the direct protocol at eta = 0"
         )
-    elif n_bar > 0.0:
-        lp = _log_poisson(counts, n_bar / 2.0)
-        envelope = np.exp(lp[:, None] + lp[None, :])
+    if n_bar > 0.0:
+        envelope = np.add.outer(_log_poisson(counts, n_bar / 2.0), _log_poisson(cols, n_bar / 2.0))
+        np.exp(envelope, out=envelope)
     else:
-        envelope = 1.0 * np.outer(counts == 0.0, counts == 0.0)
+        envelope = 1.0 * np.outer(counts == 0.0, cols == 0.0)
     if p.xi == 0.0:
         return envelope
-    if p.protocol is Protocol.DIRECT:
-        q = p.eta * p.xi
-        return _clamp_negative((1.0 - q) * envelope + q * _poisson_vec(counts - 1.0, n_noise))
-    total = counts[:, None] + counts[None, :]
-    diff = counts[:, None] - counts[None, :]
+    total = np.arange(counts[0] + cols[0], counts[-1] + cols[-1] + 1.0)
+    # descending, so that reversing the rows of its Hankel view puts the
+    # term at j - k in cell (j, k) with the columns left contiguous
+    diff = np.arange(counts[-1] - cols[0], counts[0] - cols[-1] - 1.0, -1.0)
     cross = 2.0 * p.eta * p.cos_theta * math.sqrt(
         max(0.0, p.xi * (1.0 - p.xi)) * p.epsilon * p.n_c
     )
-    bracket = (
-        1.0
-        - p.eta * p.xi
-        + p.eta * p.xi * n_noise * total / n_bar**2
-        + p.eta**2 * p.xi * p.epsilon * p.n_c * diff**2 / n_bar**2
-        - cross * diff / n_bar
-    )
-    return _clamp_negative(envelope * bracket)
+    by_total = 1.0 - p.eta * p.xi + p.eta * p.xi * n_noise * total / n_bar**2
+    quad = p.eta**2 * p.xi * p.epsilon * p.n_c * diff**2 / n_bar**2
+    lin = cross * diff / n_bar
+    table = np.add(_hankel(by_total, cols.size), _hankel(quad, cols.size)[::-1])
+    table -= _hankel(lin, cols.size)[::-1]
+    table *= envelope
+    return _clamp_negative(table)
 
 
 def _is_whole(value) -> bool:
@@ -254,7 +287,8 @@ def hom_pmf(params: ProtocolParams, j: int, k: int) -> float:
     """Probability of the joint record (j, k) in one two-detector trial."""
     if params.protocol is Protocol.DIRECT:
         raise ParameterError("hom_pmf requires a two-detector protocol")
-    return float(_pmf_tables(params, np.array(_record(j, k), dtype=float))[0, 1])
+    j, k = _record(j, k)
+    return float(_pmf_tables(params, np.array([float(j)]), np.array([float(k)]))[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +453,17 @@ def apply_saturation(dist: CountDistribution, t: int) -> CountDistribution:
     A detector that saturates at t reports min(count, t), so all mass with
     j >= t collapses onto j = t (per detector for joint tables).  The
     distribution tail joins the top corner bin, making the result exactly
-    normalized.  Saturation is applied at most once.
+    normalized.  Saturation is applied at most once, and a threshold above
+    the 10000-count table cap is refused before anything is allocated.
     """
     if dist.saturation is not None:
         raise ParameterError("distribution is already saturated")
     if not _is_whole(t) or t < 1:
         raise ParameterError(f"saturation threshold must be an integer >= 1, got {t}")
+    if t > K_MAX_HARD_CAP:
+        raise ParameterError(
+            f"saturation threshold {t} exceeds the cap of {K_MAX_HARD_CAP} counts per detector"
+        )
     allowance = _tail_allowance(dist.params, dist.k_max)
     if dist.tail_mass > allowance:
         raise ParameterError(

@@ -15,7 +15,6 @@ from homdetect.bayes import (
     HypothesisPair,
     LogLikMoments,
     OutcomeOutsideSupportError,
-    _confidence_real,
     _n_real,
     confidence,
     likelihood_ratio,
@@ -365,31 +364,65 @@ def test_n_for_confidence_target_guards():
             n_for_confidence(bad, m)
 
 
+def _reference_c_total(n, m):
+    """The averaged confidence after a real-valued n trials, written out
+    term by term as the reference for the N search."""
+    root = math.sqrt(n / 2.0)
+    c_p = 0.5 * (1.0 - math.erf(root * m.mu_present / m.sigma_present))
+    c_a = 0.5 * (1.0 + math.erf(root * m.mu_absent / m.sigma_absent))
+    return 0.5 * (c_p + c_a)
+
+
 def _n_real_200_halvings(m, c_target):
     """The real-valued N search with a fixed 200 halvings."""
     lo, hi = 0.0, 1.0
-    while _confidence_real(hi, m).c_total < c_target:
+    while _reference_c_total(hi, m) < c_target:
         hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _confidence_real(mid, m).c_total >= c_target:
+        if _reference_c_total(mid, m) >= c_target:
             hi = mid
         else:
             lo = mid
     return hi
 
 
+def _n_int_reference(m, c_target):
+    """The smallest integer N, walked from the ceiling of the real root."""
+    n = max(1, math.ceil(_n_real_200_halvings(m, c_target)))
+    while n > 1 and _reference_c_total(n - 1.0, m) >= c_target:
+        n -= 1
+    while _reference_c_total(float(n), m) < c_target:
+        n += 1
+    return n
+
+
+def _seeded_moments(rng, flat):
+    """Means of 1e-4..10 and spreads of 1e-2..10, or, when flat, means of
+    1e-6..1e-4 spreads, where N is about 1e7..4e10."""
+    mu_p, mu_a, sigma_p, sigma_a = 10.0 ** rng.uniform(
+        [-4.0, -4.0, -2.0, -2.0], [1.0, 1.0, 1.0, 1.0]
+    )
+    if flat:
+        mu_p, mu_a = 10.0 ** rng.uniform(-6.0, -4.0, 2) * (sigma_p, sigma_a)
+    return LogLikMoments(
+        mu_present=-mu_p, sigma_present=sigma_p, mu_absent=mu_a, sigma_absent=sigma_a
+    )
+
+
 def test_n_search_stops_early_with_identical_result():
+    # both the real root and the integer N equal the reference bisection
+    # exactly, also on near-flat moments where N is 1e7..4e10
     rng = np.random.default_rng(20250501)
-    for _ in range(300):
-        mu_p, mu_a, sigma_p, sigma_a = 10.0 ** rng.uniform(
-            [-4.0, -4.0, -2.0, -2.0], [1.0, 1.0, 1.0, 1.0]
-        )
-        m = LogLikMoments(
-            mu_present=-mu_p, sigma_present=sigma_p, mu_absent=mu_a, sigma_absent=sigma_a
-        )
+    largest = 0
+    for i in range(400):
+        m = _seeded_moments(rng, flat=i % 4 == 3)
         target = rng.uniform(0.6, 0.999)
         assert _n_real(m, target) == _n_real_200_halvings(m, target)
+        n = n_for_confidence(target, m)
+        assert n == _n_int_reference(m, target)
+        largest = max(largest, n)
+    assert largest > 1e10
 
 
 def test_identical_hypotheses_are_flagged():

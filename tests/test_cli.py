@@ -624,3 +624,26 @@ def test_oversize_ensemble_is_refused_before_it_allocates(tmp_path):
     assert "10000000 trajectories x 50 measurements" in result.stderr
     assert "budget" in result.stderr
     assert not out.exists()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+@pytest.mark.parametrize("command,flags,threshold", [
+    ("nmeas", HEADLINE_FLAGS, "100000"),
+    ("dist", LOW_FLAGS, "100000000"),
+])
+def test_oversize_saturation_is_refused_before_it_allocates(command, flags, threshold):
+    # a (t + 1)^d table at t = 1e5 (two detectors) is 75 GB and at t = 1e8
+    # (one) 0.8 GB; both thresholds exceed the 10000-count table cap and
+    # are refused with exit 2 before the folded table is allocated
+    result = subprocess.run(
+        [sys.executable, "-m", "homdetect.cli", command] + flags + ["--saturation", threshold],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, OMP_NUM_THREADS="1"),
+        preexec_fn=_limit_address_space,
+        timeout=120,
+    )
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert f"saturation threshold {threshold} exceeds the cap of 10000" in result.stderr
+    assert result.stdout == ""

@@ -269,6 +269,113 @@ def test_hom_pmf_validates_inputs():
     assert hom_pmf(hom_params(), np.int64(1), 2) == hom_pmf(hom_params(), 1, 2)
 
 
+# ---------------------------------------------------------------------------
+# the table kernel, cell for cell against the elementwise expression
+# ---------------------------------------------------------------------------
+
+
+def _elementwise_pmf(params, counts):
+    """The pmf over counts 0..n per detector with the two-detector bracket
+    written as one expression over the whole (j, k) grid: the reference
+    for the kernel, which evaluates it once per j + k and per j - k."""
+    n_bar, n_noise = derived_means(params)
+    p = params
+    if p.protocol is Protocol.DIRECT:
+        envelope = photon_stats._poisson_vec(counts, n_noise)
+    elif n_bar > 0.0:
+        lp = photon_stats._log_poisson(counts, n_bar / 2.0)
+        envelope = np.exp(lp[:, None] + lp[None, :])
+    else:
+        envelope = 1.0 * np.outer(counts == 0.0, counts == 0.0)
+    if p.xi == 0.0:
+        return envelope
+    if p.protocol is Protocol.DIRECT:
+        q = p.eta * p.xi
+        table = (1.0 - q) * envelope + q * photon_stats._poisson_vec(counts - 1.0, n_noise)
+    else:
+        total = counts[:, None] + counts[None, :]
+        diff = counts[:, None] - counts[None, :]
+        cross = 2.0 * p.eta * p.cos_theta * math.sqrt(
+            max(0.0, p.xi * (1.0 - p.xi)) * p.epsilon * p.n_c
+        )
+        bracket = (
+            1.0
+            - p.eta * p.xi
+            + p.eta * p.xi * n_noise * total / n_bar**2
+            + p.eta**2 * p.xi * p.epsilon * p.n_c * diff**2 / n_bar**2
+            - cross * diff / n_bar
+        )
+        table = envelope * bracket
+    return np.where((table < 0.0) & (table >= photon_stats.NEG_CLAMP), 0.0, table)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for protocol in Protocol:
+        for xi in (0.0, None, 1.0):
+            for sign in (1.0, -1.0):
+                for _ in range(3):
+                    cases.append(ProtocolParams(
+                        protocol=protocol,
+                        xi=rng.uniform(0.01, 0.99) if xi is None else xi,
+                        eta=rng.uniform(0.05, 1.0),
+                        epsilon=rng.uniform(0.05, 1.0),
+                        n_c=10.0 ** rng.uniform(-3.0, 2.5),
+                        n_e=10.0 ** rng.uniform(-3.0, 1.0),
+                        n_i=10.0 ** rng.uniform(-3.0, 1.0),
+                        cos_theta=sign * rng.uniform(0.0, 1.0),
+                    ))
+    # perfect interference at xi = 0.1, n_c = 1: the bracket vanishes on a
+    # diagonal and rounding leaves cells in [NEG_CLAMP, 0) to clamp
+    for sign in (1.0, -1.0):
+        cases.append(hom_params(xi=0.1, eta=1.0, epsilon=1.0, n_c=1.0, cos_theta=sign))
+    # vacuum (n_bar = 0), and n_bar**2 subnormal but nonzero: just above
+    # the band where it underflows to 0 and both raise
+    cases.append(direct_params(xi=0.3))
+    cases.append(hom_params(xi=0.0, n_c=0.0))
+    cases.append(hom_params(xi=0.5, n_c=0.0, n_e=0.0, n_i=1e-160))
+    return cases
+
+
+@pytest.mark.parametrize("params", _kernel_cases())
+def test_table_kernel_matches_elementwise_expression_bitwise(params):
+    dist = build_distribution(params)
+    counts = np.arange(dist.k_max + 1.0)
+    assert _same_bits(dist.probs, _elementwise_pmf(params, counts))
+    # the number-basis comparison reads the closed form on 0..10
+    small = np.arange(11.0)
+    assert _same_bits(photon_stats._pmf_tables(params, small), _elementwise_pmf(params, small))
+    rng = np.random.default_rng(int(1e6 * params.n_c) % 2**32)
+    for j, k in rng.integers(0, dist.k_max + 1, size=(5, 2)).tolist():
+        if params.protocol is Protocol.DIRECT:
+            expected = _elementwise_pmf(params, np.array([float(j)]))[0]
+            assert _same_bits(direct_pmf(params, j), expected)
+        else:
+            expected = _elementwise_pmf(params, np.array([float(j), float(k)]))[0, 1]
+            assert _same_bits(hom_pmf(params, j, k), expected)
+
+
+def test_table_kernel_clamps_the_cells_the_expression_clamps(monkeypatch):
+    params = hom_params(xi=0.1, eta=1.0, epsilon=1.0, n_c=1.0)
+    counts = np.arange(build_distribution(params).k_max + 1.0)
+    clamped = []
+    real = photon_stats._clamp_negative
+
+    def counting(table):
+        clamped.append(int(((table < 0.0) & (table >= photon_stats.NEG_CLAMP)).sum()))
+        return real(table)
+
+    monkeypatch.setattr(photon_stats, "_clamp_negative", counting)
+    table = photon_stats._pmf_tables(params, counts)
+    assert clamped[0] > 0
+    assert _same_bits(table, _elementwise_pmf(params, counts))
+
+
 def _limit_address_space():
     import resource
 
@@ -474,6 +581,10 @@ def test_saturation_validation():
     once = apply_saturation(dist, 2)
     with pytest.raises(ParameterError):
         apply_saturation(once, 1)
+    # the table cap bounds the threshold as it bounds k_max
+    assert apply_saturation(dist, 10_000).k_max == 10_000
+    with pytest.raises(ParameterError, match="exceeds the cap"):
+        apply_saturation(dist, 10_001)
 
 
 def test_saturation_refuses_a_boolean_threshold():
