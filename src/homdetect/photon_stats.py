@@ -189,7 +189,8 @@ def _clamp_negative(p: np.ndarray) -> np.ndarray:
 def _hankel(terms: np.ndarray, width: int) -> np.ndarray:
     """View of a contiguous 1-D vector whose cell (r, c) is terms[r + c],
     with the given number of columns; numpy checks the strides against the
-    vector's length."""
+    vector's length.  ``sliding_window_view`` builds the same view at
+    about 20 us a call, where a whole 33-count table takes about 75 us."""
     return np.ndarray(
         (terms.size - width + 1, width),
         dtype=terms.dtype,
