@@ -153,6 +153,8 @@ def _emit_result(result: SweepResult, args: argparse.Namespace) -> None:
 def _point_spec(args: argparse.Namespace) -> SweepSpec:
     """The one-point sweep that nmeas, speedup and the flag form of sweep
     evaluate, carrying every flag that changes its numbers."""
+    if getattr(args, "optimize_nc", False) and args.n_c is not None:
+        raise ParameterError("--optimize-nc chooses the reference brightness; it takes no --nc")
     params = _params_from(args)
     return SweepSpec(
         protocols=(params.protocol.value,),

@@ -268,8 +268,10 @@ def compare_with_closed_form(
     """Worst absolute deviation between this module and the closed form
     over all detected pairs with j + k <= jk_sum_max.
 
-    Returns (max deviation, argmax pair, within tolerance).
+    Returns (max deviation, argmax pair, within a finite tol >= 0).
     """
+    if not 0.0 <= tol < math.inf:
+        raise ParameterError(f"tolerance must be finite and >= 0, got {tol}")
     table = oracle_table(cfg, jk_sum_max, jk_sum_max)
     closed = _pmf_tables(cfg.params, np.arange(jk_sum_max + 1.0))
     worst, where = -1.0, (0, 0)

@@ -41,6 +41,7 @@ __all__ = [
     "direct_pmf",
     "hom_pmf",
     "build_distribution",
+    "with_emitter",
     "apply_saturation",
     "table_csv_text",
     "table_entries",
@@ -199,6 +200,48 @@ def _hankel(terms: np.ndarray, width: int) -> np.ndarray:
     )
 
 
+def _envelope(params: ProtocolParams, counts: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The xi = 0 table: Poisson(n_noise), or two Poisson(n_bar / 2) factors."""
+    n_bar, n_noise = derived_means(params)
+    if params.protocol is Protocol.DIRECT:
+        return _poisson_vec(counts, n_noise)
+    if n_bar == 0.0:
+        return 1.0 * np.outer(counts == 0.0, cols == 0.0)
+    envelope = np.add.outer(_log_poisson(counts, n_bar / 2.0), _log_poisson(cols, n_bar / 2.0))
+    return np.exp(envelope, out=envelope)
+
+
+def _bracketed(
+    params: ProtocolParams, envelope: np.ndarray, counts: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """A new table: the envelope times the emitter's bracket at params.xi."""
+    n_bar, n_noise = derived_means(params)
+    p = params
+    if p.protocol is Protocol.DIRECT:
+        q = p.eta * p.xi
+        return _clamp_negative((1.0 - q) * envelope + q * _poisson_vec(counts - 1.0, n_noise))
+    if n_bar**2 == 0.0:
+        # the bracket divides by n_bar**2, which underflows below about 2e-162
+        raise DegenerateParameterError(
+            f"two-detector pmf undefined for n_bar = {n_bar} (n_bar**2 = 0) with xi > 0; "
+            "model an unobserved emitter with the direct protocol at eta = 0"
+        )
+    total = np.arange(counts[0] + cols[0], counts[-1] + cols[-1] + 1.0)
+    # descending, so that reversing the rows of its Hankel view puts the
+    # term at j - k in cell (j, k) with the columns left contiguous
+    diff = np.arange(counts[-1] - cols[0], counts[0] - cols[-1] - 1.0, -1.0)
+    cross = 2.0 * p.eta * p.cos_theta * math.sqrt(
+        max(0.0, p.xi * (1.0 - p.xi)) * p.epsilon * p.n_c
+    )
+    by_total = 1.0 - p.eta * p.xi + p.eta * p.xi * n_noise * total / n_bar**2
+    quad = p.eta**2 * p.xi * p.epsilon * p.n_c * diff**2 / n_bar**2
+    lin = cross * diff / n_bar
+    table = np.add(_hankel(by_total, cols.size), _hankel(quad, cols.size)[::-1])
+    table -= _hankel(lin, cols.size)[::-1]
+    table *= envelope
+    return _clamp_negative(table)
+
+
 def _pmf_tables(
     params: ProtocolParams, counts: np.ndarray, cols: np.ndarray | None = None
 ) -> np.ndarray:
@@ -207,8 +250,8 @@ def _pmf_tables(
     table for direct detection and a 2-D one otherwise.
 
     It is a Poisson envelope, Poisson(n_noise) for direct detection and two
-    Poisson(n_bar / 2) factors for two detectors, times a bracket that is 1
-    at xi = 0.
+    Poisson(n_bar / 2) factors for two detectors, which alone is the xi = 0
+    table (``_envelope``), times the bracket that ``_bracketed`` applies.
 
     Direct: the at-most-one emitter photon lands with probability eta xi,
     p(k) = (1 - eta xi) Pois(k; n) + eta xi Pois(k - 1; n), exact also at
@@ -227,42 +270,9 @@ def _pmf_tables(
     operations in the same order as the elementwise expression, so every
     cell has the same bits.
     """
-    n_bar, n_noise = derived_means(params)
-    p = params
-    if p.protocol is Protocol.DIRECT:
-        envelope = _poisson_vec(counts, n_noise)
-        if p.xi == 0.0:
-            return envelope
-        q = p.eta * p.xi
-        return _clamp_negative((1.0 - q) * envelope + q * _poisson_vec(counts - 1.0, n_noise))
     cols = counts if cols is None else cols
-    if p.xi > 0.0 and n_bar**2 == 0.0:
-        # the bracket divides by n_bar**2, which underflows below about 2e-162
-        raise DegenerateParameterError(
-            f"two-detector pmf undefined for n_bar = {n_bar} (n_bar**2 = 0) with xi > 0; "
-            "model an unobserved emitter with the direct protocol at eta = 0"
-        )
-    if n_bar > 0.0:
-        envelope = np.add.outer(_log_poisson(counts, n_bar / 2.0), _log_poisson(cols, n_bar / 2.0))
-        np.exp(envelope, out=envelope)
-    else:
-        envelope = 1.0 * np.outer(counts == 0.0, cols == 0.0)
-    if p.xi == 0.0:
-        return envelope
-    total = np.arange(counts[0] + cols[0], counts[-1] + cols[-1] + 1.0)
-    # descending, so that reversing the rows of its Hankel view puts the
-    # term at j - k in cell (j, k) with the columns left contiguous
-    diff = np.arange(counts[-1] - cols[0], counts[0] - cols[-1] - 1.0, -1.0)
-    cross = 2.0 * p.eta * p.cos_theta * math.sqrt(
-        max(0.0, p.xi * (1.0 - p.xi)) * p.epsilon * p.n_c
-    )
-    by_total = 1.0 - p.eta * p.xi + p.eta * p.xi * n_noise * total / n_bar**2
-    quad = p.eta**2 * p.xi * p.epsilon * p.n_c * diff**2 / n_bar**2
-    lin = cross * diff / n_bar
-    table = np.add(_hankel(by_total, cols.size), _hankel(quad, cols.size)[::-1])
-    table -= _hankel(lin, cols.size)[::-1]
-    table *= envelope
-    return _clamp_negative(table)
+    envelope = _envelope(params, counts, cols)
+    return envelope if params.xi == 0.0 else _bracketed(params, envelope, counts, cols)
 
 
 def _is_whole(value) -> bool:
@@ -438,14 +448,30 @@ def build_distribution(params: ProtocolParams) -> CountDistribution:
         raise TruncationError(
             f"k_max {k} at n_bar = {n_bar} exceeds the cap of {K_MAX_HARD_CAP} counts per detector"
         )
-    probs = _pmf_tables(params, np.arange(k + 1.0))
-    tail = max(0.0, 1.0 - float(probs.sum()))
+    return _checked(params, _pmf_tables(params, np.arange(k + 1.0)))
+
+
+def _checked(params: ProtocolParams, probs: np.ndarray) -> CountDistribution:
+    """The table as a distribution if its ``1 - sum`` is within the allowance."""
+    tail, k = max(0.0, 1.0 - float(probs.sum())), probs.shape[0] - 1
     allowance = _tail_allowance(params, k)
     if tail > allowance:
-        raise TruncationError(
-            f"untabulated mass {tail:.3g} > {allowance:.3g} allowed at k_max {k}, n_bar = {n_bar}"
-        )
+        raise TruncationError(f"untabulated mass {tail:.3g} > {allowance:.3g} allowed at "
+                              f"k_max {k}, n_bar = {derived_means(params).n_bar}")
     return CountDistribution(params=params, probs=probs, tail_mass=tail)
+
+
+def with_emitter(absent: CountDistribution, params: ProtocolParams) -> CountDistribution:
+    """The present table at params: ``absent.probs``, the envelope, times
+    the emitter's bracket, with its own tail check and the bits of
+    ``build_distribution(params)``.  ParameterError unless ``absent`` is
+    unsaturated and at params but for xi = 0; at xi = 0 it is returned."""
+    if absent.saturation is not None or {**vars(params), "xi": 0.0} != vars(absent.params):
+        raise ParameterError("with_emitter takes the unsaturated xi = 0 table of its params")
+    if params.xi == 0.0:
+        return absent
+    counts = np.arange(absent.k_max + 1.0)
+    return _checked(params, _bracketed(params, absent.probs, counts, counts))
 
 
 def apply_saturation(dist: CountDistribution, t: int) -> CountDistribution:

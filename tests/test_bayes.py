@@ -24,6 +24,7 @@ from homdetect.bayes import (
     n_for_confidence,
     posterior_trajectory,
 )
+from homdetect import bayes, photon_stats
 from homdetect.photon_stats import (
     CountDistribution,
     Outcome,
@@ -32,11 +33,13 @@ from homdetect.photon_stats import (
     ProtocolParams,
     apply_saturation,
     build_distribution,
+    with_emitter,
 )
 
 LOW_NOISE = ProtocolParams(protocol=Protocol.DIRECT, xi=0.1, eta=0.8, n_e=0.02, n_i=0.02)
 HIGH_NOISE = ProtocolParams(protocol=Protocol.DIRECT, xi=0.1, eta=0.8, n_e=1.0, n_i=1.0)
 UNIT_NOISE = ProtocolParams(protocol=Protocol.DIRECT, xi=0.1, eta=0.8, n_e=0.0, n_i=1.0)
+NOISELESS = ProtocolParams(protocol=Protocol.DIRECT, xi=0.1, eta=0.8, n_e=0.0, n_i=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +75,37 @@ def test_pair_rejects_mismatches():
     )
     with pytest.raises(ParameterError, match="shapes"):
         HypothesisPair(present=present, absent=absent_small)
+    # with_emitter refuses every absent table the pair would refuse, and a
+    # saturated one, whose boundary bins are no longer the envelope
+    for refused in (apply_saturation(absent, 2), present, absent_wrong):
+        with pytest.raises(ParameterError, match="with_emitter"):
+            with_emitter(refused, LOW_NOISE)
+    with pytest.raises(ParameterError, match="with_emitter"):
+        with_emitter(absent, replace(LOW_NOISE, eta=0.5))
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_from_params_builds_one_envelope(protocol, monkeypatch):
+    # the present table is the absent table times the bracket, so a pair
+    # builds one envelope and makes one build_distribution call
+    envelopes, builds = [], []
+
+    def counted(calls, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(photon_stats, "_envelope", counted(envelopes, photon_stats._envelope))
+    monkeypatch.setattr(bayes, "build_distribution", counted(builds, bayes.build_distribution))
+    params = replace(LOW_NOISE, protocol=protocol, epsilon=0.9, n_c=6.0)
+    for saturation in (None, 2):
+        envelopes.clear()
+        builds.clear()
+        pair = HypothesisPair.from_params(params, saturation=saturation)
+        assert (len(envelopes), len(builds)) == (1, 1)
+        assert builds[0][0] == replace(params, xi=0.0)
+        assert pair.present.params == params and pair.present.saturation == saturation
 
 
 @pytest.mark.parametrize("saturation", [None, 2])
@@ -224,7 +258,12 @@ def test_log_ratio_is_one_read_only_table_per_pair():
 
 def test_moments_match_independent_summation():
     # plain-python re-derivation over the enumerated outcomes
-    pair = HypothesisPair.from_params(LOW_NOISE, saturation=4)
+    for pair in (HypothesisPair.from_params(LOW_NOISE, saturation=4),
+                 HypothesisPair.from_params(NOISELESS)):
+        _check_moments_by_summation(pair)
+
+
+def _check_moments_by_summation(pair):
     floor = 1e-300
 
     def manual(truth):
@@ -246,6 +285,60 @@ def test_moments_match_independent_summation():
     assert m.sigma_present == pytest.approx(s_p, rel=1e-12)
     assert m.mu_absent == pytest.approx(mu_a, rel=1e-12)
     assert m.sigma_absent == pytest.approx(s_a, rel=1e-12)
+
+
+def _masked_moments(pair):
+    # the formula the moments had before: only cells with weight > 0 enter
+    out = []
+    for truth in (pair.present.probs, pair.absent.probs):
+        mask = truth > 0.0
+        w = truth[mask]
+        x = pair.log_ratio[mask]
+        mu = float(np.dot(w, x))
+        second = float(np.dot(w, x * x))
+        out += [mu, math.sqrt(max(0.0, second - mu * mu))]
+    return out
+
+
+def test_moments_over_whole_tables_match_the_masked_sums():
+    # a zero cell adds an exact +0 to each dot product, so a table without
+    # one gives the same bits; with zero cells only the summation order of
+    # the dot product moves
+    rng = np.random.default_rng(20261019)
+    pairs = [
+        HypothesisPair.from_params(ProtocolParams(
+            protocol=Protocol.COHERENT_HOM, xi=0.1, eta=0.99, epsilon=0.9, n_c=1e3,
+            n_e=10.0, n_i=10.0)),
+        HypothesisPair.from_params(NOISELESS),
+        # full interference null: 18 present cells are exactly zero
+        HypothesisPair.from_params(ProtocolParams(protocol=Protocol.COHERENT_HOM, xi=0.1)),
+    ]
+    assert pairs[0].present.k_max == 782
+    assert np.count_nonzero(pairs[0].present.probs == 0.0) == 3867
+    for i in range(60):
+        params = ProtocolParams(
+            protocol=list(Protocol)[i % 3],
+            xi=rng.uniform(0.01, 1.0),
+            eta=rng.uniform(0.1, 1.0),
+            epsilon=rng.uniform(),
+            n_c=10.0 ** rng.uniform(-1.0, 2.0),
+            n_e=10.0 ** rng.uniform(-2.0, 1.0),
+            n_i=10.0 ** rng.uniform(-3.0, 0.0),
+            cos_theta=rng.uniform(-1.0, 1.0),
+        )
+        pairs.append(HypothesisPair.from_params(params, saturation=[None, 1, 2, 4][i % 4]))
+    exact = 0
+    for pair in pairs:
+        m = loglik_moments(pair)
+        got = [m.mu_present, m.sigma_present, m.mu_absent, m.sigma_absent]
+        want = _masked_moments(pair)
+        if (pair.present.probs > 0.0).all() and (pair.absent.probs > 0.0).all():
+            exact += 1
+            assert got == want, pair.present.params
+        else:
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 4 * math.ulp(w), pair.present.params
+    assert exact >= 20
 
 
 def test_moment_signs_for_distinguishable_pair():

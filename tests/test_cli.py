@@ -362,6 +362,14 @@ def test_validate_oracle_fails_at_zero_tolerance(capsys):
     assert out.startswith("FAIL")
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_validate_oracle_refuses_a_tolerance_not_finite_and_at_least_zero(tol, capsys):
+    # nan and -1 used to print FAIL and exit 1, and inf passed any deviation
+    code, out, err = run(["validate-oracle", "--nc", "1", "--tol", tol], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: tolerance must be finite and >= 0")
+
+
 def test_validate_oracle_rejects_bright_reference(capsys):
     code, _, err = run(["validate-oracle", "--nc", "9"], capsys)
     assert code == 2
@@ -488,8 +496,15 @@ def test_explicit_flags_override_config(tmp_path, capsys):
      {"optimize_nc": True}, ["--optimize-nc"], None),
     (["dist"] + HEADLINE_FLAGS, {"diff": True}, ["--diff"], None),
     (["nmeas"] + HEADLINE_FLAGS, {"output": "out.csv"}, ["-o", "out.csv"], None),
+    # --optimize-nc chooses n_c, so a given --nc would go unused
+    (["speedup", "--optimize-nc", "--nc", "5"] + as_flags(
+        {k: v for k, v in OPTIMIZED.items() if k != "optimize_nc"}), None, None, ["--nc"]),
+    (["sweep", "--optimize-nc", "--nc", "5"] + as_flags(
+        {k: v for k, v in OPTIMIZED.items() if k != "optimize_nc"}), None, None, ["--nc"]),
+    (["speedup"], {**OPTIMIZED, "n_c": 5.0}, None, ["--nc"]),
 ], ids=["misspelled-key", "other-command-key", "oracle-output", "oracle-table-flags",
-        "optimize-nc", "diff", "output"])
+        "optimize-nc", "diff", "output", "optimize-nc-beside-nc", "sweep-optimize-nc-beside-nc",
+        "optimize-nc-beside-nc-config"])
 def test_config_keys_and_flags_are_read_or_refused(command, doc, same_as, refused,
                                                    tmp_path, monkeypatch, capsys):
     # each of these used to exit 0 with the key or flag silently dropped

@@ -163,6 +163,13 @@ def test_compare_reports_location_and_verdict():
     assert worst2 == worst and not ok2
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1e-12, float("inf")])
+def test_compare_refuses_a_tolerance_not_finite_and_at_least_zero(tol):
+    cfg = OracleConfig(params=coherent(xi=0.1, eta=0.8, epsilon=0.9, n_c=1.0))
+    with pytest.raises(ParameterError, match="tolerance"):
+        compare_with_closed_form(cfg, jk_sum_max=4, tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # seeded property test
 # ---------------------------------------------------------------------------
