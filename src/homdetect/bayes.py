@@ -106,12 +106,11 @@ class HypothesisPair:
     @cached_property
     def log_ratio(self) -> np.ndarray:
         """ln(lambda) for every tabulated outcome, read-only, floored so
-        conclusive outcomes stay finite; outcomes dead under both
-        hypotheses get 0."""
+        conclusive outcomes stay finite; an outcome dead under both
+        hypotheses floors both logs alike, so it gets exactly +0.0."""
         pe = self.present.probs
         pa = self.absent.probs
         table = np.log(np.maximum(pa, PROB_FLOOR)) - np.log(np.maximum(pe, PROB_FLOOR))
-        table = np.where((pe < PROB_FLOOR) & (pa < PROB_FLOOR), 0.0, table)
         table.setflags(write=False)
         return table
 
@@ -229,11 +228,17 @@ def confidence(n: int, moments: LogLikMoments) -> ConfidenceReport:
 _N_SEARCH_CAP = 2.0**62
 
 
+def _check_c_target(c_target: float) -> None:
+    """A target confidence must lie strictly between a coin flip and
+    certainty."""
+    if not (0.5 < c_target < 1.0):
+        raise ParameterError(f"c_target must lie in (0.5, 1), got {c_target}")
+
+
 def _n_real(moments: LogLikMoments, c_target: float) -> float:
     """Real-valued trial count where the averaged confidence crosses
     c_target; the integer answer is its ceiling."""
-    if not (0.5 < c_target < 1.0):
-        raise ParameterError(f"c_target must lie in (0.5, 1), got {c_target}")
+    _check_c_target(c_target)
     m = moments
     if m.sigma_present <= 0.0 or m.sigma_absent <= 0.0 or not (
         m.mu_present < 0.0 < m.mu_absent

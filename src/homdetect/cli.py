@@ -29,7 +29,6 @@ tolerance, 2 for invalid input.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -90,18 +89,10 @@ def _load_config(path: str) -> dict:
     return doc
 
 
-def _options(parser: argparse.ArgumentParser, command: str) -> dict[str, argparse.Action]:
-    """Destination -> action of every option of a subcommand but --help
-    and --config."""
-    (commands,) = [a.choices for a in parser._actions
-                   if isinstance(a, argparse._SubParsersAction)]
-    return {a.dest: a for a in commands[command]._actions if a.dest not in ("config", "help")}
-
-
-def _config_flags(parser: argparse.ArgumentParser, command: str, path: str) -> list[str]:
+def _config_flags(command: str, path: str) -> list[str]:
     """The --config document of a point command as flags of its subcommand
     parser, so each value meets the type and choice checks of its flag."""
-    options = _options(parser, command)
+    options = _OPTIONS[command]
     doc = _load_config(path)
     unknown = sorted(set(doc) - set(options))
     if unknown:
@@ -251,13 +242,13 @@ def cmd_speedup(args: argparse.Namespace) -> int:
     return _run_point(args, spec)
 
 
-def cmd_sweep(args: argparse.Namespace, options: dict[str, argparse.Action]) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
     if args.preset is not None and args.config is not None:
         raise ParameterError("pass either --preset or --config, not both")
     if args.preset is not None or args.config is not None:
         # a preset or config document is the whole spec, so every option
         # that describes one point is refused beside it
-        given = [a.option_strings[-1] for dest, a in options.items()
+        given = [a.option_strings[-1] for dest, a in _OPTIONS["sweep"].items()
                  if dest not in ("preset", "output", "format")
                  and getattr(args, dest) is not None and getattr(args, dest) is not False]
         if given:
@@ -290,7 +281,8 @@ def cmd_validate_oracle(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
+    """The parser, and per subcommand its options but --help and --config."""
     parser = argparse.ArgumentParser(
         prog="homdetect",
         description="Photon-count statistics and Bayesian emitter detection",
@@ -334,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--c-target", dest="c_target", type=float, default=None)
     p_sweep.add_argument("--optimize-nc", action="store_true",
                          help="optimize the reference brightness per point")
-    p_sweep.set_defaults(func=functools.partial(cmd_sweep, options=_options(parser, "sweep")))
+    p_sweep.set_defaults(func=cmd_sweep)
 
     p_oracle = subparsers.add_parser(
         "validate-oracle", help="cross-check the closed form against the number basis"
@@ -345,19 +337,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--jk-sum-max", dest="jk_sum_max", type=int, default=10)
     p_oracle.set_defaults(func=cmd_validate_oracle)
 
-    return parser
+    return parser, {command: {a.dest: a for a in sub._actions if a.dest not in ("config", "help")}
+                    for command, sub in subparsers.choices.items()}
+
+
+# built once per process: parsing leaves no state in the parser
+_PARSER, _OPTIONS = _build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.config is not None and args.command != "sweep":
             # the document's flags go first, so a flag on the command line wins
             at = argv.index(args.command) + 1
-            flags = _config_flags(parser, args.command, args.config)
-            args = parser.parse_args(argv[:at] + flags + argv[at:])
+            flags = _config_flags(args.command, args.config)
+            args = _PARSER.parse_args(argv[:at] + flags + argv[at:])
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

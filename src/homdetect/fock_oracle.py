@@ -49,6 +49,11 @@ __all__ = [
 # symmetric grid is exact up to rounding; 64 keeps that slack negligible.
 PHASE_GRID = 64
 
+# Largest per-mode truncation.  The _mode_tensors cache keeps four complex
+# dim x dim arrays for each of up to 64 phases, 4 KiB * dim**2 in all:
+# 164 MB at this cap.
+FOCK_DIM_MAX = 200
+
 NORM_DEFICIT_TOL = 1e-10
 LOSS_RESIDUAL_TOL = 1e-10
 
@@ -78,8 +83,8 @@ class OracleConfig:
             raise ParameterError(
                 f"oracle requires n_c <= 4 so the default truncation is adequate, got {self.params.n_c}"
             )
-        if self.fock_dim < 2:
-            raise ParameterError(f"fock_dim must be >= 2, got {self.fock_dim}")
+        if not (2 <= self.fock_dim <= FOCK_DIM_MAX):
+            raise ParameterError(f"fock_dim must lie in [2, {FOCK_DIM_MAX}], got {self.fock_dim}")
         if self.loss_sum_max is None:
             object.__setattr__(self, "loss_sum_max", self.fock_dim)
         if not (1 <= self.loss_sum_max <= self.fock_dim):

@@ -22,6 +22,7 @@ from .bayes import (
     HypothesisPair,
     HypothesesIndistinguishableError,
     LogLikMoments,
+    _check_c_target,
     _n_real,
     loglik_moments,
     n_for_confidence,
@@ -276,6 +277,14 @@ class SweepSpec:
         self._normalize("saturations", _parse_saturation)
         self._normalize("nc_bounds", _spec_number)
         _check_nc_bounds("sweep spec nc_bounds", self.nc_bounds)
+        # out-of-range values are refused here, not turned into error rows
+        _check_c_target(self.c_target)
+        ProtocolParams(Protocol.COHERENT_HOM, xi=self.xi, epsilon=self.epsilon,
+                       cos_theta=self.cos_theta)
+        for name in ("eta", "n_e", "n_i", "n_c"):
+            if isinstance(getattr(self, name), tuple):
+                for value in getattr(self, name):
+                    ProtocolParams(Protocol.COHERENT_HOM, **{name: value})
 
     def _normalize(self, name: str, convert: Callable) -> None:
         """Store a nonempty list field as a tuple of converted entries; an

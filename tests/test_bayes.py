@@ -256,6 +256,47 @@ def test_log_ratio_is_one_read_only_table_per_pair():
         assert likelihood_ratio(pair, o) == math.exp(table[o.j])
 
 
+def _masked_log_ratio(pair):
+    # the table as built with an explicit dead-cell mask, kept as the reference
+    pe, pa = pair.present.probs, pair.absent.probs
+    table = np.log(np.maximum(pa, bayes.PROB_FLOOR)) - np.log(np.maximum(pe, bayes.PROB_FLOOR))
+    return np.where((pe < bayes.PROB_FLOOR) & (pa < bayes.PROB_FLOOR), 0.0, table)
+
+
+def test_log_ratio_of_dead_cells_is_positive_zero_without_a_mask():
+    # both probabilities floor to PROB_FLOOR in a dead cell, so the
+    # difference of logs is already the +0.0 a mask would write
+    rng = np.random.default_rng(20261020)
+    pairs = [
+        HypothesisPair.from_params(ProtocolParams(
+            protocol=Protocol.COHERENT_HOM, xi=0.1, eta=0.99, epsilon=0.9, n_c=1e3,
+            n_e=10.0, n_i=10.0)),
+        HypothesisPair.from_params(NOISELESS),
+    ]
+    for i in range(9):
+        params = ProtocolParams(
+            protocol=list(Protocol)[i % 3],
+            xi=rng.uniform(0.01, 1.0),
+            eta=rng.uniform(0.1, 1.0),
+            epsilon=rng.uniform(),
+            n_c=10.0 ** rng.uniform(-1.0, 2.0),
+            n_e=10.0 ** rng.uniform(-2.0, 1.0),
+            n_i=10.0 ** rng.uniform(-3.0, 0.0),
+            cos_theta=rng.uniform(-1.0, 1.0),
+        )
+        pairs.append(HypothesisPair.from_params(params, saturation=[None, 2, 4][i % 3]))
+    dead_counts = []
+    for pair in pairs:
+        got, want = pair.log_ratio, _masked_log_ratio(pair)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), pair.present.params
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        dead = (pair.present.probs < bayes.PROB_FLOOR) & (pair.absent.probs < bayes.PROB_FLOOR)
+        assert np.all(got[dead] == 0.0) and not np.signbit(got[dead]).any()
+        dead_counts.append(int(np.count_nonzero(dead)))
+    assert dead_counts[0] == 6449
+    assert dead_counts[1] > 0
+
+
 def test_moments_match_independent_summation():
     # plain-python re-derivation over the enumerated outcomes
     for pair in (HypothesisPair.from_params(LOW_NOISE, saturation=4),

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -10,7 +11,8 @@ import pytest
 from homdetect.bayes import HypothesisPair
 from homdetect import cli
 from homdetect.cli import main
-from homdetect.photon_stats import Protocol, ProtocolParams, build_distribution
+from homdetect.photon_stats import ParameterError, Protocol, ProtocolParams, build_distribution
+from homdetect.sweep import SweepSpec
 
 LOW_FLAGS = ["--protocol", "direct", "--xi", "0.1", "--eta", "0.8", "--ne", "0.02", "--ni", "0.02"]
 HEADLINE_FLAGS = [
@@ -547,8 +549,7 @@ def test_saturation_is_refused_not_truncated(value, tmp_path, capsys):
 
 def test_every_sweep_point_flag_is_refused_beside_a_spec(capsys):
     # a flag dropped beside --preset would leave its value silently unused
-    options = cli._options(cli._build_parser(), "sweep")
-    point = [a for dest, a in options.items() if dest not in ("preset", "output", "format")]
+    point = [a for dest, a in cli._OPTIONS["sweep"].items() if dest not in ("preset", "output", "format")]
     assert {"--protocol", "--nc", "--saturation", "--optimize-nc"} <= {
         a.option_strings[-1] for a in point}
     for action in point:
@@ -568,6 +569,28 @@ def test_sweep_config_with_an_empty_axis_exits_two(field, tmp_path, capsys):
     assert err == f"error: sweep spec {field} must not be empty\n"
 
 
+@pytest.mark.parametrize("key, value, flag, message", [
+    ("xi", 2, "--xi", "xi must lie in [0, 1], got 2.0"),
+    ("epsilon", -0.5, "--epsilon", "epsilon must lie in [0, 1], got -0.5"),
+    ("cos_theta", 3, "--cos-theta", "cos_theta must lie in [-1, 1], got 3.0"),
+    ("c_target", 0.2, "--c-target", "c_target must lie in (0.5, 1), got 0.2"),
+    ("c_target", 1, "--c-target", "c_target must lie in (0.5, 1), got 1.0"),
+    ("eta", [0.9, 1.5], "--eta", "eta must lie in [0, 1], got 1.5"),
+    ("n_e", [1.0, -1.0], "--ne", "n_e must be finite and >= 0, got -1.0"),
+    ("n_i", [-2.0], "--ni", "n_i must be finite and >= 0, got -2.0"),
+    ("n_c", [6.0, -1.0], "--nc", "n_c must be finite and >= 0, got -1.0"),
+])
+def test_out_of_range_sweep_values_exit_two(key, value, flag, message, tmp_path, capsys):
+    # these used to exit 0 with every affected row an error row
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        SweepSpec(protocols=("coherent",), **{key: value})
+    code, out, err = run(["sweep", "--config", config_file(tmp_path, {key: value})], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    bad = str(value[-1] if isinstance(value, list) else value)
+    code, out, err = run(["sweep", "--protocol", "coherent", flag, bad], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_underflowed_background_exits_two_not_nan(capsys):
     code, out, err = run(["dist", "--protocol", "coherent", "--nc", "0", "--ne", "0",
                           "--ni", "1e-170", "--format", "json"], capsys)
@@ -579,6 +602,47 @@ def test_missing_config_file_exits_two(capsys):
     code, _, err = run(["nmeas", "--config", "/nonexistent/params.json"], capsys)
     assert code == 2
     assert "error" in err
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+def test_calls_reuse_the_parser_built_at_import(monkeypatch, capsys):
+    def rebuild():
+        raise AssertionError("the parser is built once, at import")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuild)
+    code, out, _ = run(["nmeas"] + HEADLINE_FLAGS, capsys)
+    assert code == 0 and out.split("\n")[1].split(",")[6] == "57"
+
+
+def test_calls_in_one_process_leak_no_state(tmp_path, capsys):
+    # each call must print what it prints as the first call of a process:
+    # the config run's json format and c_target must not reach the last call
+    doc = {**HEADLINE, "c_target": 0.99, "format": "json"}
+    calls = [
+        ["nmeas", "--config", config_file(tmp_path, doc)],
+        ["nmeas"] + as_flags(doc),
+        ["nmeas", "--format", "xml"] + HEADLINE_FLAGS,
+        ["sweep", "--preset", "fig2a", "--nc", "1"],
+        ["nmeas"] + HEADLINE_FLAGS,
+    ]
+    firsts = [subprocess.Popen([sys.executable, "-m", "homdetect.cli"] + argv, text=True,
+                               stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+              for argv in calls]
+    expected = []
+    for first in firsts:
+        out, err = first.communicate(timeout=120)
+        expected.append((first.returncode, out, err))
+    for argv, want in zip(calls, expected):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert (code,) + tuple(capsys.readouterr()) == want, argv
+    assert [want[0] for want in expected] == [0, 0, 2, 2, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +703,29 @@ def test_oversize_ensemble_is_refused_before_it_allocates(tmp_path):
     assert "10000000 trajectories x 50 measurements" in result.stderr
     assert "budget" in result.stderr
     assert not out.exists()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+@pytest.mark.parametrize("fock_dim,code", [("20000", 2), ("200", 0)])
+def test_oracle_basis_is_capped_before_it_allocates(fock_dim, code):
+    # a 20000^2 complex array is 6 GB, which used to fail with exit 1 under
+    # the address limit; the cap itself, with all 64 incoherent phases held
+    # in the mode-tensor cache, runs within it
+    result = subprocess.run(
+        [sys.executable, "-m", "homdetect.cli", "validate-oracle", "--protocol", "incoherent",
+         "--nc", "1", "--fock-dim", fock_dim],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, OMP_NUM_THREADS="1"),
+        preexec_fn=_limit_address_space,
+        timeout=120,
+    )
+    assert result.returncode == code, result.stderr
+    if code == 2:
+        assert result.stderr == "error: fock_dim must lie in [2, 200], got 20000\n"
+        assert result.stdout == ""
+    else:
+        assert result.stdout.startswith("PASS: ")
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
