@@ -90,18 +90,22 @@ class HypothesisPair:
             raise ParameterError("hypotheses have different saturation")
 
     @classmethod
-    def from_params(
-        cls, params: ProtocolParams, saturation: int | None = None
-    ) -> "HypothesisPair":
+    def from_params(cls, params: ProtocolParams) -> "HypothesisPair":
         """Build the absent table, the Poisson envelope, once and the
         present table from it (``with_emitter``), each with its own tail
-        check and the bits a build of its own gives; saturation folds both."""
+        check and the bits a build of its own gives; both unsaturated."""
         absent = build_distribution(replace(params, xi=0.0))
-        present = with_emitter(absent, params)
-        if saturation is not None:
-            present = apply_saturation(present, saturation)
-            absent = apply_saturation(absent, saturation)
-        return cls(present=present, absent=absent)
+        return cls(present=with_emitter(absent, params), absent=absent)
+
+    def saturated(self, t: int | None) -> "HypothesisPair":
+        """The pair seen by detectors saturating at t: both tables folded
+        by ``apply_saturation``, present first; t = None returns the pair
+        itself.  One unsaturated pair can be folded at several t."""
+        if t is None:
+            return self
+        return HypothesisPair(
+            present=apply_saturation(self.present, t), absent=apply_saturation(self.absent, t)
+        )
 
     @cached_property
     def log_ratio(self) -> np.ndarray:
@@ -240,12 +244,15 @@ def _n_real(moments: LogLikMoments, c_target: float) -> float:
     c_target; the integer answer is its ceiling."""
     _check_c_target(c_target)
     m = moments
-    if m.sigma_present <= 0.0 or m.sigma_absent <= 0.0 or not (
-        m.mu_present < 0.0 < m.mu_absent
-    ):
+    if not (m.mu_present < 0.0 < m.mu_absent):
         raise HypothesesIndistinguishableError(
             "log-ratio means must straddle zero (mu_present < 0 < mu_absent) "
             "for the confidence to approach 1"
+        )
+    if m.sigma_present <= 0.0 or m.sigma_absent <= 0.0:
+        raise HypothesesIndistinguishableError(
+            "log-ratio spread is zero under one truth (every record it yields has "
+            "the same ratio); the normal approximation gives no trial count"
         )
     lo, hi = 0.0, 1.0
     while _confidences(hi, m)[2] < c_target:

@@ -170,7 +170,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
     params = _params_from(args)
     t = _parse_saturation(args.saturation)
     if args.diff:
-        pair = HypothesisPair.from_params(params, saturation=t)
+        pair = HypothesisPair.from_params(params).saturated(t)
         table = pair.present.probs - pair.absent.probs
         if args.format == "csv":
             text = table_csv_text(table, "dp")
@@ -199,7 +199,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.output is None:
         raise ParameterError("simulate requires -o/--output for its two result files")
 
-    pair = HypothesisPair.from_params(params, saturation=t)
+    pair = HypothesisPair.from_params(params).saturated(t)
     ensemble = simulate_ensemble(
         EnsembleConfig(
             pair=pair, **_given(args, "truth", "n_measurements", "n_trajectories", "seed")

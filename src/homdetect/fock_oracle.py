@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import poisson
+from scipy.special import pdtrc
 
 from .photon_stats import (
     ParameterError,
@@ -91,7 +91,7 @@ class OracleConfig:
             raise ParameterError(
                 f"loss_sum_max must lie in [1, fock_dim], got {self.loss_sum_max}"
             )
-        deficit = float(poisson.sf(self.fock_dim - 1, self.params.n_c)) if self.params.n_c > 0 else 0.0
+        deficit = float(pdtrc(self.fock_dim - 1, self.params.n_c)) if self.params.n_c > 0 else 0.0
         if deficit > NORM_DEFICIT_TOL:
             raise OracleTruncationError(
                 f"coherent-state norm deficit {deficit:.3e} above {NORM_DEFICIT_TOL}; raise fock_dim"

@@ -223,13 +223,40 @@ def _chunk_rows(n_measurements: int) -> int:
     return max(1, _CHUNK_UNIFORMS // n_measurements)
 
 
-def _estimated_bytes(n_trajectories: int, n_measurements: int) -> int:
-    """Peak bytes of ``simulate_ensemble``: the N x M array, the final
-    log ratios and one chunk's temporaries (Philox words, uniforms,
-    cell indices)."""
+def _estimated_bytes(n_trajectories: int, n_measurements: int, kept: int | None = None) -> int:
+    """Peak bytes of a run that keeps ``kept`` float64 words per
+    trajectory, by default ``simulate_ensemble``'s M (the N x M array)
+    plus one (the final log ratios), and one chunk's temporaries (Philox
+    words, uniforms, cell indices)."""
+    if kept is None:
+        kept = n_measurements + 1
     rows = min(n_trajectories, _chunk_rows(n_measurements))
     words = rows * 4 * -(-n_measurements // 4)
-    return 8 * (n_trajectories * n_measurements + n_trajectories + _CHUNK_ARRAYS * words)
+    return 8 * (n_trajectories * kept + _CHUNK_ARRAYS * words)
+
+
+def _refuse_above_budget(config: EnsembleConfig, kept: int | None = None) -> None:
+    n, m = config.n_trajectories, config.n_measurements
+    need = _estimated_bytes(n, m, kept)
+    if need > ENSEMBLE_BUDGET_BYTES:
+        raise ParameterError(
+            f"an ensemble of {n} trajectories x {m} measurements needs about "
+            f"{need / 2**20:.0f} MiB, above the {ENSEMBLE_BUDGET_BYTES >> 20} MiB "
+            "budget; use fewer trajectories or measurements"
+        )
+
+
+def _draws_by_chunk(config: EnsembleConfig):
+    """The draw loop of an ensemble: for each chunk of trajectories
+    s..e-1 in turn, (s, e, the flat table index of every record drawn,
+    one row per trajectory)."""
+    n, m = config.n_trajectories, config.n_measurements
+    seed = int(config.seed)
+    cdf = _cumulative(config.truth_dist)
+    rows = _chunk_rows(m)
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
+        yield s, e, _draw_cells(cdf, _trajectory_uniforms(seed, s, e, m))
 
 
 def simulate_ensemble(config: EnsembleConfig) -> TrajectoryEnsemble:
@@ -248,22 +275,11 @@ def simulate_ensemble(config: EnsembleConfig) -> TrajectoryEnsemble:
     a run estimated above ``ENSEMBLE_BUDGET_BYTES`` raises
     ``ParameterError`` before allocating.
     """
+    _refuse_above_budget(config)
     n, m = config.n_trajectories, config.n_measurements
-    need = _estimated_bytes(n, m)
-    if need > ENSEMBLE_BUDGET_BYTES:
-        raise ParameterError(
-            f"an ensemble of {n} trajectories x {m} measurements needs about "
-            f"{need / 2**20:.0f} MiB, above the {ENSEMBLE_BUDGET_BYTES >> 20} MiB "
-            "budget; use fewer trajectories or measurements"
-        )
-    seed = int(config.seed)
-    cdf = _cumulative(config.truth_dist)
     log_ratio = config.pair.log_ratio.ravel()
     cum_log = np.empty((n, m))
-    rows = _chunk_rows(m)
-    for s in range(0, n, rows):
-        e = min(s + rows, n)
-        idx = _draw_cells(cdf, _trajectory_uniforms(seed, s, e, m))
+    for s, e, idx in _draws_by_chunk(config):
         np.take(log_ratio, idx, out=cum_log[s:e])
         np.cumsum(cum_log[s:e], axis=1, out=cum_log[s:e])
     final = cum_log[:, -1].copy()
@@ -311,19 +327,31 @@ def _analytic_confidence(config: EnsembleConfig) -> float:
 
 def loglambda_histogram(config: EnsembleConfig, bins: int = 60) -> LogLambdaHistogram:
     """Histogram the final log ratio across the ensemble, with the
-    matching normal-approximation parameters for overlay."""
+    matching normal-approximation parameters for overlay.
+
+    The samples are ``simulate_ensemble(config).final_log_lambda``, bit
+    for bit: the same draws, each chunk's running sums taken by the same
+    ``cumsum``, with one final value per trajectory kept in place of the
+    N x M array and its posterior summaries.
+    """
     if bins < 1:
         raise ParameterError(f"bins must be >= 1, got {bins}")
-    ensemble = simulate_ensemble(config)
+    _refuse_above_budget(config, kept=1)
+    log_ratio = config.pair.log_ratio.ravel()
+    samples = np.empty(config.n_trajectories)
+    for s, e, idx in _draws_by_chunk(config):
+        running = np.take(log_ratio, idx)
+        np.cumsum(running, axis=1, out=running)
+        samples[s:e] = running[:, -1]
     m = loglik_moments(config.pair)
     n = config.n_measurements
     if config.truth is Truth.PRESENT:
         mu_y, sigma_y = n * m.mu_present, math.sqrt(n) * m.sigma_present
     else:
         mu_y, sigma_y = n * m.mu_absent, math.sqrt(n) * m.sigma_absent
-    density, edges = np.histogram(ensemble.final_log_lambda, bins=bins, density=True)
+    density, edges = np.histogram(samples, bins=bins, density=True)
     return LogLambdaHistogram(
-        samples=ensemble.final_log_lambda,
+        samples=samples,
         bin_edges=edges,
         density=density,
         mu_y=mu_y,

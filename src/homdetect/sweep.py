@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 import os
+from contextvars import ContextVar
 from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
 
@@ -111,8 +112,54 @@ class NcOptimum(NamedTuple):
     at_bound: bool
 
 
-def _moments_at(params: ProtocolParams, t: int | None):
-    return loglik_moments(HypothesisPair.from_params(params, saturation=t))
+class _RowGroup:
+    """Moments of the rows of one (protocol, eta, n_e, n_i) group of a
+    sweep, keyed by (params, t); ``run_sweep`` clears them when the group
+    changes, so they stay bounded.
+
+    A miss builds the unsaturated pair once and folds it at the requested
+    t and at every other saturated t of the sweep: rows of one group
+    differ only in t and n_c, so the other rows score the same brightness
+    at their own t, and a fold is cheap next to a build.  Unsaturated
+    moments (a log ratio over the whole table) are taken only when a row
+    asks for them.  Only moments are kept, never tables; a fold that
+    raises is not kept, so only a row asking for that t sees the error.
+    """
+
+    def __init__(self, saturations: tuple[int | None, ...]) -> None:
+        self.folds = tuple(t for t in saturations if t is not None)
+        self.group: tuple | None = None
+        self.moments: dict[tuple[ProtocolParams, int | None], LogLikMoments] = {}
+
+    def enter(self, group: tuple) -> None:
+        if group != self.group:
+            self.group, self.moments = group, {}
+
+    def get(self, params: ProtocolParams, t: int | None) -> LogLikMoments:
+        key = (params, t)
+        if key not in self.moments:
+            pair = HypothesisPair.from_params(params)
+            self.moments[key] = loglik_moments(pair.saturated(t))
+            for s in self.folds:
+                if (params, s) not in self.moments:
+                    try:
+                        self.moments[(params, s)] = loglik_moments(pair.saturated(s))
+                    except (ValueError, RuntimeError):
+                        pass
+        return self.moments[key]
+
+
+# The row group of the sweep being run in this context, if any; set only by
+# run_sweep, so optimize_nc, n_two_sigma and evaluate_point keep their
+# signatures and called alone build every pair afresh
+_ROW_GROUP: ContextVar[_RowGroup | None] = ContextVar("homdetect_row_group", default=None)
+
+
+def _moments_at(params: ProtocolParams, t: int | None) -> LogLikMoments:
+    group = _ROW_GROUP.get()
+    if group is not None:
+        return group.get(params, t)
+    return loglik_moments(HypothesisPair.from_params(params).saturated(t))
 
 
 def n_two_sigma(params: ProtocolParams, t: int | None = None, c_target: float = TWO_SIGMA) -> int:
@@ -455,16 +502,22 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     aborting the sweep.
     """
     direct_cache: dict[tuple, int] = {}
+    group = _RowGroup(spec.saturations)
+    token = _ROW_GROUP.set(group)
     rows = []
-    for point in grid_points(spec):
-        try:
-            rows.append(evaluate_point(spec, point, direct_cache))
-        except (ValueError, RuntimeError) as exc:
+    try:
+        for point in grid_points(spec):
             protocol, eta, ne, ni, t, nc = point
-            nc_val = float("nan") if nc == "optimize" else nc
-            rows.append(
-                SweepRow(protocol, eta, ne, ni, nc_val, t, None, None, None, error=str(exc))
-            )
+            group.enter((protocol, eta, ne, ni))
+            try:
+                rows.append(evaluate_point(spec, point, direct_cache))
+            except (ValueError, RuntimeError) as exc:
+                nc_val = float("nan") if nc == "optimize" else nc
+                rows.append(
+                    SweepRow(protocol, eta, ne, ni, nc_val, t, None, None, None, error=str(exc))
+                )
+    finally:
+        _ROW_GROUP.reset(token)
     return SweepResult(spec=spec, rows=tuple(rows))
 
 

@@ -56,10 +56,18 @@ def test_from_params_builds_aligned_tables():
 
 
 def test_from_params_with_saturation():
-    pair = HypothesisPair.from_params(LOW_NOISE, saturation=2)
+    pair = HypothesisPair.from_params(LOW_NOISE).saturated(2)
     assert pair.present.saturation == 2
     assert pair.present.probs.shape == (3,)
     assert pair.present.total() == pytest.approx(1.0, abs=1e-12)
+    # one unsaturated pair folds at several t and stays unsaturated
+    base = HypothesisPair.from_params(LOW_NOISE)
+    assert base.saturated(None) is base
+    for t in (4, 2, 1):
+        folded = base.saturated(t)
+        assert folded.absent.saturation == t
+        assert np.array_equal(folded.present.probs, apply_saturation(base.present, t).probs)
+    assert base.present.saturation is None and base.absent.saturation is None
 
 
 def test_pair_rejects_mismatches():
@@ -102,7 +110,7 @@ def test_from_params_builds_one_envelope(protocol, monkeypatch):
     for saturation in (None, 2):
         envelopes.clear()
         builds.clear()
-        pair = HypothesisPair.from_params(params, saturation=saturation)
+        pair = HypothesisPair.from_params(params).saturated(saturation)
         assert (len(envelopes), len(builds)) == (1, 1)
         assert builds[0][0] == replace(params, xi=0.0)
         assert pair.present.params == params and pair.present.saturation == saturation
@@ -126,7 +134,7 @@ def test_pair_tables_equal_standalone_builds(protocol, saturation):
             n_i=10.0 ** rng.uniform(-3.0, 0.0),
             cos_theta=rng.uniform(-1.0, 1.0),
         )
-        pair = HypothesisPair.from_params(params, saturation=saturation)
+        pair = HypothesisPair.from_params(params).saturated(saturation)
         for got, xi in ((pair.present, params.xi), (pair.absent, 0.0)):
             alone = build_distribution(replace(params, xi=xi))
             assert alone.tail_mass <= 1e-12
@@ -175,7 +183,7 @@ def test_ratio_refuses_counts_that_are_not_integers_at_least_zero(count):
 
 
 def test_saturated_pair_clips_high_counts():
-    pair = HypothesisPair.from_params(LOW_NOISE, saturation=2)
+    pair = HypothesisPair.from_params(LOW_NOISE).saturated(2)
     assert likelihood_ratio(pair, Outcome(50)) == likelihood_ratio(pair, Outcome(2))
 
 
@@ -284,7 +292,7 @@ def test_log_ratio_of_dead_cells_is_positive_zero_without_a_mask():
             n_i=10.0 ** rng.uniform(-3.0, 0.0),
             cos_theta=rng.uniform(-1.0, 1.0),
         )
-        pairs.append(HypothesisPair.from_params(params, saturation=[None, 2, 4][i % 3]))
+        pairs.append(HypothesisPair.from_params(params).saturated([None, 2, 4][i % 3]))
     dead_counts = []
     for pair in pairs:
         got, want = pair.log_ratio, _masked_log_ratio(pair)
@@ -299,7 +307,7 @@ def test_log_ratio_of_dead_cells_is_positive_zero_without_a_mask():
 
 def test_moments_match_independent_summation():
     # plain-python re-derivation over the enumerated outcomes
-    for pair in (HypothesisPair.from_params(LOW_NOISE, saturation=4),
+    for pair in (HypothesisPair.from_params(LOW_NOISE).saturated(4),
                  HypothesisPair.from_params(NOISELESS)):
         _check_moments_by_summation(pair)
 
@@ -367,7 +375,7 @@ def test_moments_over_whole_tables_match_the_masked_sums():
             n_i=10.0 ** rng.uniform(-3.0, 0.0),
             cos_theta=rng.uniform(-1.0, 1.0),
         )
-        pairs.append(HypothesisPair.from_params(params, saturation=[None, 1, 2, 4][i % 4]))
+        pairs.append(HypothesisPair.from_params(params).saturated([None, 1, 2, 4][i % 4]))
     exact = 0
     for pair in pairs:
         m = loglik_moments(pair)
@@ -562,7 +570,13 @@ def test_n_search_stops_early_with_identical_result():
 def test_identical_hypotheses_are_flagged():
     params = replace(LOW_NOISE, xi=0.0)
     m = loglik_moments(HypothesisPair.from_params(params))
-    with pytest.raises(HypothesesIndistinguishableError):
+    with pytest.raises(HypothesesIndistinguishableError, match="straddle"):
+        n_for_confidence(0.954, m)
+    # without background the means straddle zero, but absence yields one
+    # record alone, so its spread is zero: a refusal of its own
+    m = loglik_moments(HypothesisPair.from_params(replace(LOW_NOISE, n_e=0.0, n_i=0.0)))
+    assert m.mu_present < 0.0 < m.mu_absent and m.sigma_absent == 0.0
+    with pytest.raises(HypothesesIndistinguishableError, match="spread is zero"):
         n_for_confidence(0.954, m)
 
 

@@ -660,6 +660,14 @@ def test_console_script_matches_module():
     assert result.stdout.strip().split("\n")[1].split(",")[6] == "117"
 
 
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats took most of every process's import time; the package
+    # needs scipy.special and scipy.integrate alone
+    code = "import sys, homdetect, homdetect.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+
+
 def _limit_address_space():
     import resource
 

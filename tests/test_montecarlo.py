@@ -145,7 +145,7 @@ def test_sample_outcome_arity():
 def test_one_trajectory_ensemble_is_the_posterior_of_its_draws(params, t, truth):
     # one draw and one log-ratio table serve both paths, so they agree bit
     # for bit, not to rounding
-    pair = HypothesisPair.from_params(params, saturation=t)
+    pair = HypothesisPair.from_params(params).saturated(t)
     seed = 29
     ens = simulate_ensemble(EnsembleConfig(
         pair=pair, truth=truth, n_measurements=40, n_trajectories=1, seed=seed))
@@ -329,3 +329,19 @@ def test_histogram_respects_truth_and_guards():
     assert hist.mu_y == pytest.approx(30 * m.mu_absent, rel=1e-12)
     with pytest.raises(ParameterError):
         loglambda_histogram(c, bins=0)
+    # one float per trajectory is kept, and refused above the budget too
+    with pytest.raises(ParameterError, match="budget"):
+        loglambda_histogram(config(n_trajectories=200_000_000))
+
+
+@pytest.mark.parametrize("truth", list(Truth))
+@pytest.mark.parametrize("t", [None, 2])
+def test_histogram_samples_are_the_ensemble_final_log_ratios(t, truth):
+    # the histogram keeps one running sum per trajectory through the
+    # ensemble's chunks; N ends inside, at and just past a chunk edge
+    pair = HypothesisPair.from_params(HOM).saturated(t)
+    rows = _chunk_rows(50)
+    for n in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
+        c = EnsembleConfig(pair=pair, truth=truth, n_measurements=50, n_trajectories=n, seed=5)
+        samples = loglambda_histogram(c).samples
+        assert np.array_equal(samples, simulate_ensemble(c).final_log_lambda)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from homdetect import sweep as sweep_module
-from homdetect.bayes import HypothesesIndistinguishableError
+from homdetect.bayes import HypothesesIndistinguishableError, HypothesisPair
 from homdetect.photon_stats import (
     DegenerateParameterError,
     ParameterError,
@@ -382,6 +382,50 @@ def test_optimizing_sweep_emits_optimum_per_row():
     assert row.n_c == 0.0
     assert row.n_2sigma == 119
     assert row.speedup < 1.0
+
+
+@pytest.mark.parametrize("n_c", ["optimize", (0.5, 6.0)])
+@pytest.mark.parametrize("saturations", [(None, 4, 2, 1), (2, None), (None, 20000)])
+def test_sweep_rows_equal_points_evaluated_alone(saturations, n_c):
+    # a sweep folds one unsaturated build per brightness at every
+    # saturation of its row group; each row must still be what its point
+    # gives alone.  n_e = 0 leaves direct detection a zero spread, and the
+    # fold refuses t = 20000 while the unsaturated rows of its group run
+    spec = SweepSpec(protocols=("direct", "coherent", "incoherent"), eta=(0.9,),
+                     n_e=(0.0, 1.0), n_c=n_c, saturations=saturations,
+                     nc_bounds=(1e-2, 10.0))
+    rows = run_sweep(spec).rows
+    points = sweep_module.grid_points(spec)
+    assert len(rows) == len(points)
+    for row, point in zip(rows, points):
+        if row.error is None:
+            assert row == sweep_module.evaluate_point(spec, point)
+        else:
+            with pytest.raises((ValueError, RuntimeError)) as caught:
+                sweep_module.evaluate_point(spec, point)
+            assert row.error == str(caught.value)
+    assert any(r.error is None for r in rows) and any(r.error is not None for r in rows)
+
+
+def test_sweep_builds_each_brightness_once_per_row_group(monkeypatch):
+    builds = []
+    raw = HypothesisPair.__dict__["from_params"].__func__
+
+    def counted(cls, params):
+        builds.append(params)
+        return raw(cls, params)
+
+    monkeypatch.setattr(HypothesisPair, "from_params", classmethod(counted))
+    spec = SweepSpec(protocols=("coherent",), eta=(0.9,), n_e=(1.0,), n_c="optimize",
+                     saturations=(None, 4, 2, 1), nc_bounds=(1e-2, 10.0))
+    run_sweep(spec)
+    in_sweep = len(builds)
+    builds.clear()
+    for point in sweep_module.grid_points(spec):
+        sweep_module.evaluate_point(spec, point)
+    # the unsaturated row builds every grid candidate and the direct
+    # baseline once; the saturated rows build only their own refinements
+    assert (in_sweep, len(builds)) == (104, 290)
 
 
 # ---------------------------------------------------------------------------
