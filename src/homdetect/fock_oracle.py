@@ -29,6 +29,7 @@ from .photon_stats import (
     ParameterError,
     Protocol,
     ProtocolParams,
+    _is_whole,
     _pmf_tables,
     _poisson_vec,
     derived_means,
@@ -83,10 +84,13 @@ class OracleConfig:
             raise ParameterError(
                 f"oracle requires n_c <= 4 so the default truncation is adequate, got {self.params.n_c}"
             )
-        if not (2 <= self.fock_dim <= FOCK_DIM_MAX):
-            raise ParameterError(f"fock_dim must lie in [2, {FOCK_DIM_MAX}], got {self.fock_dim}")
         if self.loss_sum_max is None:
             object.__setattr__(self, "loss_sum_max", self.fock_dim)
+        for name in ("fock_dim", "loss_sum_max"):
+            if not _is_whole(getattr(self, name)):
+                raise ParameterError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not (2 <= self.fock_dim <= FOCK_DIM_MAX):
+            raise ParameterError(f"fock_dim must lie in [2, {FOCK_DIM_MAX}], got {self.fock_dim}")
         if not (1 <= self.loss_sum_max <= self.fock_dim):
             raise ParameterError(
                 f"loss_sum_max must lie in [1, fock_dim], got {self.loss_sum_max}"

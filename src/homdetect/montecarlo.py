@@ -36,7 +36,13 @@ import numpy as np
 from scipy.special import expit
 
 from .bayes import HypothesisPair, confidence, loglik_moments
-from .photon_stats import CountDistribution, Outcome, ParameterError, atomic_write_text
+from .photon_stats import (
+    CountDistribution,
+    Outcome,
+    ParameterError,
+    _is_whole,
+    atomic_write_text,
+)
 
 __all__ = [
     "ENSEMBLE_BUDGET_BYTES",
@@ -334,8 +340,8 @@ def loglambda_histogram(config: EnsembleConfig, bins: int = 60) -> LogLambdaHist
     ``cumsum``, with one final value per trajectory kept in place of the
     N x M array and its posterior summaries.
     """
-    if bins < 1:
-        raise ParameterError(f"bins must be >= 1, got {bins}")
+    if not _is_whole(bins) or bins < 1:
+        raise ParameterError(f"bins must be an integer >= 1, got {bins!r}")
     _refuse_above_budget(config, kept=1)
     log_ratio = config.pair.log_ratio.ravel()
     samples = np.empty(config.n_trajectories)

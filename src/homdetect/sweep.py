@@ -113,53 +113,56 @@ class NcOptimum(NamedTuple):
 
 
 class _RowGroup:
-    """Moments of the rows of one (protocol, eta, n_e, n_i) group of a
-    sweep, keyed by (params, t); ``run_sweep`` clears them when the group
-    changes, so they stay bounded.
+    """Work shared by the rows of one sweep.
 
-    A miss builds the unsaturated pair once and folds it at the requested
-    t and at every other saturated t of the sweep: rows of one group
-    differ only in t and n_c, so the other rows score the same brightness
-    at their own t, and a fold is cheap next to a build.  Unsaturated
-    moments (a log ratio over the whole table) are taken only when a row
-    asks for them.  Only moments are kept, never tables; a fold that
-    raises is not kept, so only a row asking for that t sees the error.
+    ``moments`` holds one (protocol, eta, n_e, n_i) group's moments, keyed
+    by (params, t), and is cleared when the group changes.  Its rows differ
+    only in t and n_c, and each asks for its own t alone.  A miss builds
+    the unsaturated pair once and scores it at every t still ``ahead``:
+    this row's and the later rows', which ask for the same brightness, and
+    a fold is cheap next to a build.  A t that refuses keeps its exception
+    and raises it again, never rebuilt.  No table is kept.  ``direct``
+    holds the direct trial count per (eta, n_e, n_i, t) for the sweep.
     """
 
     def __init__(self, saturations: tuple[int | None, ...]) -> None:
-        self.folds = tuple(t for t in saturations if t is not None)
+        self.saturations = self.ahead = saturations
         self.group: tuple | None = None
-        self.moments: dict[tuple[ProtocolParams, int | None], LogLikMoments] = {}
+        self.moments: dict[tuple[ProtocolParams, int | None], LogLikMoments | Exception] = {}
+        self.direct: dict[tuple, int] = {}
 
-    def enter(self, group: tuple) -> None:
+    def enter(self, group: tuple, t: int | None) -> None:
         if group != self.group:
             self.group, self.moments = group, {}
+        self.ahead = self.saturations[self.saturations.index(t):]
 
     def get(self, params: ProtocolParams, t: int | None) -> LogLikMoments:
-        key = (params, t)
-        if key not in self.moments:
-            pair = HypothesisPair.from_params(params)
-            self.moments[key] = loglik_moments(pair.saturated(t))
-            for s in self.folds:
-                if (params, s) not in self.moments:
-                    try:
-                        self.moments[(params, s)] = loglik_moments(pair.saturated(s))
-                    except (ValueError, RuntimeError):
-                        pass
-        return self.moments[key]
+        if (params, t) not in self.moments:
+            self._score_ahead(params)
+        found = self.moments[(params, t)]
+        if isinstance(found, Exception):
+            raise found.with_traceback(None)
+        return found
+
+    def _score_ahead(self, params: ProtocolParams) -> None:
+        # apart from get, so no frame of a raised traceback holds the pair
+        pair = HypothesisPair.from_params(params)
+        for s in self.ahead:
+            try:
+                self.moments[(params, s)] = loglik_moments(pair.saturated(s))
+            except (ValueError, RuntimeError) as exc:
+                # kept without its traceback, whose frames hold the tables
+                self.moments[(params, s)] = exc.with_traceback(None)
 
 
 # The row group of the sweep being run in this context, if any; set only by
-# run_sweep, so optimize_nc, n_two_sigma and evaluate_point keep their
-# signatures and called alone build every pair afresh
+# run_sweep, so optimize_nc, n_two_sigma, speedup and evaluate_point keep
+# their signatures and, called alone, score only the t they are asked for
 _ROW_GROUP: ContextVar[_RowGroup | None] = ContextVar("homdetect_row_group", default=None)
 
 
 def _moments_at(params: ProtocolParams, t: int | None) -> LogLikMoments:
-    group = _ROW_GROUP.get()
-    if group is not None:
-        return group.get(params, t)
-    return loglik_moments(HypothesisPair.from_params(params).saturated(t))
+    return (_ROW_GROUP.get() or _RowGroup((t,))).get(params, t)
 
 
 def n_two_sigma(params: ProtocolParams, t: int | None = None, c_target: float = TWO_SIGMA) -> int:
@@ -168,16 +171,17 @@ def n_two_sigma(params: ProtocolParams, t: int | None = None, c_target: float = 
     return n_for_confidence(c_target, _moments_at(params, t))
 
 
-def _direct_counterpart(params: ProtocolParams) -> ProtocolParams:
-    """Direct detection of the same emitter: same xi, eta and backgrounds;
-    the reference-beam settings do not apply."""
-    return ProtocolParams(
-        protocol=Protocol.DIRECT,
-        xi=params.xi,
-        eta=params.eta,
-        n_e=params.n_e,
-        n_i=params.n_i,
-    )
+def _direct_n(params: ProtocolParams, t: int | None, c_target: float) -> int:
+    """Trial count of direct detection on the same emitter: same xi, eta
+    and backgrounds; the reference-beam settings do not apply.  A sweep
+    computes it once per (eta, n_e, n_i, t)."""
+    group = _ROW_GROUP.get() or _RowGroup((t,))
+    key = (params.eta, params.n_e, params.n_i, t)
+    if key not in group.direct:
+        direct = ProtocolParams(protocol=Protocol.DIRECT, xi=params.xi, eta=params.eta,
+                                n_e=params.n_e, n_i=params.n_i)
+        group.direct[key] = n_two_sigma(direct, t, c_target)
+    return group.direct[key]
 
 
 def speedup(params: ProtocolParams, t: int | None = None, c_target: float = TWO_SIGMA) -> float:
@@ -186,9 +190,7 @@ def speedup(params: ProtocolParams, t: int | None = None, c_target: float = TWO_
     saturation."""
     if params.protocol is Protocol.DIRECT:
         return 1.0
-    n_direct = n_two_sigma(_direct_counterpart(params), t, c_target)
-    n_protocol = n_two_sigma(params, t, c_target)
-    return n_direct / n_protocol
+    return _direct_n(params, t, c_target) / n_two_sigma(params, t, c_target)
 
 
 def _golden_min(
@@ -458,18 +460,12 @@ def grid_points(spec: SweepSpec) -> list[tuple]:
     return points
 
 
-def evaluate_point(
-    spec: SweepSpec, point: tuple, direct_cache: dict[tuple, int] | None = None
-) -> SweepRow:
+def evaluate_point(spec: SweepSpec, point: tuple) -> SweepRow:
     """Evaluate one grid point of the spec; raises when it cannot be
-    evaluated.
-
-    ``direct_cache`` maps (eta, n_e, n_i, t) to the trial count of direct
-    detection, so the points of one sweep share that baseline.
+    evaluated.  Under ``run_sweep`` the point reads its row group's
+    moments and the sweep's direct baseline instead of rebuilding them.
     """
     protocol, eta, ne, ni, t, nc = point
-    if direct_cache is None:
-        direct_cache = {}
     params = ProtocolParams(
         protocol=protocol,
         xi=spec.xi,
@@ -481,17 +477,16 @@ def evaluate_point(
         cos_theta=spec.cos_theta,
     )
     direct = params.protocol is Protocol.DIRECT
+    at_bound = False
     if nc == "optimize":
         opt = optimize_nc(params, t, spec.c_target, spec.nc_bounds)
         n, nc, at_bound = opt.n_star, opt.n_c_star, opt.at_bound
     elif not direct:
-        n, at_bound = n_two_sigma(params, t, spec.c_target), False
-    key = (eta, ne, ni, t)
-    if key not in direct_cache:
-        direct_cache[key] = n_two_sigma(_direct_counterpart(params), t, spec.c_target)
+        n = n_two_sigma(params, t, spec.c_target)
+    n_direct = _direct_n(params, t, spec.c_target)
     if direct:
-        n, at_bound = direct_cache[key], False
-    return SweepRow(protocol, eta, ne, ni, nc, t, n, direct_cache[key] / n, at_bound)
+        n = n_direct
+    return SweepRow(protocol, eta, ne, ni, nc, t, n, n_direct / n, at_bound)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -501,16 +496,15 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     hypotheses, truncation overflow) become error rows instead of
     aborting the sweep.
     """
-    direct_cache: dict[tuple, int] = {}
     group = _RowGroup(spec.saturations)
     token = _ROW_GROUP.set(group)
     rows = []
     try:
         for point in grid_points(spec):
             protocol, eta, ne, ni, t, nc = point
-            group.enter((protocol, eta, ne, ni))
+            group.enter((protocol, eta, ne, ni), t)
             try:
-                rows.append(evaluate_point(spec, point, direct_cache))
+                rows.append(evaluate_point(spec, point))
             except (ValueError, RuntimeError) as exc:
                 nc_val = float("nan") if nc == "optimize" else nc
                 rows.append(

@@ -52,6 +52,10 @@ def test_rejects_undersized_basis():
         OracleConfig(params=coherent(n_c=1.0), fock_dim=1)
     with pytest.raises(OracleTruncationError):
         OracleConfig(params=coherent(n_c=4.0), fock_dim=4)
+    # a whole float, a numeric string or a boolean is not an integer
+    for bad in (40.0, "40", True):
+        with pytest.raises(ParameterError, match="fock_dim must be an integer"):
+            OracleConfig(params=coherent(n_c=1.0), fock_dim=bad)
 
 
 def test_loss_sum_bounds():
@@ -59,6 +63,9 @@ def test_loss_sum_bounds():
     assert cfg.loss_sum_max == 20
     with pytest.raises(ParameterError):
         OracleConfig(params=coherent(n_c=1.0), fock_dim=20, loss_sum_max=25)
+    for bad in (20.5, 10.0, "10", True):
+        with pytest.raises(ParameterError, match="loss_sum_max must be an integer"):
+            OracleConfig(params=coherent(n_c=1.0), fock_dim=20, loss_sum_max=bad)
 
 
 def test_index_validation():

@@ -329,6 +329,10 @@ def test_histogram_respects_truth_and_guards():
     assert hist.mu_y == pytest.approx(30 * m.mu_absent, rel=1e-12)
     with pytest.raises(ParameterError):
         loglambda_histogram(c, bins=0)
+    # bins=True would run with one bin; 2.5 and "10" would reach numpy
+    for bad in (2.5, "10", True):
+        with pytest.raises(ParameterError, match="bins must be an integer"):
+            loglambda_histogram(c, bins=bad)
     # one float per trajectory is kept, and refused above the budget too
     with pytest.raises(ParameterError, match="budget"):
         loglambda_histogram(config(n_trajectories=200_000_000))

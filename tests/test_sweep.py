@@ -314,6 +314,10 @@ def test_speedup_column_consistency():
         assert row.speedup == pytest.approx(
             direct_n[(row.eta, row.n_e)] / row.n_2sigma, rel=1e-12
         )
+        params = ProtocolParams(protocol=row.protocol, xi=result.spec.xi, eta=row.eta,
+                                epsilon=result.spec.epsilon, n_c=row.n_c, n_e=row.n_e,
+                                n_i=row.n_i, cos_theta=result.spec.cos_theta)
+        assert speedup(params, row.t, result.spec.c_target) == row.speedup
 
 
 def test_error_rows_capture_failures():
@@ -407,7 +411,18 @@ def test_sweep_rows_equal_points_evaluated_alone(saturations, n_c):
     assert any(r.error is None for r in rows) and any(r.error is not None for r in rows)
 
 
-def test_sweep_builds_each_brightness_once_per_row_group(monkeypatch):
+# (None, 20000) and (20000, None) build what (None,) alone does: the refused
+# fold at t = 20000 is kept, not rebuilt
+@pytest.mark.parametrize("saturations, expected", [
+    ((None, 4, 2, 1), 104),
+    ((1, 2, 4, None), 104),
+    ((None, 2), 76),
+    ((2, None), 76),
+    ((None,), 62),
+    ((None, 20000), 62),
+    ((20000, None), 62),
+], ids=["inf-4-2-1", "1-2-4-inf", "inf-2", "2-inf", "inf", "inf-20000", "20000-inf"])
+def test_sweep_builds_each_brightness_once_per_row_group(monkeypatch, saturations, expected):
     builds = []
     raw = HypothesisPair.__dict__["from_params"].__func__
 
@@ -417,15 +432,17 @@ def test_sweep_builds_each_brightness_once_per_row_group(monkeypatch):
 
     monkeypatch.setattr(HypothesisPair, "from_params", classmethod(counted))
     spec = SweepSpec(protocols=("coherent",), eta=(0.9,), n_e=(1.0,), n_c="optimize",
-                     saturations=(None, 4, 2, 1), nc_bounds=(1e-2, 10.0))
+                     saturations=saturations, nc_bounds=(1e-2, 10.0))
     run_sweep(spec)
-    in_sweep = len(builds)
-    builds.clear()
-    for point in sweep_module.grid_points(spec):
-        sweep_module.evaluate_point(spec, point)
-    # the unsaturated row builds every grid candidate and the direct
-    # baseline once; the saturated rows build only their own refinements
-    assert (in_sweep, len(builds)) == (104, 290)
+    # each brightness any row scores is built once, whatever the order of
+    # the saturations, and the direct baseline once
+    assert len(builds) == expected
+    if saturations == (None, 4, 2, 1):
+        builds.clear()
+        for point in sweep_module.grid_points(spec):
+            sweep_module.evaluate_point(spec, point)
+        # alone, each row builds every grid candidate and its baseline
+        assert len(builds) == 290
 
 
 # ---------------------------------------------------------------------------
