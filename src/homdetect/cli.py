@@ -156,7 +156,7 @@ def _point_spec(args: argparse.Namespace) -> SweepSpec:
         n_e=(params.n_e,),
         n_i=(params.n_i,),
         n_c="optimize" if getattr(args, "optimize_nc", False) else (params.n_c,),
-        saturations=(_parse_saturation(args.saturation),),
+        saturations=(args.saturation,),
         **_given(args, "c_target"),
     )
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -76,7 +75,7 @@ class EnsembleConfig:
         object.__setattr__(self, "truth", Truth(self.truth))
         for name in ("n_measurements", "n_trajectories", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            if not _is_whole(value):
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.n_measurements < 1:
             raise ParameterError(f"n_measurements must be >= 1, got {self.n_measurements}")

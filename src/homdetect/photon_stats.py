@@ -474,6 +474,17 @@ def with_emitter(absent: CountDistribution, params: ProtocolParams) -> CountDist
     return _checked(params, _bracketed(params, absent.probs, counts, counts))
 
 
+def _check_saturation(t: int) -> int:
+    """A detector cutoff t, refused unless an integer in [1, K_MAX_HARD_CAP]."""
+    if not _is_whole(t) or t < 1:
+        raise ParameterError(f"saturation threshold must be an integer >= 1, got {t}")
+    if t > K_MAX_HARD_CAP:
+        raise ParameterError(
+            f"saturation threshold {t} exceeds the cap of {K_MAX_HARD_CAP} counts per detector"
+        )
+    return t
+
+
 def apply_saturation(dist: CountDistribution, t: int) -> CountDistribution:
     """Fold counts above threshold t into the boundary bins.
 
@@ -485,12 +496,7 @@ def apply_saturation(dist: CountDistribution, t: int) -> CountDistribution:
     """
     if dist.saturation is not None:
         raise ParameterError("distribution is already saturated")
-    if not _is_whole(t) or t < 1:
-        raise ParameterError(f"saturation threshold must be an integer >= 1, got {t}")
-    if t > K_MAX_HARD_CAP:
-        raise ParameterError(
-            f"saturation threshold {t} exceeds the cap of {K_MAX_HARD_CAP} counts per detector"
-        )
+    _check_saturation(t)
     allowance = _tail_allowance(dist.params, dist.k_max)
     if dist.tail_mass > allowance:
         raise ParameterError(

@@ -9,6 +9,7 @@ and backgrounds, and optimizes the reference brightness per grid point.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -33,6 +34,7 @@ from .photon_stats import (
     ParameterError,
     Protocol,
     ProtocolParams,
+    _check_saturation,
     atomic_write_text,
 )
 
@@ -67,18 +69,21 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 def _parse_saturation(raw) -> int | None:
     """A detector cutoff from a flag, a config value or a spec entry: None
     or "inf" for none, else an integer, an integer string or an integral
-    float.  Anything else, booleans included, is refused rather than
-    truncated; ``apply_saturation`` checks the range."""
+    float in [1, 10000], the range ``apply_saturation`` folds.  Anything
+    else, booleans included, is refused rather than truncated."""
     if raw is None or raw == "inf":
         return None
+    t = None
     if isinstance(raw, float) and raw.is_integer():
-        return int(raw)
-    if isinstance(raw, (numbers.Integral, str)) and not isinstance(raw, bool):
+        t = int(raw)
+    elif isinstance(raw, (numbers.Integral, str)) and not isinstance(raw, bool):
         try:
-            return int(raw)
+            t = int(raw)
         except ValueError:
             pass
-    raise ParameterError(f"saturation must be an integer >= 1 or 'inf', got {raw!r}")
+    if t is None:
+        raise ParameterError(f"saturation must be an integer >= 1 or 'inf', got {raw!r}")
+    return _check_saturation(t)
 
 
 def _spec_number(value) -> float:
@@ -113,22 +118,24 @@ class NcOptimum(NamedTuple):
 
 
 class _RowGroup:
-    """Work shared by the rows of one sweep.
+    """The one store of per-brightness work in a sweep.
 
     ``moments`` holds one (protocol, eta, n_e, n_i) group's moments, keyed
     by (params, t), and is cleared when the group changes.  Its rows differ
     only in t and n_c, and each asks for its own t alone.  A miss builds
     the unsaturated pair once and scores it at every t still ``ahead``:
-    this row's and the later rows', which ask for the same brightness, and
-    a fold is cheap next to a build.  A t that refuses keeps its exception
-    and raises it again, never rebuilt.  No table is kept.  ``direct``
-    holds the direct trial count per (eta, n_e, n_i, t) for the sweep.
+    this row's first, then the later rows', which ask for the same
+    brightness, and a fold is cheap next to a build.  No table or
+    exception is kept: the spec range-checks t and a fold keeps the
+    total, so a pair refused at one t is refused at all, this row's t
+    first.  ``direct`` holds the sweep's direct trial counts by (eta,
+    n_e, n_i, t).
     """
 
     def __init__(self, saturations: tuple[int | None, ...]) -> None:
         self.saturations = self.ahead = saturations
         self.group: tuple | None = None
-        self.moments: dict[tuple[ProtocolParams, int | None], LogLikMoments | Exception] = {}
+        self.moments: dict[tuple[ProtocolParams, int | None], LogLikMoments] = {}
         self.direct: dict[tuple, int] = {}
 
     def enter(self, group: tuple, t: int | None) -> None:
@@ -138,44 +145,34 @@ class _RowGroup:
 
     def get(self, params: ProtocolParams, t: int | None) -> LogLikMoments:
         if (params, t) not in self.moments:
-            self._score_ahead(params)
-        found = self.moments[(params, t)]
-        if isinstance(found, Exception):
-            raise found.with_traceback(None)
-        return found
-
-    def _score_ahead(self, params: ProtocolParams) -> None:
-        # apart from get, so no frame of a raised traceback holds the pair
-        pair = HypothesisPair.from_params(params)
-        for s in self.ahead:
-            try:
+            pair = HypothesisPair.from_params(params)
+            for s in self.ahead:
                 self.moments[(params, s)] = loglik_moments(pair.saturated(s))
-            except (ValueError, RuntimeError) as exc:
-                # kept without its traceback, whose frames hold the tables
-                self.moments[(params, s)] = exc.with_traceback(None)
+        return self.moments[(params, t)]
 
 
 # The row group of the sweep being run in this context, if any; set only by
 # run_sweep, so optimize_nc, n_two_sigma, speedup and evaluate_point keep
-# their signatures and, called alone, score only the t they are asked for
+# their signatures and, called alone, score only the t they are asked for,
+# each in a row group of its own
 _ROW_GROUP: ContextVar[_RowGroup | None] = ContextVar("homdetect_row_group", default=None)
 
 
-def _moments_at(params: ProtocolParams, t: int | None) -> LogLikMoments:
-    return (_ROW_GROUP.get() or _RowGroup((t,))).get(params, t)
+def _group(t: int | None) -> _RowGroup:
+    return _ROW_GROUP.get() or _RowGroup((t,))
 
 
 def n_two_sigma(params: ProtocolParams, t: int | None = None, c_target: float = TWO_SIGMA) -> int:
     """Smallest trial count reaching the target averaged confidence, with
     detectors saturating at t (None for unbounded counters)."""
-    return n_for_confidence(c_target, _moments_at(params, t))
+    return n_for_confidence(c_target, _group(t).get(params, t))
 
 
 def _direct_n(params: ProtocolParams, t: int | None, c_target: float) -> int:
     """Trial count of direct detection on the same emitter: same xi, eta
     and backgrounds; the reference-beam settings do not apply.  A sweep
     computes it once per (eta, n_e, n_i, t)."""
-    group = _ROW_GROUP.get() or _RowGroup((t,))
+    group = _group(t)
     key = (params.eta, params.n_e, params.n_i, t)
     if key not in group.direct:
         direct = ProtocolParams(protocol=Protocol.DIRECT, xi=params.xi, eta=params.eta,
@@ -226,31 +223,28 @@ def optimize_nc(
     brightness; a flat objective reports n_c = 0.  When the best grid
     point is the upper bound, the bound is returned with at_bound set
     rather than chasing an asymptotic optimum.
+
+    Candidates are scored in the running sweep's row group, or in one of
+    the call's own, so no finalist is rebuilt.
     """
     _check_nc_bounds("bounds", bounds)
     lo, hi = bounds
     if params.protocol is Protocol.DIRECT:
         raise ParameterError("the trial count of direct detection does not depend on n_c")
 
-    # n_c -> (real-valued N, its moments); an unscorable brightness keeps
-    # the exception in place of the moments
-    cache: dict[float, tuple[float, LogLikMoments | Exception]] = {}
+    group = _group(t)
 
+    @functools.cache
     def f(nc: float) -> float:
         # real-valued crossing point; smooth in n_c where defined
-        if nc not in cache:
-            try:
-                moments = _moments_at(replace(params, n_c=nc), t)
-                cache[nc] = (_n_real(moments, c_target), moments)
-            except (DegenerateParameterError, HypothesesIndistinguishableError) as exc:
-                cache[nc] = (math.inf, exc)
-        return cache[nc][0]
+        try:
+            return _n_real(group.get(replace(params, n_c=nc), t), c_target)
+        except (DegenerateParameterError, HypothesesIndistinguishableError):
+            return math.inf
 
     def n_int(nc: float) -> int:
-        value, found = cache[nc]
-        if math.isinf(value):
-            raise found
-        return n_for_confidence(c_target, found)
+        # an unscorable finalist raises its exception again
+        return n_for_confidence(c_target, group.get(replace(params, n_c=nc), t))
 
     candidates = [0.0] + list(np.geomspace(lo, hi, NC_GRID_POINTS))
     values = [f(nc) for nc in candidates]

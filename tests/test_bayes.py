@@ -83,6 +83,8 @@ def test_pair_rejects_mismatches():
     )
     with pytest.raises(ParameterError, match="shapes"):
         HypothesisPair(present=present, absent=absent_small)
+    with pytest.raises(ParameterError, match="different saturation"):
+        HypothesisPair(present=apply_saturation(present, present.k_max), absent=absent)
     # with_emitter refuses every absent table the pair would refuse, and a
     # saturated one, whose boundary bins are no longer the envelope
     for refused in (apply_saturation(absent, 2), present, absent_wrong):

@@ -319,6 +319,23 @@ def test_sweep_config_with_short_nc_bounds_exits_two(tmp_path, capsys):
     assert err.startswith("error:") and "nc_bounds" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--config", {"protocols": ["direct"], "saturations": [20000, 0]}],
+     "saturation threshold 20000 exceeds the cap of 10000 counts per detector"),
+    (["sweep", "--protocol", "direct", "--saturation", "0"],
+     "saturation threshold must be an integer >= 1, got 0"),
+    (["nmeas", "--saturation", "-2"] + HEADLINE_FLAGS,
+     "saturation threshold must be an integer >= 1, got -2"),
+], ids=["sweep-config", "sweep-flag", "nmeas-flag"])
+def test_out_of_range_saturation_exits_two_before_any_row(argv, message, tmp_path, capsys):
+    # the spec refuses the cutoff, so no row runs and none is printed
+    argv = [config_file(tmp_path, a) if isinstance(a, dict) else a for a in argv]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_sweep_preset_runs(tmp_path, capsys):
     target = tmp_path / "fig2b.csv"
     code, _, _ = run(["sweep", "--preset", "fig2b", "-o", str(target)], capsys)

@@ -120,6 +120,17 @@ def test_phase_average_reduces_to_zero_phase():
     assert np.max(np.abs(inc - coh0)) < 1e-13
 
 
+def test_single_outcome_phase_averages_reduce_to_zero_phase():
+    # joint_pmf and traced_pmf take the incoherent phase average themselves
+    kw = dict(xi=0.2, eta=0.8, epsilon=0.9, n_c=1.0)
+    inc = OracleConfig(params=incoherent(**kw), fock_dim=20)
+    coh0 = OracleConfig(params=coherent(cos_theta=0.0, **kw), fock_dim=20)
+    for k, l, m, n in [(0, 0, 0, 0), (1, 0, 0, 1), (2, 1, 1, 0)]:
+        assert joint_pmf(inc, k, l, m, n) == pytest.approx(joint_pmf(coh0, k, l, m, n), abs=1e-15)
+    for k, l in [(0, 0), (1, 0), (2, 1)]:
+        assert traced_pmf(inc, k, l) == pytest.approx(traced_pmf(coh0, k, l), abs=1e-15)
+
+
 def test_residual_guard_fires_when_loss_box_too_small():
     cfg = OracleConfig(
         params=coherent(xi=0.5, eta=0.5, epsilon=1.0, n_c=4.0), fock_dim=40, loss_sum_max=1

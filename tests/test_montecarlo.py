@@ -62,7 +62,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("seed", 2.5), ("n_measurements", 2.5), ("n_trajectories", 2.5),
-    ("seed", True), ("n_measurements", "3"),
+    ("seed", True), ("n_measurements", "3"), ("n_trajectories", np.bool_(True)),
 ])
 def test_config_refuses_what_it_would_truncate(field, value):
     # seed 2.5 used to run as seed 2; the counts failed later inside numpy
@@ -268,6 +268,18 @@ def test_final_log_lambda_lives_on_a_small_lattice():
     ens = simulate_ensemble(config(n_measurements=10, n_trajectories=2_000))
     distinct = np.unique(np.round(ens.final_log_lambda, 9)).size
     assert distinct < 300
+
+
+def test_zero_spread_takes_the_deterministic_limit():
+    # with no background every absent trial records zero counts, so ln(lambda)
+    # has one value under the absent truth and every run decides correctly
+    pair = HypothesisPair.from_params(
+        ProtocolParams(protocol=Protocol.DIRECT, xi=0.1, eta=0.8, n_e=0.0, n_i=0.0))
+    assert loglik_moments(pair).sigma_absent == 0.0
+    ens = simulate_ensemble(EnsembleConfig(pair=pair, truth=Truth.ABSENT, n_measurements=5,
+                                           n_trajectories=200, seed=3))
+    assert ens.analytic_confidence == 1.0
+    assert ens.empirical_confidence == 1.0
 
 
 def test_absent_truth_flips_the_decision_rate():

@@ -145,15 +145,15 @@ def test_optimize_flags_indistinguishable_grid():
 
 def test_flat_optimum_at_unscorable_dark_reference_is_an_error_row(monkeypatch):
     # every brightness scores alike except the dark reference, which cannot
-    # be evaluated; the flat optimum n_c = 0 must report that failure
-    real = sweep_module._moments_at
+    # be built; the flat optimum n_c = 0 must report that failure
+    raw = HypothesisPair.__dict__["from_params"].__func__
 
-    def moments_at(params, t):
+    def from_params(cls, params):
         if params.n_c == 0.0:
             raise DegenerateParameterError("dark reference undefined")
-        return real(replace(params, n_c=1.0), t)
+        return raw(cls, replace(params, n_c=1.0))
 
-    monkeypatch.setattr(sweep_module, "_moments_at", moments_at)
+    monkeypatch.setattr(HypothesisPair, "from_params", classmethod(from_params))
     with pytest.raises(DegenerateParameterError, match="dark reference"):
         optimize_nc(HEADLINE)
     (row,) = run_sweep(tiny_spec(protocols=("coherent",), eta=(0.9,), n_e=(1.0,),
@@ -185,6 +185,14 @@ def test_spec_saturations_are_integers_or_inf():
     for bad in (2.7, True, "Inf", "2.5", float("inf"), [2]):
         with pytest.raises(ParameterError, match="saturation must be"):
             SweepSpec(saturations=(bad,))
+    # out of range for apply_saturation: refused by the spec, with its messages
+    for bad, message in ((0, "must be an integer >= 1, got 0"),
+                         (-2, "must be an integer >= 1, got -2"),
+                         (10001, "10001 exceeds the cap of 10000"),
+                         ("20000", "20000 exceeds the cap of 10000"),
+                         (20000.0, "20000 exceeds the cap of 10000")):
+        with pytest.raises(ParameterError, match=f"^saturation threshold {message}"):
+            SweepSpec(saturations=(None, bad))
 
 
 def test_spec_normalizes_nc_bounds_to_a_tuple():
@@ -389,12 +397,12 @@ def test_optimizing_sweep_emits_optimum_per_row():
 
 
 @pytest.mark.parametrize("n_c", ["optimize", (0.5, 6.0)])
-@pytest.mark.parametrize("saturations", [(None, 4, 2, 1), (2, None), (None, 20000)])
+@pytest.mark.parametrize("saturations", [(None, 4, 2, 1), (2, None)])
 def test_sweep_rows_equal_points_evaluated_alone(saturations, n_c):
     # a sweep folds one unsaturated build per brightness at every
     # saturation of its row group; each row must still be what its point
-    # gives alone.  n_e = 0 leaves direct detection a zero spread, and the
-    # fold refuses t = 20000 while the unsaturated rows of its group run
+    # gives alone.  n_e = 0 leaves direct detection a zero spread, so its
+    # rows are error rows
     spec = SweepSpec(protocols=("direct", "coherent", "incoherent"), eta=(0.9,),
                      n_e=(0.0, 1.0), n_c=n_c, saturations=saturations,
                      nc_bounds=(1e-2, 10.0))
@@ -411,18 +419,7 @@ def test_sweep_rows_equal_points_evaluated_alone(saturations, n_c):
     assert any(r.error is None for r in rows) and any(r.error is not None for r in rows)
 
 
-# (None, 20000) and (20000, None) build what (None,) alone does: the refused
-# fold at t = 20000 is kept, not rebuilt
-@pytest.mark.parametrize("saturations, expected", [
-    ((None, 4, 2, 1), 104),
-    ((1, 2, 4, None), 104),
-    ((None, 2), 76),
-    ((2, None), 76),
-    ((None,), 62),
-    ((None, 20000), 62),
-    ((20000, None), 62),
-], ids=["inf-4-2-1", "1-2-4-inf", "inf-2", "2-inf", "inf", "inf-20000", "20000-inf"])
-def test_sweep_builds_each_brightness_once_per_row_group(monkeypatch, saturations, expected):
+def _count_builds(monkeypatch) -> list:
     builds = []
     raw = HypothesisPair.__dict__["from_params"].__func__
 
@@ -431,6 +428,18 @@ def test_sweep_builds_each_brightness_once_per_row_group(monkeypatch, saturation
         return raw(cls, params)
 
     monkeypatch.setattr(HypothesisPair, "from_params", classmethod(counted))
+    return builds
+
+
+@pytest.mark.parametrize("saturations, expected", [
+    ((None, 4, 2, 1), 104),
+    ((1, 2, 4, None), 104),
+    ((None, 2), 76),
+    ((2, None), 76),
+    ((None,), 62),
+], ids=["inf-4-2-1", "1-2-4-inf", "inf-2", "2-inf", "inf"])
+def test_sweep_builds_each_brightness_once_per_row_group(monkeypatch, saturations, expected):
+    builds = _count_builds(monkeypatch)
     spec = SweepSpec(protocols=("coherent",), eta=(0.9,), n_e=(1.0,), n_c="optimize",
                      saturations=saturations, nc_bounds=(1e-2, 10.0))
     run_sweep(spec)
@@ -443,6 +452,17 @@ def test_sweep_builds_each_brightness_once_per_row_group(monkeypatch, saturation
             sweep_module.evaluate_point(spec, point)
         # alone, each row builds every grid candidate and its baseline
         assert len(builds) == 290
+
+
+@pytest.mark.parametrize("saturations", [(None, 20000), (20000, None)],
+                         ids=["inf-20000", "20000-inf"])
+def test_spec_refuses_a_saturation_every_fold_would_refuse(monkeypatch, saturations):
+    # every fold would refuse t = 20000, so the spec refuses it before any build
+    builds = _count_builds(monkeypatch)
+    with pytest.raises(ParameterError, match="20000 exceeds the cap of 10000"):
+        SweepSpec(protocols=("coherent",), eta=(0.9,), n_e=(1.0,), n_c="optimize",
+                  saturations=saturations, nc_bounds=(1e-2, 10.0))
+    assert builds == []
 
 
 # ---------------------------------------------------------------------------
