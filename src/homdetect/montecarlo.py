@@ -16,11 +16,21 @@ That is, bit for bit, what numpy's ``Generator(Philox(key=[s, i]))``
 returns from ``random``, computed here as array arithmetic over a whole
 chunk of trajectories at once.
 
+A uniform u draws the first flat row-major cell whose cumulative
+probability exceeds u (the last cell, for a u above the table's rounded
+top).  ``CountDistribution.inverse_cdf`` finds it through a guide table
+built once per table: u in a bucket of width 2⁻¹⁴ that no cumulative
+probability splits reads its cell directly, and only the rest are
+binary-searched, with the bits the binary search alone gives.  The
+per-step quartiles are the nearest-rank rows of the sorted posteriors,
+read from sorted contiguous tiles of ``_TILE_COLUMNS`` columns, bit for
+bit the rows a full sort along the trajectories gives.
+
 An ensemble of N trajectories of M trials holds one N x M float64 array
 (the cumulative log ratios, turned in place into posteriors) plus
-per-chunk temporaries of about ``_CHUNK_UNIFORMS`` uniforms; a run whose
-estimate exceeds ``ENSEMBLE_BUDGET_BYTES`` (1 GiB) is refused with
-``ParameterError`` before anything is allocated.
+per-chunk temporaries of about ``_CHUNK_UNIFORMS`` uniforms and one
+quartile tile; a run whose estimate exceeds ``ENSEMBLE_BUDGET_BYTES``
+(1 GiB) is refused with ``ParameterError`` before anything is allocated.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ from scipy.special import expit
 from .bayes import HypothesisPair, confidence, loglik_moments
 from .photon_stats import (
     CountDistribution,
+    InverseCdf,
     Outcome,
     ParameterError,
     _is_whole,
@@ -141,24 +152,10 @@ class LogLambdaHistogram:
     sigma_y: float
 
 
-def _cumulative(dist: CountDistribution) -> np.ndarray:
-    return np.cumsum(dist.probs.ravel())
-
-
-def _draw_cells(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Flat row-major table indices of the records that uniforms u draw,
-    by inverting the cumulative table ``_cumulative(dist)``; a u above
-    its rounded top lands on the last cell."""
-    idx = np.searchsorted(cdf, u, side="right")
-    # in place: a second index array would add u.size words to the peak
-    np.clip(idx, 0, cdf.size - 1, out=idx)
-    return idx
-
-
 def sample_outcome(dist: CountDistribution, rng: np.random.Generator) -> Outcome:
     """Draw one count record from one uniform of rng, by the inverse-CDF
     draw that ``simulate_ensemble`` makes."""
-    (flat,) = _draw_cells(_cumulative(dist), rng.random(1))
+    (flat,) = dist.inverse_cdf.cells(rng.random(1))
     return Outcome(*(int(i) for i in np.unravel_index(flat, dist.probs.shape)))
 
 
@@ -176,6 +173,10 @@ _CHUNK_UNIFORMS = 1 << 16
 # Word arrays of one chunk's size alive at once: 4.5 at most under
 # tracemalloc (Philox rounds, uniforms, cell indices, the gather buffer)
 _CHUNK_ARRAYS = 6
+# Columns of the N x M posteriors sorted at a time for their quartiles, as
+# one contiguous copy: 2 to 8 columns timed alike for N = 100 000 on a
+# 2-core Xeon VM, and each column adds N words to the peak
+_TILE_COLUMNS = 2
 ENSEMBLE_BUDGET_BYTES = 1 << 30
 
 
@@ -228,21 +229,27 @@ def _chunk_rows(n_measurements: int) -> int:
     return max(1, _CHUNK_UNIFORMS // n_measurements)
 
 
-def _estimated_bytes(n_trajectories: int, n_measurements: int, kept: int | None = None) -> int:
+def _estimated_bytes(
+    n_trajectories: int, n_measurements: int, cells: int, kept: int | None = None
+) -> int:
     """Peak bytes of a run that keeps ``kept`` float64 words per
-    trajectory, by default ``simulate_ensemble``'s M (the N x M array)
-    plus one (the final log ratios), and one chunk's temporaries (Philox
-    words, uniforms, cell indices)."""
+    trajectory, by default ``simulate_ensemble``'s M (the N x M array),
+    one (the final log ratios) and ``_TILE_COLUMNS`` (the quartile tile);
+    one chunk's temporaries (Philox words, uniforms, cell indices); and,
+    for a truth table of ``cells`` cells, four words per cell (the log
+    ratios, the cumulative table, two temporaries of their build) and four
+    per ``InverseCdf`` bucket (the guide and its build's temporaries)."""
     if kept is None:
-        kept = n_measurements + 1
+        kept = n_measurements + 1 + _TILE_COLUMNS
     rows = min(n_trajectories, _chunk_rows(n_measurements))
     words = rows * 4 * -(-n_measurements // 4)
-    return 8 * (n_trajectories * kept + _CHUNK_ARRAYS * words)
+    tables = 4 * (cells + InverseCdf.BUCKETS)
+    return 8 * (n_trajectories * kept + _CHUNK_ARRAYS * words + tables)
 
 
 def _refuse_above_budget(config: EnsembleConfig, kept: int | None = None) -> None:
     n, m = config.n_trajectories, config.n_measurements
-    need = _estimated_bytes(n, m, kept)
+    need = _estimated_bytes(n, m, config.truth_dist.probs.size, kept)
     if need > ENSEMBLE_BUDGET_BYTES:
         raise ParameterError(
             f"an ensemble of {n} trajectories x {m} measurements needs about "
@@ -257,11 +264,11 @@ def _draws_by_chunk(config: EnsembleConfig):
     one row per trajectory)."""
     n, m = config.n_trajectories, config.n_measurements
     seed = int(config.seed)
-    cdf = _cumulative(config.truth_dist)
+    cells = config.truth_dist.inverse_cdf.cells
     rows = _chunk_rows(m)
     for s in range(0, n, rows):
         e = min(s + rows, n)
-        yield s, e, _draw_cells(cdf, _trajectory_uniforms(seed, s, e, m))
+        yield s, e, cells(_trajectory_uniforms(seed, s, e, m))
 
 
 def simulate_ensemble(config: EnsembleConfig) -> TrajectoryEnsemble:
@@ -276,9 +283,9 @@ def simulate_ensemble(config: EnsembleConfig) -> TrajectoryEnsemble:
     at a time.  Identical configs give bit-identical results, and the
     summaries are plain deterministic reductions.
 
-    Peak memory is one N x M float64 array plus one chunk's temporaries;
-    a run estimated above ``ENSEMBLE_BUDGET_BYTES`` raises
-    ``ParameterError`` before allocating.
+    Peak memory is one N x M float64 array plus one chunk's temporaries
+    or one quartile tile; a run estimated above ``ENSEMBLE_BUDGET_BYTES``
+    raises ``ParameterError`` before allocating.
     """
     _refuse_above_budget(config)
     n, m = config.n_trajectories, config.n_measurements
@@ -294,9 +301,7 @@ def simulate_ensemble(config: EnsembleConfig) -> TrajectoryEnsemble:
     np.negative(pe, out=pe)
     expit(pe, out=pe)
     mean_pe = pe.mean(axis=0)
-    pe.sort(axis=0)
-    q25 = pe[math.ceil(0.25 * n) - 1].copy()
-    q75 = pe[math.ceil(0.75 * n) - 1].copy()
+    q25, q75 = _nearest_rank_rows(pe, (math.ceil(0.25 * n) - 1, math.ceil(0.75 * n) - 1))
     del pe, cum_log
 
     if config.truth is Truth.PRESENT:
@@ -313,6 +318,25 @@ def simulate_ensemble(config: EnsembleConfig) -> TrajectoryEnsemble:
         empirical_confidence=empirical,
         analytic_confidence=_analytic_confidence(config),
     )
+
+
+def _nearest_rank_rows(a: np.ndarray, ranks: tuple[int, ...]) -> list[np.ndarray]:
+    """Rows ``ranks`` of ``np.sort(a, axis=0)``, bit for bit.
+
+    Each run of ``_TILE_COLUMNS`` columns is copied into one contiguous
+    tile, a row per column, and sorted there: a sort along axis 0 of the
+    C-ordered N x M array would move every column through a strided copy.
+    """
+    n, m = a.shape
+    rows = [np.empty(m) for _ in ranks]
+    tile = np.empty((_TILE_COLUMNS, n))
+    for j in range(0, m, _TILE_COLUMNS):
+        cols = tile[: min(_TILE_COLUMNS, m - j)]
+        cols[...] = a[:, j:j + _TILE_COLUMNS].T
+        cols.sort(axis=1)
+        for row, rank in zip(rows, ranks):
+            row[j:j + cols.shape[0]] = cols[:, rank]
+    return rows
 
 
 def _analytic_confidence(config: EnsembleConfig) -> float:

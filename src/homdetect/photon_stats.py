@@ -13,6 +13,8 @@ All detector backgrounds (unmatched reference light, residual excitation
 leakage, dark counts) are Poissonian, so every count distribution here is
 a Poisson envelope times a small polynomial bracket and can be enumerated
 exactly.  Nothing in this module samples; see ``montecarlo`` for that.
+It only inverts a table's cumulative distribution (``InverseCdf``), the
+deterministic half of an inverse-CDF draw.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import os
 import tempfile
 from dataclasses import asdict, dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -34,6 +37,7 @@ __all__ = [
     "DerivedMeans",
     "Outcome",
     "CountDistribution",
+    "InverseCdf",
     "ParameterError",
     "DegenerateParameterError",
     "TruncationError",
@@ -307,6 +311,42 @@ def hom_pmf(params: ProtocolParams, j: int, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+class InverseCdf:
+    """Inverse of a cumulative table ``cdf`` over flat row-major cells.
+
+    ``cells(u)`` maps each u in [0, 1) to the number of cdf values <= u,
+    a u at or above the table's rounded top going to the last cell: it
+    equals ``np.clip(np.searchsorted(cdf, u, side="right"), 0,
+    cdf.size - 1)`` bit for bit.
+
+    A guide table (Devroye, "Non-Uniform Random Variate Generation", 1986,
+    §III.2.4) splits [0, 1) into ``BUCKETS`` equal buckets.  As that is
+    a power of two, b = floor(u · BUCKETS) is exact, and every u in a
+    bucket with no cdf value strictly inside it has the count that the
+    bucket's left edge has; the guide holds that count, or -1 where a cdf
+    value splits the bucket, and only the u that land there are searched.
+    """
+
+    BUCKETS = 1 << 14
+
+    def __init__(self, cdf: np.ndarray) -> None:
+        self.cdf = cdf
+        edges = np.arange(self.BUCKETS + 1) * (1.0 / self.BUCKETS)
+        guide = np.searchsorted(cdf, edges[:-1], side="right")
+        guide[np.searchsorted(cdf, edges[1:], side="left") > guide] = -1
+        guide.setflags(write=False)
+        self.guide = guide
+
+    def cells(self, u: np.ndarray) -> np.ndarray:
+        idx = np.take(self.guide, (u * self.BUCKETS).astype(np.intp))
+        flat = idx.reshape(-1)
+        split = np.flatnonzero(flat < 0)
+        flat[split] = np.searchsorted(self.cdf, u.reshape(-1)[split], side="right")
+        # in place: a second index array would add u.size words to the peak
+        np.clip(idx, 0, self.cdf.size - 1, out=idx)
+        return idx
+
+
 @dataclass(frozen=True)
 class CountDistribution:
     """Exhaustively enumerated count distribution for one parameter set.
@@ -354,6 +394,12 @@ class CountDistribution:
 
     def total(self) -> float:
         return float(self.probs.sum())
+
+    @cached_property
+    def inverse_cdf(self) -> InverseCdf:
+        """The inverse of ``np.cumsum(probs.ravel())``, built on first use
+        and kept with the table."""
+        return InverseCdf(np.cumsum(self.probs.ravel()))
 
     def outcomes(self) -> Iterator[tuple[Outcome, float]]:
         """Iterate (outcome, probability) in row-major order."""

@@ -132,6 +132,29 @@ def test_simulate_reruns_byte_identical(tmp_path, capsys):
     assert (tmp_path / "a.summary.json").read_bytes() == (tmp_path / "b.summary.json").read_bytes()
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "ensemble_golden")
+GOLDEN_RUNS = {
+    "headline-present": HEADLINE_FLAGS + ["--truth", "present", "--seed", "21"],
+    "low-noise-absent": LOW_FLAGS + ["--truth", "absent", "--seed", "22"],
+    "headline-absent-t2": HEADLINE_FLAGS + ["--saturation", "2", "--truth", "absent",
+                                            "--seed", "23"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_simulate_writes_the_golden_bytes(name, tmp_path, capsys):
+    # 100k x 50 ensembles, the first two written by numpy's per-trajectory
+    # Philox generators, the saturated one by the binary-search draw and
+    # full column sort that the guide table and column tiles replaced
+    out_path = tmp_path / f"{name}.csv"
+    code, _, err = run(["simulate", "--n-measurements", "50", "--n-trajectories", "100000",
+                        "-o", str(out_path)] + GOLDEN_RUNS[name], capsys)
+    assert code == 0, err
+    for suffix in (".csv", ".summary.json"):
+        with open(os.path.join(GOLDEN, name + suffix), "rb") as golden:
+            assert (tmp_path / (name + suffix)).read_bytes() == golden.read(), suffix
+
+
 def test_simulate_json_steps(tmp_path, capsys):
     out_path = tmp_path / "run.json"
     code, _, _ = run(
@@ -678,11 +701,13 @@ def test_console_script_matches_module():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats took most of every process's import time; the package
-    # needs scipy.special and scipy.integrate alone
-    code = "import sys, homdetect, homdetect.cli; print('scipy.stats' in sys.modules)"
+    # scipy.stats took most of every process's import time, and
+    # scipy.integrate a third of it and 26 MB; importing the package needs
+    # scipy.special alone, and mean_posterior imports scipy.integrate
+    code = ("import sys, homdetect, homdetect.cli; "
+            "print('scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+    assert (result.returncode, result.stdout) == (0, "False False\n"), result.stderr
 
 
 def _limit_address_space():

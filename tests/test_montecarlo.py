@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,13 +15,14 @@ from homdetect.montecarlo import (
     EnsembleConfig,
     Truth,
     _chunk_rows,
+    _draws_by_chunk,
     _estimated_bytes,
     _trajectory_uniforms,
     loglambda_histogram,
     sample_outcome,
     simulate_ensemble,
 )
-from homdetect.photon_stats import ParameterError, Protocol, ProtocolParams
+from homdetect.photon_stats import InverseCdf, ParameterError, Protocol, ProtocolParams
 
 LOW_NOISE = ProtocolParams(protocol=Protocol.DIRECT, xi=0.1, eta=0.8, n_e=0.02, n_i=0.02)
 HOM = ProtocolParams(
@@ -129,6 +131,47 @@ def test_joint_sampling_matches_table():
     assert p > 0.001, f"sampling deviates from the table (p = {p})"
 
 
+def _lookup_tables():
+    pairs = [low_noise_pair(), HypothesisPair.from_params(HOM)]
+    pairs += [pairs[1].saturated(1), pairs[1].saturated(2)]
+    tables = [np.cumsum(d.probs.ravel()) for p in pairs for d in (p.present, p.absent)]
+    ulp = 2.0**-53
+    # one cell; zero-mass runs with cdf values on bucket edges; tops just
+    # below and just above 1; many cells inside one bucket
+    tables += [np.array([1.0]), np.array([1.0 - ulp]),
+               np.cumsum([0.25, 0.0, 0.0, 0.25, 0.0, 0.5, 0.0, 0.0]),
+               np.array([0.1, 0.1, 0.3, 0.3, 0.3, 1.0 - 3 * ulp]),
+               np.array([0.5, 1.0 + 2 * ulp, 1.0 + 2 * ulp]),
+               np.cumsum(np.full(20_000, 1 / 20_000)),
+               np.concatenate([np.linspace(0.5, 0.5 + 1e-6, 50), [1.0]])]
+    return tables
+
+
+def test_inverse_cdf_is_the_clipped_binary_search():
+    b = InverseCdf.BUCKETS
+    edges = np.arange(b) / b
+    u = np.concatenate([
+        edges, np.nextafter(edges, 1.0), np.nextafter(edges[1:], 0.0),
+        [0.0, 1.0 - 2.0**-53], np.random.default_rng(3).random(50_000),
+    ])
+    assert u.min() >= 0.0 and u.max() < 1.0
+    for cdf in _lookup_tables():
+        expected = np.clip(np.searchsorted(cdf, u, side="right"), 0, cdf.size - 1)
+        cells = InverseCdf(cdf).cells(u)
+        assert cells.dtype == np.intp
+        assert np.array_equal(cells, expected)
+        grid = u[:49_980].reshape(-1, 20)
+        assert np.array_equal(InverseCdf(cdf).cells(grid), expected[:49_980].reshape(-1, 20))
+
+
+def test_inverse_cdf_is_built_once_per_table():
+    # sample_outcome draws one record per call, so the table keeps its
+    # inverse rather than rebuilding it each time
+    dist = low_noise_pair().present
+    assert dist.inverse_cdf is dist.inverse_cdf
+    assert np.array_equal(dist.inverse_cdf.cdf, np.cumsum(dist.probs.ravel()))
+
+
 def test_sample_outcome_arity():
     pair = low_noise_pair()
     rng = np.random.Generator(np.random.Philox(key=[0, 0]))
@@ -219,7 +262,7 @@ def test_trajectory_uniforms_are_numpy_philox(seed, m):
 
 def test_oversize_ensemble_is_refused():
     c = config(n_measurements=50, n_trajectories=10_000_000)
-    assert _estimated_bytes(10_000_000, 50) > ENSEMBLE_BUDGET_BYTES
+    assert _estimated_bytes(10_000_000, 50, c.truth_dist.probs.size) > ENSEMBLE_BUDGET_BYTES
     with pytest.raises(ParameterError, match="budget"):
         simulate_ensemble(c)
 
@@ -253,6 +296,40 @@ def test_quartiles_are_nearest_rank():
 
 def test_quartiles_are_nearest_rank_after_a_partial_chunk():
     _assert_nearest_rank_quartiles(_chunk_rows(5) + 37)
+
+
+@pytest.mark.parametrize("m", [1, 3, 50])
+def test_quartiles_are_nearest_rank_rows_of_a_full_sort(m):
+    # the low-noise direct table has few distinct log ratios, so columns
+    # are heavily tied; m = 1 and 3 end in a partial column tile, and
+    # n = 1 and a partial chunk end the columns unevenly
+    for n in (1, _chunk_rows(m) + 37):
+        c = config(n_measurements=m, n_trajectories=n, seed=17)
+        ens = simulate_ensemble(c)
+        log_ratio = c.pair.log_ratio.ravel()
+        cum = np.concatenate([np.cumsum(log_ratio[idx], axis=1)
+                              for _, _, idx in _draws_by_chunk(c)])
+        pe = np.sort(expit(-cum), axis=0)
+        assert np.array_equal(ens.q25, pe[math.ceil(0.25 * n) - 1])
+        assert np.array_equal(ens.q75, pe[math.ceil(0.75 * n) - 1])
+        assert np.array_equal(ens.final_log_lambda, cum[:, -1])
+
+
+@pytest.mark.parametrize("n, m", [(1, 3), (3_000, 50), (_chunk_rows(7) + 5, 7)])
+def test_peak_memory_stays_within_the_estimate(n, m):
+    # a fresh pair, so the log ratios and the inverse CDF are built inside
+    # the measured call, as in a first run
+    for run, kept in ((simulate_ensemble, None), (loglambda_histogram, 1)):
+        c = EnsembleConfig(pair=HypothesisPair.from_params(HOM), truth=Truth.ABSENT,
+                           n_measurements=m, n_trajectories=n, seed=2)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run(c)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= _estimated_bytes(n, m, c.truth_dist.probs.size, kept), run.__name__
 
 
 def test_empirical_matches_analytic_at_scale():
