@@ -46,10 +46,12 @@ from scipy.special import expit
 
 from .bayes import HypothesisPair, confidence, loglik_moments
 from .photon_stats import (
+    MEMORY_BUDGET_BYTES as ENSEMBLE_BUDGET_BYTES,
     CountDistribution,
     InverseCdf,
     Outcome,
     ParameterError,
+    _check_budget,
     _is_whole,
     atomic_write_text,
 )
@@ -177,7 +179,6 @@ _CHUNK_ARRAYS = 6
 # one contiguous copy: 2 to 8 columns timed alike for N = 100 000 on a
 # 2-core Xeon VM, and each column adds N words to the peak
 _TILE_COLUMNS = 2
-ENSEMBLE_BUDGET_BYTES = 1 << 30
 
 
 def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -249,13 +250,9 @@ def _estimated_bytes(
 
 def _refuse_above_budget(config: EnsembleConfig, kept: int | None = None) -> None:
     n, m = config.n_trajectories, config.n_measurements
-    need = _estimated_bytes(n, m, config.truth_dist.probs.size, kept)
-    if need > ENSEMBLE_BUDGET_BYTES:
-        raise ParameterError(
-            f"an ensemble of {n} trajectories x {m} measurements needs about "
-            f"{need / 2**20:.0f} MiB, above the {ENSEMBLE_BUDGET_BYTES >> 20} MiB "
-            "budget; use fewer trajectories or measurements"
-        )
+    _check_budget(_estimated_bytes(n, m, config.truth_dist.probs.size, kept),
+                  f"an ensemble of {n} trajectories x {m} measurements",
+                  "; use fewer trajectories or measurements")
 
 
 def _draws_by_chunk(config: EnsembleConfig):

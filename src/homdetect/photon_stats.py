@@ -23,7 +23,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Iterator, NamedTuple
@@ -57,6 +57,13 @@ NEG_CLAMP = -1e-15
 
 # Tables larger than this many counts per detector are refused.
 K_MAX_HARD_CAP = 10_000
+
+# The least mass a table may leave untabulated, or carry above 1, by rounding.
+TAIL_FLOOR = 1e-12
+
+# A saturated pair's scoring or an ensemble estimated above this many bytes
+# is refused before anything is allocated.
+MEMORY_BUDGET_BYTES = 1 << 30
 
 
 class ParameterError(ValueError):
@@ -352,18 +359,37 @@ class CountDistribution:
     """Exhaustively enumerated count distribution for one parameter set.
 
     ``probs`` is 1-D (direct) or 2-D (two-detector, row index = detector 1)
-    over 0..k_max per detector.  ``tail_mass`` is the probability left
-    outside the table; ``saturation`` marks a table whose boundary bins
-    already absorb all higher counts.
+    over 0..k_max per detector; a table ``saturation`` at t, whose boundary
+    bins absorb all higher counts, spans 0..t.  ``tail_mass`` is derived:
+    ``max(0, 1 - sum)``, the mass left outside the table, or 0 if saturated.
+
+    The table checks its mass once, here, against ``_tail_allowance`` at
+    the size ``build_distribution`` gives its params, whose rounding a fold
+    keeps: a ``tail_mass`` above it raises TruncationError, and a ``sum +
+    tail_mass`` further from 1, or NaN, raises ParameterError.
     """
 
     params: ProtocolParams
     probs: np.ndarray
-    tail_mass: float
+    tail_mass: float = field(init=False)
     saturation: int | None = None
 
     def __post_init__(self) -> None:
         self.probs.setflags(write=False)
+        t, total = self.saturation, float(self.probs.sum())
+        if t is not None and self.probs.shape != (t + 1,) * self.probs.ndim:
+            raise ParameterError(f"a table saturated at {t} spans 0..{t}, got {self.probs.shape}")
+        tail = 0.0 if t is not None else max(0.0, 1.0 - total)
+        object.__setattr__(self, "tail_mass", tail)
+        off = abs(total + tail - 1.0)
+        if tail <= TAIL_FLOOR and off <= TAIL_FLOOR:
+            return  # within every allowance, so none is worked out
+        allowance = _tail_allowance(self.params, _table_k_max(self.params))
+        if tail > allowance:
+            raise TruncationError(f"untabulated mass {tail:.3g} > {allowance:.3g} allowed at "
+                                  f"k_max {self.k_max}, n_bar = {derived_means(self.params).n_bar}")
+        if not off <= allowance:
+            raise ParameterError(f"table mass {total!r} is not within {allowance:.3g} of 1")
 
     @property
     def k_max(self) -> int:
@@ -461,8 +487,8 @@ def table_entries(table: np.ndarray) -> list[list]:
 
 
 def _tail_allowance(params: ProtocolParams, k_max: int) -> float:
-    """Largest untabulated mass ``1 - sum`` accepted in a table of 0..k_max
-    counts per detector: 1e-12, or the rounding that summing the table can
+    """Largest distance ``|1 - sum|`` accepted in a table of 0..k_max counts
+    per detector: TAIL_FLOOR, or the rounding that summing the table can
     leave, whichever is larger.
 
     Each Poisson factor exp(k ln mu - mu - ln k!) carries a relative error
@@ -473,38 +499,27 @@ def _tail_allowance(params: ProtocolParams, k_max: int) -> float:
     d = 1 if params.protocol is Protocol.DIRECT else 2
     mu = derived_means(params).n_bar / d
     rounding = 4.0 * math.ulp(1.0) * (k_max + 1) * (1.0 + math.log(max(mu, 1.0))) * d
-    return max(1e-12, rounding)
+    return max(TAIL_FLOOR, rounding)
 
 
-def build_distribution(params: ProtocolParams) -> CountDistribution:
-    """Enumerate the count distribution on 0..max(20, mu + 12 sqrt(mu + 1))
-    per detector, mu the mean count per detector.
-
-    The Poisson mass beyond that size is below 1e-17 per detector, so the
-    untabulated mass ``1 - sum`` is rounding; a table whose ``1 - sum``
-    exceeds ``_tail_allowance`` raises TruncationError.  A size above 10000
-    counts per detector is refused with TruncationError before anything is
-    allocated.
-    """
+def _table_k_max(params: ProtocolParams) -> int:
+    """The top count per detector of ``build_distribution``'s table:
+    max(20, mu + 12 sqrt(mu + 1)), mu the mean count per detector."""
     n_bar = derived_means(params).n_bar
     per_det = n_bar if params.protocol is Protocol.DIRECT else n_bar / 2.0
     # the extra photon and the bracket polynomial fit in the floor and margin
-    k = max(20, math.ceil(per_det + 12.0 * math.sqrt(per_det + 1.0)))
+    return max(20, math.ceil(per_det + 12.0 * math.sqrt(per_det + 1.0)))
+
+
+def build_distribution(params: ProtocolParams) -> CountDistribution:
+    """Enumerate the count distribution on 0..``_table_k_max(params)`` per
+    detector, where the Poisson mass beyond is below 1e-17 per detector;
+    a size above 10000 counts is refused before anything is allocated."""
+    k = _table_k_max(params)
     if k > K_MAX_HARD_CAP:
-        raise TruncationError(
-            f"k_max {k} at n_bar = {n_bar} exceeds the cap of {K_MAX_HARD_CAP} counts per detector"
-        )
-    return _checked(params, _pmf_tables(params, np.arange(k + 1.0)))
-
-
-def _checked(params: ProtocolParams, probs: np.ndarray) -> CountDistribution:
-    """The table as a distribution if its ``1 - sum`` is within the allowance."""
-    tail, k = max(0.0, 1.0 - float(probs.sum())), probs.shape[0] - 1
-    allowance = _tail_allowance(params, k)
-    if tail > allowance:
-        raise TruncationError(f"untabulated mass {tail:.3g} > {allowance:.3g} allowed at "
-                              f"k_max {k}, n_bar = {derived_means(params).n_bar}")
-    return CountDistribution(params=params, probs=probs, tail_mass=tail)
+        raise TruncationError(f"k_max {k} at n_bar = {derived_means(params).n_bar} "
+                              f"exceeds the cap of {K_MAX_HARD_CAP} counts per detector")
+    return CountDistribution(params=params, probs=_pmf_tables(params, np.arange(k + 1.0)))
 
 
 def with_emitter(absent: CountDistribution, params: ProtocolParams) -> CountDistribution:
@@ -517,17 +532,35 @@ def with_emitter(absent: CountDistribution, params: ProtocolParams) -> CountDist
     if params.xi == 0.0:
         return absent
     counts = np.arange(absent.k_max + 1.0)
-    return _checked(params, _bracketed(params, absent.probs, counts, counts))
+    return CountDistribution(params=params, probs=_bracketed(params, absent.probs, counts, counts))
 
 
-def _check_saturation(t: int) -> int:
-    """A detector cutoff t, refused unless an integer in [1, K_MAX_HARD_CAP]."""
+def _check_budget(need: int, work: str, advice: str = "") -> None:
+    """Refuse work estimated at ``need`` bytes above MEMORY_BUDGET_BYTES."""
+    if need > MEMORY_BUDGET_BYTES:
+        raise ParameterError(f"{work} needs about {need / 2**20:.0f} MiB, above the "
+                             f"{MEMORY_BUDGET_BYTES >> 20} MiB budget{advice}")
+
+
+def _scoring_bytes(t: int, detectors: int) -> int:
+    """Peak bytes of ``loglik_moments(pair.saturated(t))``: five float64
+    tables of (t + 1)^d cells (two folds, the log ratios, a temporary of
+    their build, their squares), a fold's edge row and 4 KiB of objects."""
+    return 8 * (5 * (t + 1) ** detectors + t + 1) + 4096
+
+
+def _check_saturation(t: int, detectors: int = 1) -> int:
+    """A detector cutoff t, refused unless an integer in [1, K_MAX_HARD_CAP]
+    whose pair, on this many detectors, scores within the memory budget:
+    two detectors above t = 5179 are refused."""
     if not _is_whole(t) or t < 1:
         raise ParameterError(f"saturation threshold must be an integer >= 1, got {t}")
     if t > K_MAX_HARD_CAP:
         raise ParameterError(
             f"saturation threshold {t} exceeds the cap of {K_MAX_HARD_CAP} counts per detector"
         )
+    _check_budget(_scoring_bytes(t, detectors),
+                  f"scoring saturation threshold {t} on {detectors} detectors")
     return t
 
 
@@ -537,31 +570,24 @@ def apply_saturation(dist: CountDistribution, t: int) -> CountDistribution:
     A detector that saturates at t reports min(count, t), so all mass with
     j >= t collapses onto j = t (per detector for joint tables).  The
     distribution tail joins the top corner bin, making the result exactly
-    normalized.  Saturation is applied at most once, and a threshold above
-    the 10000-count table cap is refused before anything is allocated.
+    normalized.  Saturation is applied at most once, and a threshold that
+    ``_check_saturation`` refuses raises before anything is allocated.
     """
     if dist.saturation is not None:
         raise ParameterError("distribution is already saturated")
-    _check_saturation(t)
-    allowance = _tail_allowance(dist.params, dist.k_max)
-    if dist.tail_mass > allowance:
-        raise ParameterError(
-            f"tail mass {dist.tail_mass} exceeds {allowance:.3g}, too much to fold into the corner bin"
-        )
-    p = dist.probs
+    _check_saturation(t, dist.probs.ndim)
+    p, edge = dist.probs, min(t, dist.k_max + 1)
     if dist.is_joint:
-        edge = min(t, dist.k_max + 1)
         out = np.zeros((t + 1, t + 1))
         out[:edge, :edge] = p[:edge, :edge]
         out[t, :edge] += p[edge:, :edge].sum(axis=0)
         out[:edge, t] += p[:edge, edge:].sum(axis=1)
         out[t, t] += p[edge:, edge:].sum() + dist.tail_mass
     else:
-        edge = min(t, dist.k_max + 1)
         out = np.zeros(t + 1)
         out[:edge] = p[:edge]
         out[t] += p[edge:].sum() + dist.tail_mass
-    return CountDistribution(params=dist.params, probs=out, tail_mass=0.0, saturation=t)
+    return CountDistribution(params=dist.params, probs=out, saturation=t)
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:

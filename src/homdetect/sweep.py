@@ -66,10 +66,10 @@ FLAT_REL_TOL = 1e-9
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _parse_saturation(raw) -> int | None:
+def _parse_saturation(raw, detectors: int = 1) -> int | None:
     """A detector cutoff from a flag, a config value or a spec entry: None
     or "inf" for none, else an integer, an integer string or an integral
-    float in [1, 10000], the range ``apply_saturation`` folds.  Anything
+    float that ``apply_saturation`` folds on this many detectors.  Anything
     else, booleans included, is refused rather than truncated."""
     if raw is None or raw == "inf":
         return None
@@ -83,7 +83,7 @@ def _parse_saturation(raw) -> int | None:
             pass
     if t is None:
         raise ParameterError(f"saturation must be an integer >= 1 or 'inf', got {raw!r}")
-    return _check_saturation(t)
+    return _check_saturation(t, detectors)
 
 
 def _spec_number(value) -> float:
@@ -317,7 +317,8 @@ class SweepSpec:
                 raise ParameterError(f'n_c must be a grid or "optimize", got {self.n_c!r}')
         else:
             self._normalize("n_c", _spec_number)
-        self._normalize("saturations", _parse_saturation)
+        detectors = 1 if set(self.protocols) == {"direct"} else 2
+        self._normalize("saturations", lambda raw: _parse_saturation(raw, detectors))
         self._normalize("nc_bounds", _spec_number)
         _check_nc_bounds("sweep spec nc_bounds", self.nc_bounds)
         # out-of-range values are refused here, not turned into error rows

@@ -1,6 +1,7 @@
 """Tests for likelihood ratios, confidence, and the log-normal approximation."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -78,11 +79,10 @@ def test_pair_rejects_mismatches():
     with pytest.raises(ParameterError):
         HypothesisPair(present=present, absent=absent_wrong)
     absent = build_distribution(replace(LOW_NOISE, xi=0.0))
-    absent_small = CountDistribution(
-        params=absent.params, probs=absent.probs[:4].copy(), tail_mass=absent.tail_mass
-    )
+    # zero padding keeps the table normalized and changes only its shape
+    absent_padded = CountDistribution(params=absent.params, probs=np.pad(absent.probs, (0, 4)))
     with pytest.raises(ParameterError, match="shapes"):
-        HypothesisPair(present=present, absent=absent_small)
+        HypothesisPair(present=present, absent=absent_padded)
     with pytest.raises(ParameterError, match="different saturation"):
         HypothesisPair(present=apply_saturation(present, present.k_max), absent=absent)
     # with_emitter refuses every absent table the pair would refuse, and a
@@ -144,6 +144,26 @@ def test_pair_tables_equal_standalone_builds(protocol, saturation):
                 alone = apply_saturation(alone, saturation)
             assert np.array_equal(got.probs, alone.probs), params
             assert got.tail_mass == alone.tail_mass
+
+
+@pytest.mark.parametrize("protocol, thresholds", [
+    (Protocol.COHERENT_HOM, (200, 500, 1000)),
+    (Protocol.DIRECT, (2000, 10_000)),
+])
+def test_scoring_a_folded_pair_stays_within_the_estimate(protocol, thresholds):
+    # the estimate that apply_saturation checks against the memory budget
+    # bounds the measured peak of folding a fresh pair and scoring it
+    params = replace(LOW_NOISE, protocol=protocol, epsilon=0.9, n_c=6.0)
+    for t in thresholds:
+        pair = HypothesisPair.from_params(params)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loglik_moments(pair.saturated(t))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= photon_stats._scoring_bytes(t, pair.present.probs.ndim), t
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +419,12 @@ def test_moment_signs_for_distinguishable_pair():
 
 
 def test_moments_refuse_a_nan_table():
+    # a NaN table is refused where it is made, so no pair, and no moments,
+    # can be formed from it
     pair = HypothesisPair.from_params(LOW_NOISE)
     nan_table = np.full_like(pair.present.probs, np.nan)
-    nan_pair = HypothesisPair(present=replace(pair.present, probs=nan_table), absent=pair.absent)
-    with pytest.raises(ParameterError, match="present distribution is not normalized"):
-        loglik_moments(nan_pair)
+    with pytest.raises(ParameterError, match="table mass nan"):
+        replace(pair.present, probs=nan_table)
 
 
 def test_hom_moments_signs():
@@ -432,10 +453,12 @@ def test_lognormal_normalizes():
 
 
 def test_lognormal_guards():
-    with pytest.raises(ParameterError):
-        lognormal_pdf(0.0, 0.0, 1.0)
-    with pytest.raises(DegenerateMomentsError):
-        lognormal_pdf(1.0, 0.0, 0.0)
+    for lam, mu in ((0.0, 0.0), (math.nan, 0.0), (1.0, math.nan)):
+        with pytest.raises(ParameterError):
+            lognormal_pdf(lam, mu, 1.0)
+    for sigma in (0.0, math.nan):
+        with pytest.raises(DegenerateMomentsError):
+            lognormal_pdf(1.0, 0.0, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -471,13 +494,15 @@ def test_confidence_increases_with_n():
 
 def test_confidence_guards():
     m = loglik_moments(HypothesisPair.from_params(LOW_NOISE))
-    with pytest.raises(ParameterError):
-        confidence(0, m)
-    degenerate = LogLikMoments(
-        mu_present=-0.1, sigma_present=0.0, mu_absent=0.1, sigma_absent=0.1
-    )
-    with pytest.raises(DegenerateMomentsError):
-        confidence(10, degenerate)
+    for n in (0, math.nan):
+        with pytest.raises(ParameterError):
+            confidence(n, m)
+    for sigma in (0.0, math.nan):
+        degenerate = LogLikMoments(
+            mu_present=-0.1, sigma_present=sigma, mu_absent=0.1, sigma_absent=0.1
+        )
+        with pytest.raises(DegenerateMomentsError):
+            confidence(10, degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +621,9 @@ def test_mean_posterior_frozen_values():
 
 def test_mean_posterior_degenerate_spread():
     assert mean_posterior(-2.0, 0.0) == pytest.approx(float(expit(2.0)), rel=1e-14)
-    with pytest.raises(DegenerateMomentsError):
-        mean_posterior(0.0, -1.0)
+    for mu, sigma in ((0.0, -1.0), (0.0, math.nan), (math.nan, 1.0)):
+        with pytest.raises(DegenerateMomentsError):
+            mean_posterior(mu, sigma)
 
 
 def test_mean_posterior_symmetry():

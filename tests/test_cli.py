@@ -94,6 +94,16 @@ def test_dist_rejects_bad_parameter(capsys):
     assert "xi" in err
 
 
+@pytest.mark.parametrize("command", ["dist", "nmeas"])
+def test_table_whose_mass_exceeds_one_exits_two(command, capsys):
+    # n_bar**2 = 4e-320 is subnormal, and the bracket's lost precision
+    # leaves the table summing to 1 + 5.6e-6: both commands refuse it
+    code, out, err = run([command, "--protocol", "coherent", "--xi", "0.5", "--eta", "1",
+                          "--epsilon", "1", "--nc", "0", "--ne", "0", "--ni", "1e-160"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: table mass 1.00000556647")
+
+
 def test_dist_requires_protocol(capsys):
     code, _, err = run(["dist", "--xi", "0.1"], capsys)
     assert code == 2
@@ -349,7 +359,10 @@ def test_sweep_config_with_short_nc_bounds_exits_two(tmp_path, capsys):
      "saturation threshold must be an integer >= 1, got 0"),
     (["nmeas", "--saturation", "-2"] + HEADLINE_FLAGS,
      "saturation threshold must be an integer >= 1, got -2"),
-], ids=["sweep-config", "sweep-flag", "nmeas-flag"])
+    (["sweep", "--config", {"protocols": ["direct", "coherent"], "saturations": [6000]}],
+     "scoring saturation threshold 6000 on 2 detectors needs about 1374 MiB, "
+     "above the 1024 MiB budget"),
+], ids=["sweep-config", "sweep-flag", "nmeas-flag", "sweep-over-budget"])
 def test_out_of_range_saturation_exits_two_before_any_row(argv, message, tmp_path, capsys):
     # the spec refuses the cutoff, so no row runs and none is printed
     argv = [config_file(tmp_path, a) if isinstance(a, dict) else a for a in argv]
@@ -366,6 +379,17 @@ def test_sweep_preset_runs(tmp_path, capsys):
     lines = target.read_text().strip().split("\n")
     # direct: 1 noise x 4 saturations; each interference protocol: 13 x 4
     assert len(lines) == 1 + 4 + 2 * 52
+
+
+@pytest.mark.parametrize("preset", ["fig2a", "fig2b"])
+def test_preset_integer_columns_match_the_baseline(preset, capsys):
+    # protocol, t, N, speedup and at_bound; N near 4e10 in the t = 1,
+    # n_e = 10 rows is ill-conditioned, so those rows guard the table bits
+    code, out, _ = run(["sweep", "--preset", preset], capsys)
+    assert code == 0
+    cut = [",".join(row[:1] + row[5:9]) for row in (line.split(",") for line in out.splitlines())]
+    with open(os.path.join(os.path.dirname(__file__), "preset_columns", f"{preset}.csv")) as fh:
+        assert cut == fh.read().splitlines()
 
 
 def test_sweep_unknown_preset_exits_two(capsys):
@@ -798,4 +822,24 @@ def test_oversize_saturation_is_refused_before_it_allocates(command, flags, thre
     assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stderr
     assert f"saturation threshold {threshold} exceeds the cap of 10000" in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_saturation_over_the_memory_budget_is_refused_before_it_allocates():
+    # scoring a two-detector pair folded at t = 10000 takes five 763 MiB
+    # tables, which used to fail with exit 1 under the address limit; the
+    # estimate refuses it against the 1 GiB budget with exit 2
+    result = subprocess.run(
+        [sys.executable, "-m", "homdetect.cli", "nmeas"] + HEADLINE_FLAGS
+        + ["--saturation", "10000"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, OMP_NUM_THREADS="1"),
+        preexec_fn=_limit_address_space,
+        timeout=120,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == ("error: scoring saturation threshold 10000 on 2 detectors needs about "
+                             "3816 MiB, above the 1024 MiB budget\n")
     assert result.stdout == ""

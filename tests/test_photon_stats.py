@@ -344,14 +344,22 @@ def _kernel_cases():
 
 @pytest.mark.parametrize("params", _kernel_cases())
 def test_table_kernel_matches_elementwise_expression_bitwise(params):
-    dist = build_distribution(params)
-    counts = np.arange(dist.k_max + 1.0)
-    assert _same_bits(dist.probs, _elementwise_pmf(params, counts))
+    k_max = photon_stats._table_k_max(params)
+    counts = np.arange(k_max + 1.0)
+    table = photon_stats._pmf_tables(params, counts)
+    assert _same_bits(table, _elementwise_pmf(params, counts))
+    if 0.0 < derived_means(params).n_bar ** 2 < sys.float_info.min:
+        # a subnormal n_bar**2 leaves the bracket so imprecise that the
+        # table sums to 1 + 5.6e-6, which the table refuses when made
+        with pytest.raises(ParameterError, match="table mass"):
+            build_distribution(params)
+    else:
+        assert _same_bits(build_distribution(params).probs, table)
     # the number-basis comparison reads the closed form on 0..10
     small = np.arange(11.0)
     assert _same_bits(photon_stats._pmf_tables(params, small), _elementwise_pmf(params, small))
     rng = np.random.default_rng(int(1e6 * params.n_c) % 2**32)
-    for j, k in rng.integers(0, dist.k_max + 1, size=(5, 2)).tolist():
+    for j, k in rng.integers(0, k_max + 1, size=(5, 2)).tolist():
         if params.protocol is Protocol.DIRECT:
             expected = _elementwise_pmf(params, np.array([float(j)]))[0]
             assert _same_bits(direct_pmf(params, j), expected)
@@ -484,9 +492,46 @@ def test_table_missing_mass_raises(params, monkeypatch):
         build_distribution(params)
 
 
+@pytest.mark.parametrize("saturation", [None, 2])
+def test_table_checks_its_own_mass_in_both_directions(saturation):
+    dist = build_distribution(hom_params(n_c=6.0, n_e=1.0, n_i=1.0))
+    if saturation is not None:
+        dist = apply_saturation(dist, saturation)
+    # tail_mass is derived from the table, never given
+    with pytest.raises(TypeError):
+        CountDistribution(params=dist.params, probs=dist.probs, tail_mass=0.0)
+    for scale in (1.0 + 1e-9, np.nan):
+        with pytest.raises(ParameterError, match="table mass"):
+            CountDistribution(dist.params, dist.probs * scale, saturation=saturation)
+    # mass missing from a saturated table cannot be untabulated
+    with pytest.raises(TruncationError if saturation is None else ParameterError):
+        CountDistribution(dist.params, dist.probs * (1.0 - 1e-9), saturation=saturation)
+
+
+def test_saturated_table_spans_its_threshold():
+    dist = apply_saturation(build_distribution(hom_params(n_c=0.5)), 2)
+    for probs in (np.pad(dist.probs, ((0, 1), (0, 1))), np.pad(dist.probs, ((0, 0), (0, 1)))):
+        with pytest.raises(ParameterError, match="saturated at 2 spans 0..2"):
+            CountDistribution(dist.params, probs, saturation=2)
+
+
+def test_bright_folds_keep_the_allowance_of_their_table():
+    # a bright table's rounding can leave its sum above 1 by more than the
+    # 1e-12 that a 0..t table alone would allow (2e-12 at n_c = 3034); a
+    # fold carries the rounding of the table it was folded from, and the
+    # allowance of that table's size accepts it
+    params = hom_params(xi=0.1, eta=0.9, epsilon=0.9, n_c=3000.0, n_e=10.0, n_i=10.0)
+    dist = build_distribution(params)
+    assert photon_stats._tail_allowance(params, 1) == 1e-12
+    assert photon_stats._tail_allowance(params, dist.k_max) > 2e-11
+    over = CountDistribution(params, dist.probs * (1.0 + 5e-12))
+    for t in (1, 2, 4):
+        assert apply_saturation(over, t).total() - 1.0 > 4e-12
+
+
 def test_tail_allowance_bounds():
     # the 1e-12 floor holds for small tables, and at the 10000-count cap the
-    # allowance stays below the 1e-9 normalization check of the moments
+    # allowance stays below 1e-9
     assert photon_stats._tail_allowance(direct_params(n_e=0.5), 20) == 1e-12
     at_cap = photon_stats._tail_allowance(hom_params(eta=1.0, n_c=17640.0), 10_000)
     assert 1e-10 < at_cap < 1e-9

@@ -193,6 +193,12 @@ def test_spec_saturations_are_integers_or_inf():
                          (20000.0, "20000 exceeds the cap of 10000")):
         with pytest.raises(ParameterError, match=f"^saturation threshold {message}"):
             SweepSpec(saturations=(None, bad))
+    # above t = 5179 a two-detector pair's scoring exceeds the 1 GiB budget
+    assert SweepSpec(protocols=("direct",), saturations=(10_000,)).saturations == (10_000,)
+    assert SweepSpec(protocols=("coherent",), saturations=(5179,)).saturations == (5179,)
+    for protocols in (("coherent",), ("direct", "incoherent")):
+        with pytest.raises(ParameterError, match="^scoring saturation threshold 5180 on 2 "):
+            SweepSpec(protocols=protocols, saturations=(5180,))
 
 
 def test_spec_normalizes_nc_bounds_to_a_tuple():
