@@ -108,10 +108,15 @@ class HypothesisPair:
     def log_ratio(self) -> np.ndarray:
         """ln(lambda) for every tabulated outcome, read-only, floored so
         conclusive outcomes stay finite; an outcome dead under both
-        hypotheses floors both logs alike, so it gets exactly +0.0."""
-        pe = self.present.probs
-        pa = self.absent.probs
-        table = np.log(np.maximum(pa, PROB_FLOOR)) - np.log(np.maximum(pe, PROB_FLOOR))
+        hypotheses floors both logs alike, so it gets exactly +0.0.
+
+        ln(max(pa, F)) - ln(max(pe, F)), written in place: the kept table
+        and one temporary for the present side are its only allocations."""
+        table = np.maximum(self.absent.probs, PROB_FLOOR)
+        np.log(table, out=table)
+        present = np.maximum(self.present.probs, PROB_FLOOR)
+        np.log(present, out=present)
+        table -= present
         table.setflags(write=False)
         return table
 

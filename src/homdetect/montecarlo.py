@@ -238,8 +238,9 @@ def _estimated_bytes(
     one (the final log ratios) and ``_TILE_COLUMNS`` (the quartile tile);
     one chunk's temporaries (Philox words, uniforms, cell indices); and,
     for a truth table of ``cells`` cells, four words per cell (the log
-    ratios, the cumulative table, two temporaries of their build) and four
-    per ``InverseCdf`` bucket (the guide and its build's temporaries)."""
+    ratios, the one temporary of their build, the cumulative table and a
+    word of margin) and four per ``InverseCdf`` bucket (the guide and its
+    build's temporaries)."""
     if kept is None:
         kept = n_measurements + 1 + _TILE_COLUMNS
     rows = min(n_trajectories, _chunk_rows(n_measurements))

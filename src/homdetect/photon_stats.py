@@ -191,8 +191,12 @@ def _poisson_vec(counts: np.ndarray, mean: float) -> np.ndarray:
 
 def _clamp_negative(p: np.ndarray) -> np.ndarray:
     """Zero, in place, the cells of the contiguous table p that lie in
-    [NEG_CLAMP, 0); only its negative cells are read a second time."""
+    [NEG_CLAMP, 0); only its negative cells are read a second time, and a
+    table with none gets no mask.  A NaN cell fails the ``>= 0`` test, so
+    such a table takes the masked path."""
     flat = p.reshape(-1)
+    if flat.min() >= 0.0:
+        return p
     negative = np.flatnonzero(flat < 0.0)
     flat[negative[flat[negative] >= NEG_CLAMP]] = 0.0
     return p
@@ -218,7 +222,8 @@ def _envelope(params: ProtocolParams, counts: np.ndarray, cols: np.ndarray) -> n
         return _poisson_vec(counts, n_noise)
     if n_bar == 0.0:
         return 1.0 * np.outer(counts == 0.0, cols == 0.0)
-    envelope = np.add.outer(_log_poisson(counts, n_bar / 2.0), _log_poisson(cols, n_bar / 2.0))
+    rows = _log_poisson(counts, n_bar / 2.0)
+    envelope = np.add.outer(rows, rows if cols is counts else _log_poisson(cols, n_bar / 2.0))
     return np.exp(envelope, out=envelope)
 
 
@@ -246,9 +251,12 @@ def _bracketed(
     )
     by_total = 1.0 - p.eta * p.xi + p.eta * p.xi * n_noise * total / n_bar**2
     quad = p.eta**2 * p.xi * p.epsilon * p.n_c * diff**2 / n_bar**2
-    lin = cross * diff / n_bar
     table = np.add(_hankel(by_total, cols.size), _hankel(quad, cols.size)[::-1])
-    table -= _hankel(lin, cols.size)[::-1]
+    # at cross = 0 (incoherent, cos_theta = 0, xi = 1, or eta, epsilon or
+    # n_c = 0) every lin term is +0.0 or -0.0; H + T_quad is >= +0.0 and
+    # never -0.0 in every cell, so subtracting either leaves its bits
+    if cross != 0.0:
+        table -= _hankel(cross * diff / n_bar, cols.size)[::-1]
     table *= envelope
     return _clamp_negative(table)
 
@@ -544,8 +552,10 @@ def _check_budget(need: int, work: str, advice: str = "") -> None:
 
 def _scoring_bytes(t: int, detectors: int) -> int:
     """Peak bytes of ``loglik_moments(pair.saturated(t))``: five float64
-    tables of (t + 1)^d cells (two folds, the log ratios, a temporary of
-    their build, their squares), a fold's edge row and 4 KiB of objects."""
+    tables of (t + 1)^d cells, a fold's edge row and 4 KiB of objects.
+    Four tables are live at the peak: the two folds, the log ratios and
+    either their build's one temporary or their squares; the fifth is
+    margin."""
     return 8 * (5 * (t + 1) ** detectors + t + 1) + 4096
 
 

@@ -166,6 +166,31 @@ def test_scoring_a_folded_pair_stays_within_the_estimate(protocol, thresholds):
         assert peak <= photon_stats._scoring_bytes(t, pair.present.probs.ndim), t
 
 
+def test_scoring_an_unsaturated_pair_holds_four_tables():
+    # a build keeps its two tables and allocates no other table-sized
+    # array, and scoring adds the log ratios and their squares; the build
+    # slack covers numpy's ufunc buffers (np.getbufsize() doubles, 64 KiB,
+    # per strided operand of the bracket's Hankel views) and the bracket's
+    # vectors, and stays below the eighth of a table a boolean mask takes
+    bright = ProtocolParams(protocol=Protocol.COHERENT_HOM, xi=0.1, eta=0.99, epsilon=0.9,
+                            n_c=1e3, n_e=10.0, n_i=10.0)
+    for protocol in Protocol:
+        params = replace(bright, protocol=protocol)
+        table = HypothesisPair.from_params(params).present.probs.nbytes
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pair = HypothesisPair.from_params(params)
+            build = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            loglik_moments(pair)
+            score = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert build <= 2 * table + (256 << 10), (protocol, build / table)
+        assert score <= 4 * table + (64 << 10), (protocol, score / table)
+
+
 # ---------------------------------------------------------------------------
 # likelihood ratio orientation and guards
 # ---------------------------------------------------------------------------

@@ -734,10 +734,11 @@ def test_import_leaves_scipy_stats_unloaded():
     assert (result.returncode, result.stdout) == (0, "False False\n"), result.stderr
 
 
-def _limit_address_space():
+def _limit_address_space(gib=2):
     import resource
 
-    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    limit = int(gib * 2**30)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
@@ -755,6 +756,24 @@ def test_bright_reference_point_runs_within_two_gib():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip().split("\n")[1].split(",")[6] == "685"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_bright_coherent_point_scores_within_1_35_gib():
+    # k_max 5811: each 258 MiB table is built and scored with no
+    # table-sized temporary beyond the log ratios' one, so four tables and
+    # the interpreter fit where five (and a mask) did not
+    result = subprocess.run(
+        [sys.executable, "-m", "homdetect.cli", "nmeas", "--protocol", "coherent", "--xi", "0.1",
+         "--eta", "0.99", "--epsilon", "0.9", "--nc", "1e4", "--ne", "10", "--ni", "10"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=lambda: _limit_address_space(1.35),
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().split("\n")[1].split(",")[6] == "32"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")

@@ -5,11 +5,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from homdetect import photon_stats
+from homdetect.bayes import PROB_FLOOR, HypothesisPair, loglik_moments
 from homdetect.photon_stats import (
     CountDistribution,
     DegenerateParameterError,
@@ -382,6 +384,53 @@ def test_table_kernel_clamps_the_cells_the_expression_clamps(monkeypatch):
     table = photon_stats._pmf_tables(params, counts)
     assert clamped[0] > 0
     assert _same_bits(table, _elementwise_pmf(params, counts))
+
+
+@pytest.mark.parametrize("params", _kernel_cases())
+def test_log_ratio_and_moments_match_the_out_of_place_expression_bitwise(params):
+    # the log ratios are written in place; each cell keeps the bits, sign
+    # included, of the one expression, and so do the moments summed from it
+    if 0.0 < derived_means(params).n_bar ** 2 < sys.float_info.min:
+        with pytest.raises(ParameterError, match="table mass"):
+            HypothesisPair.from_params(params)
+        return
+    pair = HypothesisPair.from_params(params)
+    pe, pa = pair.present.probs, pair.absent.probs
+    want = np.log(np.maximum(pa, PROB_FLOOR)) - np.log(np.maximum(pe, PROB_FLOOR))
+    assert _same_bits(pair.log_ratio, want)
+    flat = want.ravel()
+    moments = []
+    for w in (pe.ravel(), pa.ravel()):
+        mu, second = float(np.dot(w, flat)), float(np.dot(w, flat * flat))
+        moments += [mu, math.sqrt(max(0.0, second - mu * mu))]
+    got = loglik_moments(pair)
+    assert np.array_equal(np.array(astuple(got)).view(np.uint64),
+                          np.array(moments).view(np.uint64)), params
+
+
+def _masked_clamp(p):
+    # the clamp as it was before it returned early, kept as the reference
+    flat = p.reshape(-1)
+    negative = np.flatnonzero(flat < 0.0)
+    flat[negative[flat[negative] >= photon_stats.NEG_CLAMP]] = 0.0
+    return p
+
+
+@pytest.mark.parametrize("cells", [
+    [0.3, np.nan, -5e-16, -0.0, 0.0, -1e-3, photon_stats.NEG_CLAMP, 1e-300, -np.inf],
+    [0.3, np.nan, 0.0, 0.2],
+    [0.3, -0.0, 0.0, 0.2],
+    [-np.nan, -1e-16],
+])
+def test_clamp_leaves_every_table_as_the_masked_clamp_does(cells):
+    # a NaN fails the min() >= 0 test that skips the mask, so a table
+    # holding one is clamped like any table with a negative cell
+    for shape in ((len(cells),), (1, len(cells))):
+        table = np.array(cells).reshape(shape)
+        want = _masked_clamp(table.copy())
+        got = photon_stats._clamp_negative(table)
+        assert got is table
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), cells
 
 
 def _limit_address_space():
