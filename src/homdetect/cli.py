@@ -40,6 +40,7 @@ from .photon_stats import (
     ParameterError,
     Protocol,
     ProtocolParams,
+    _parse_saturation,
     apply_saturation,
     atomic_write_text,
     build_distribution,
@@ -49,7 +50,6 @@ from .photon_stats import (
 from .sweep import (
     SweepResult,
     SweepSpec,
-    _parse_saturation,
     evaluate_point,
     grid_points,
     optimize_nc,  # noqa: F401  unused here; bench/spans.py wraps this binding
@@ -168,7 +168,7 @@ def _point_spec(args: argparse.Namespace) -> SweepSpec:
 
 def cmd_dist(args: argparse.Namespace) -> int:
     params = _params_from(args)
-    t = _parse_saturation(args.saturation)
+    t = _parse_saturation(args.saturation, params.protocol.detectors)
     if args.diff:
         pair = HypothesisPair.from_params(params).saturated(t)
         table = pair.present.probs - pair.absent.probs
@@ -193,7 +193,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     params = _params_from(args)
-    t = _parse_saturation(args.saturation)
+    t = _parse_saturation(args.saturation, params.protocol.detectors)
     if args.truth is None or args.n_measurements is None or args.seed is None:
         raise ParameterError("simulate requires --truth, --n-measurements and --seed")
     if args.output is None:

@@ -19,8 +19,8 @@ deterministic half of an inverse-CDF draw.
 
 from __future__ import annotations
 
-import json
 import math
+import numbers
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field
@@ -82,6 +82,11 @@ class Protocol(str, Enum):
     DIRECT = "direct"
     COHERENT_HOM = "coherent"
     INCOHERENT_HOM = "incoherent"
+
+    @property
+    def detectors(self) -> int:
+        """Detectors recording a trial: one, or the beamsplitter's two."""
+        return 2 if self is not Protocol.DIRECT else 1
 
 
 @dataclass(frozen=True)
@@ -403,10 +408,6 @@ class CountDistribution:
     def k_max(self) -> int:
         return self.probs.shape[0] - 1
 
-    @property
-    def is_joint(self) -> bool:
-        return self.probs.ndim == 2
-
     def cell(self, j: int, k: int | None = None) -> tuple[int, ...] | None:
         """Table index of the record (j) or (j, k), or None beyond an
         unsaturated table; counts above a saturated boundary are clipped
@@ -437,7 +438,7 @@ class CountDistribution:
 
     def outcomes(self) -> Iterator[tuple[Outcome, float]]:
         """Iterate (outcome, probability) in row-major order."""
-        if self.is_joint:
+        if self.probs.ndim == 2:
             for j in range(self.probs.shape[0]):
                 for k in range(self.probs.shape[1]):
                     yield Outcome(j, k), float(self.probs[j, k])
@@ -446,9 +447,6 @@ class CountDistribution:
                 yield Outcome(j), float(self.probs[j])
 
     # -- serialization ------------------------------------------------------
-
-    def to_csv(self, path: str | os.PathLike) -> None:
-        atomic_write_text(path, self.csv_text())
 
     def csv_text(self) -> str:
         return table_csv_text(self.probs, "p")
@@ -461,9 +459,6 @@ class CountDistribution:
             "tail_mass": self.tail_mass,
             "entries": table_entries(self.probs),
         }
-
-    def to_json(self, path: str | os.PathLike) -> None:
-        atomic_write_text(path, json.dumps(self.to_json_dict(), indent=1) + "\n")
 
 
 def table_csv_text(table: np.ndarray, value_header: str) -> str:
@@ -504,7 +499,7 @@ def _tail_allowance(params: ProtocolParams, k_max: int) -> float:
     per detector over d detectors can miss 1 by eps (k_max + 1)(1 + ln mu) d;
     the factor 4 is a margin, as measured rounding stays below 0.4 of that.
     """
-    d = 1 if params.protocol is Protocol.DIRECT else 2
+    d = params.protocol.detectors
     mu = derived_means(params).n_bar / d
     rounding = 4.0 * math.ulp(1.0) * (k_max + 1) * (1.0 + math.log(max(mu, 1.0))) * d
     return max(TAIL_FLOOR, rounding)
@@ -513,8 +508,7 @@ def _tail_allowance(params: ProtocolParams, k_max: int) -> float:
 def _table_k_max(params: ProtocolParams) -> int:
     """The top count per detector of ``build_distribution``'s table:
     max(20, mu + 12 sqrt(mu + 1)), mu the mean count per detector."""
-    n_bar = derived_means(params).n_bar
-    per_det = n_bar if params.protocol is Protocol.DIRECT else n_bar / 2.0
+    per_det = derived_means(params).n_bar / params.protocol.detectors
     # the extra photon and the bracket polynomial fit in the floor and margin
     return max(20, math.ceil(per_det + 12.0 * math.sqrt(per_det + 1.0)))
 
@@ -559,7 +553,7 @@ def _scoring_bytes(t: int, detectors: int) -> int:
     return 8 * (5 * (t + 1) ** detectors + t + 1) + 4096
 
 
-def _check_saturation(t: int, detectors: int = 1) -> int:
+def _check_saturation(t: int, detectors: int) -> int:
     """A detector cutoff t, refused unless an integer in [1, K_MAX_HARD_CAP]
     whose pair, on this many detectors, scores within the memory budget:
     two detectors above t = 5179 are refused."""
@@ -572,6 +566,26 @@ def _check_saturation(t: int, detectors: int = 1) -> int:
     _check_budget(_scoring_bytes(t, detectors),
                   f"scoring saturation threshold {t} on {detectors} detectors")
     return t
+
+
+def _parse_saturation(raw, detectors: int) -> int | None:
+    """A detector cutoff from a flag, a config value or a spec entry: None
+    or "inf" for none, else an integer, an integer string or an integral
+    float that ``_check_saturation`` accepts on this many detectors.
+    Anything else, booleans included, is refused rather than truncated."""
+    if raw is None or raw == "inf":
+        return None
+    t = None
+    if isinstance(raw, float) and raw.is_integer():
+        t = int(raw)
+    elif isinstance(raw, (numbers.Integral, str)) and not isinstance(raw, bool):
+        try:
+            t = int(raw)
+        except ValueError:
+            pass
+    if t is None:
+        raise ParameterError(f"saturation must be an integer >= 1 or 'inf', got {raw!r}")
+    return _check_saturation(t, detectors)
 
 
 def apply_saturation(dist: CountDistribution, t: int) -> CountDistribution:
@@ -587,7 +601,7 @@ def apply_saturation(dist: CountDistribution, t: int) -> CountDistribution:
         raise ParameterError("distribution is already saturated")
     _check_saturation(t, dist.probs.ndim)
     p, edge = dist.probs, min(t, dist.k_max + 1)
-    if dist.is_joint:
+    if p.ndim == 2:
         out = np.zeros((t + 1, t + 1))
         out[:edge, :edge] = p[:edge, :edge]
         out[t, :edge] += p[edge:, :edge].sum(axis=0)

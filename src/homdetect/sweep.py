@@ -10,10 +10,8 @@ and backgrounds, and optimizes the reference brightness per grid point.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import numbers
-import os
 from contextvars import ContextVar
 from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
@@ -35,7 +33,7 @@ from .photon_stats import (
     Protocol,
     ProtocolParams,
     _check_saturation,
-    atomic_write_text,
+    _parse_saturation,
 )
 
 __all__ = [
@@ -64,26 +62,6 @@ NC_REL_TOL = 1e-3
 FLAT_REL_TOL = 1e-9
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _parse_saturation(raw, detectors: int = 1) -> int | None:
-    """A detector cutoff from a flag, a config value or a spec entry: None
-    or "inf" for none, else an integer, an integer string or an integral
-    float that ``apply_saturation`` folds on this many detectors.  Anything
-    else, booleans included, is refused rather than truncated."""
-    if raw is None or raw == "inf":
-        return None
-    t = None
-    if isinstance(raw, float) and raw.is_integer():
-        t = int(raw)
-    elif isinstance(raw, (numbers.Integral, str)) and not isinstance(raw, bool):
-        try:
-            t = int(raw)
-        except ValueError:
-            pass
-    if t is None:
-        raise ParameterError(f"saturation must be an integer >= 1 or 'inf', got {raw!r}")
-    return _check_saturation(t, detectors)
 
 
 def _spec_number(value) -> float:
@@ -126,10 +104,10 @@ class _RowGroup:
     the unsaturated pair once and scores it at every t still ``ahead``:
     this row's first, then the later rows', which ask for the same
     brightness, and a fold is cheap next to a build.  No table or
-    exception is kept: the spec range-checks t and a fold keeps the
-    total, so a pair refused at one t is refused at all, this row's t
-    first.  ``direct`` holds the sweep's direct trial counts by (eta,
-    n_e, n_i, t).
+    exception is kept: a fold keeps the total, so a pair refused at one t
+    is refused at all, and a miss checks this row's t on the protocol's
+    detectors before it builds.  ``direct`` holds the sweep's direct trial
+    counts by (eta, n_e, n_i, t).
     """
 
     def __init__(self, saturations: tuple[int | None, ...]) -> None:
@@ -145,6 +123,8 @@ class _RowGroup:
 
     def get(self, params: ProtocolParams, t: int | None) -> LogLikMoments:
         if (params, t) not in self.moments:
+            if t is not None:
+                _check_saturation(t, params.protocol.detectors)
             pair = HypothesisPair.from_params(params)
             for s in self.ahead:
                 self.moments[(params, s)] = loglik_moments(pair.saturated(s))
@@ -317,7 +297,7 @@ class SweepSpec:
                 raise ParameterError(f'n_c must be a grid or "optimize", got {self.n_c!r}')
         else:
             self._normalize("n_c", _spec_number)
-        detectors = 1 if set(self.protocols) == {"direct"} else 2
+        detectors = max(Protocol(p).detectors for p in self.protocols)
         self._normalize("saturations", lambda raw: _parse_saturation(raw, detectors))
         self._normalize("nc_bounds", _spec_number)
         _check_nc_bounds("sweep spec nc_bounds", self.nc_bounds)
@@ -390,9 +370,6 @@ class SweepResult:
 
     CSV_HEADER = "protocol,eta,n_e,n_i,n_c,t,N,speedup,at_bound"
 
-    def to_csv(self, path: str | os.PathLike) -> None:
-        atomic_write_text(path, self.csv_text())
-
     def csv_text(self) -> str:
         lines = [self.CSV_HEADER]
         for r in self.rows:
@@ -405,9 +382,6 @@ class SweepResult:
                 f"{r.protocol},{r.eta:.17g},{r.n_e:.17g},{r.n_i:.17g},{r.n_c:.17g},{t},{tail}"
             )
         return "\n".join(lines) + "\n"
-
-    def to_json(self, path: str | os.PathLike) -> None:
-        atomic_write_text(path, json.dumps(self.json_dict(), indent=1) + "\n")
 
     def json_dict(self) -> dict:
         return {

@@ -372,6 +372,32 @@ def test_out_of_range_saturation_exits_two_before_any_row(argv, message, tmp_pat
     assert err == f"error: {message}\n"
 
 
+BRIGHT_FLAGS = ["--protocol", "coherent", "--xi", "0.1", "--eta", "0.99", "--epsilon", "0.9",
+                "--nc", "1e4", "--ne", "10", "--ni", "10"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist"],
+    ["dist", "--diff"],
+    ["simulate", "--truth", "present", "--n-measurements", "5", "--seed", "1"],
+], ids=["dist", "dist-diff", "simulate"])
+def test_over_budget_saturation_exits_two_before_any_table(argv, monkeypatch, tmp_path, capsys):
+    # each bright table is 5812^2 cells; t = 6000 is checked on the
+    # protocol's two detectors before either build runs
+    def no_build(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(HypothesisPair, "from_params", classmethod(no_build))
+    monkeypatch.setattr(cli, "build_distribution", no_build)
+    out_path = tmp_path / "run.csv"
+    code, out, err = run(argv + BRIGHT_FLAGS + ["--saturation", "6000", "-o", str(out_path)],
+                         capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: scoring saturation threshold 6000 on 2 detectors needs about "
+                   "1374 MiB, above the 1024 MiB budget\n")
+    assert not out_path.exists()
+
+
 def test_sweep_preset_runs(tmp_path, capsys):
     target = tmp_path / "fig2b.csv"
     code, _, _ = run(["sweep", "--preset", "fig2b", "-o", str(target)], capsys)

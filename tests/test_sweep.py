@@ -75,6 +75,30 @@ def test_saturation_reduces_information():
     # harsher detector cutoffs can only increase the required trials
     counts = [n_two_sigma(HEADLINE, t) for t in (None, 4, 2, 1)]
     assert counts[0] <= counts[1] <= counts[2] <= counts[3]
+    # one detector scores a cutoff above two detectors' budget (t = 5179),
+    # and one beyond the whole table leaves the count as it is
+    assert n_two_sigma(LOW_DIRECT, 6000) == n_two_sigma(LOW_DIRECT)
+
+
+BRIGHT = ProtocolParams(protocol=Protocol.COHERENT_HOM, xi=0.1, eta=0.99, epsilon=0.9,
+                        n_c=1e4, n_e=10.0, n_i=10.0)
+
+
+@pytest.mark.parametrize("query", [n_two_sigma, speedup, optimize_nc],
+                         ids=["n_two_sigma", "speedup", "optimize_nc"])
+def test_over_budget_saturation_is_refused_before_a_two_detector_build(query, monkeypatch):
+    # each bright table is 5812^2 cells; t = 6000 on two detectors is
+    # refused first, and only speedup's direct baseline is built
+    raw = HypothesisPair.__dict__["from_params"].__func__
+
+    def direct_only(cls, params):
+        assert params.protocol is Protocol.DIRECT, "a two-detector pair was built"
+        return raw(cls, params)
+
+    monkeypatch.setattr(HypothesisPair, "from_params", classmethod(direct_only))
+    with pytest.raises(ParameterError, match="^scoring saturation threshold 6000 on 2 detectors "
+                                             "needs about 1374 MiB, above the 1024 MiB budget$"):
+        query(BRIGHT, 6000)
 
 
 def test_coherent_n_decreases_with_brightness():
@@ -342,19 +366,15 @@ def test_error_rows_capture_failures():
     assert all(r.n_2sigma is None for r in result.rows)
 
 
-def test_csv_layout(tmp_path):
+def test_csv_layout():
     result = run_sweep(tiny_spec(protocols=("direct", "coherent"), eta=(0.9,), n_e=(1.0,)))
-    text = result.csv_text()
-    lines = text.strip().split("\n")
+    lines = result.csv_text().strip().split("\n")
     assert lines[0] == "protocol,eta,n_e,n_i,n_c,t,N,speedup,at_bound"
     assert len(lines) == 1 + 3
     direct_cells = lines[1].split(",")
     assert direct_cells[0] == "direct"
     assert direct_cells[5] == "inf"
     assert direct_cells[8] == "false"
-    path = tmp_path / "sweep.csv"
-    result.to_csv(path)
-    assert path.read_text() == text
 
 
 def test_csv_error_rows_leave_result_cells_empty():
