@@ -58,7 +58,7 @@ class OutcomeOutsideSupportError(LookupError):
 
 
 class DegenerateMomentsError(ValueError):
-    """A zero spread makes the normal approximation meaningless."""
+    """A spread the normal approximation cannot use."""
 
 
 class HypothesesIndistinguishableError(ValueError):
@@ -206,23 +206,27 @@ def lognormal_pdf(lam: float, mu_y: float, sigma_y: float) -> float:
 
 def _confidences(n: float, m: LogLikMoments) -> tuple[float, float, float]:
     """Confidence after a real-valued n trials under the present truth, the
-    absent truth and averaged; the spreads must be > 0."""
+    absent truth and averaged; a zero spread takes ``confidence``'s limit."""
     root = math.sqrt(n / 2.0)
-    c_p = 0.5 * (1.0 - math.erf(root * m.mu_present / m.sigma_present))
-    c_a = 0.5 * (1.0 + math.erf(root * m.mu_absent / m.sigma_absent))
+    c_p = (0.5 * (1.0 - math.erf(root * m.mu_present / m.sigma_present))
+           if m.sigma_present > 0.0 else float(m.mu_present < 0.0))
+    c_a = (0.5 * (1.0 + math.erf(root * m.mu_absent / m.sigma_absent))
+           if m.sigma_absent > 0.0 else float(m.mu_absent > 0.0))
     return c_p, c_a, 0.5 * (c_p + c_a)
 
 
 def confidence(n: int, moments: LogLikMoments) -> ConfidenceReport:
     """Probability of deciding correctly after n trials, under each truth
-    and averaged, in the normal approximation of the log ratio."""
+    and averaged, in the normal approximation of the log ratio.
+
+    A truth of zero spread ends every run at n·mu, so its confidence is
+    exact: 1.0 when that sign favours it (mu_present < 0, mu_absent > 0),
+    else 0.0, a tie counting as incorrect.  A NaN or negative spread
+    raises ``DegenerateMomentsError``."""
     if not n >= 1:
         raise ParameterError(f"trial count must be >= 1, got {n}")
-    if not (moments.sigma_present > 0.0 and moments.sigma_absent > 0.0):
-        raise DegenerateMomentsError(
-            "zero log-ratio spread; the hypotheses are not discriminable "
-            "by the normal approximation"
-        )
+    if not (moments.sigma_present >= 0.0 and moments.sigma_absent >= 0.0):
+        raise DegenerateMomentsError(f"log-ratio spreads must be numbers >= 0, got {moments}")
     c_p, c_a, c_total = _confidences(float(n), moments)
     return ConfidenceReport(c_present=c_p, c_absent=c_a, c_total=c_total, n=float(n))
 

@@ -32,15 +32,17 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .bayes import HypothesisPair
 from .fock_oracle import OracleConfig, compare_with_closed_form
-from .montecarlo import EnsembleConfig, Truth, simulate_ensemble
+from .montecarlo import EnsembleConfig, Truth, _refuse_above_budget, simulate_ensemble
 from .photon_stats import (
     ParameterError,
     Protocol,
     ProtocolParams,
     _parse_saturation,
+    _table_k_max,
     apply_saturation,
     atomic_write_text,
     build_distribution,
@@ -199,12 +201,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.output is None:
         raise ParameterError("simulate requires -o/--output for its two result files")
 
+    # the run's own checks and memory estimate come before the tables are built
+    given = _given(args, "truth", "n_measurements", "n_trajectories", "seed")
+    config = EnsembleConfig(pair=None, **given)
+    k = _table_k_max(params) if t is None else t
+    _refuse_above_budget(config, (k + 1) ** params.protocol.detectors)
     pair = HypothesisPair.from_params(params).saturated(t)
-    ensemble = simulate_ensemble(
-        EnsembleConfig(
-            pair=pair, **_given(args, "truth", "n_measurements", "n_trajectories", "seed")
-        )
-    )
+    ensemble = simulate_ensemble(replace(config, pair=pair))
 
     if args.format == "csv":
         ensemble.to_csv(args.output)

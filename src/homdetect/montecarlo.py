@@ -29,8 +29,9 @@ bit the rows a full sort along the trajectories gives.
 An ensemble of N trajectories of M trials holds one N x M float64 array
 (the cumulative log ratios, turned in place into posteriors) plus
 per-chunk temporaries of about ``_CHUNK_UNIFORMS`` uniforms and one
-quartile tile; a run whose estimate exceeds ``ENSEMBLE_BUDGET_BYTES``
-(1 GiB) is refused with ``ParameterError`` before anything is allocated.
+quartile tile; a run whose estimate exceeds the 1 GiB
+``photon_stats.MEMORY_BUDGET_BYTES`` is refused with ``ParameterError``
+before anything is allocated.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from scipy.special import expit
 
 from .bayes import HypothesisPair, confidence, loglik_moments
 from .photon_stats import (
-    MEMORY_BUDGET_BYTES as ENSEMBLE_BUDGET_BYTES,
     CountDistribution,
     InverseCdf,
     Outcome,
@@ -57,7 +57,6 @@ from .photon_stats import (
 )
 
 __all__ = [
-    "ENSEMBLE_BUDGET_BYTES",
     "Truth",
     "EnsembleConfig",
     "TrajectoryEnsemble",
@@ -249,24 +248,34 @@ def _estimated_bytes(
     return 8 * (n_trajectories * kept + _CHUNK_ARRAYS * words + tables)
 
 
-def _refuse_above_budget(config: EnsembleConfig, kept: int | None = None) -> None:
+def _refuse_above_budget(config: EnsembleConfig, cells: int, kept: int | None = None) -> None:
+    """Refuse a run of config on a truth table of ``cells`` cells above the
+    memory budget; the pair is not read, so it can be checked before a build."""
     n, m = config.n_trajectories, config.n_measurements
-    _check_budget(_estimated_bytes(n, m, config.truth_dist.probs.size, kept),
-                  f"an ensemble of {n} trajectories x {m} measurements",
-                  "; use fewer trajectories or measurements")
+    need = _estimated_bytes(n, m, cells, kept)
+    table = need - _estimated_bytes(n, m, 0, kept)  # the part that grows with the cells
+    advice = ("saturate the detectors (--saturation) for a smaller table" if 2 * table > need
+              else "use fewer trajectories or measurements")
+    _check_budget(need, f"an ensemble of {n} trajectories x {m} measurements",
+                  f" ({table / 2**20:.0f} MiB of it for a truth table of {cells} cells); {advice}")
 
 
-def _draws_by_chunk(config: EnsembleConfig):
-    """The draw loop of an ensemble: for each chunk of trajectories
-    s..e-1 in turn, (s, e, the flat table index of every record drawn,
-    one row per trajectory)."""
+def _draws_by_chunk(config: EnsembleConfig, out: np.ndarray | None):
+    """The draw and accumulation loop of an ensemble: for each chunk of
+    trajectories s..e-1 in turn, (s, e, the running ln(Lambda) of their
+    records, one row per trajectory), written into ``out[s:e]`` when
+    ``out`` is an N x M array and into a new chunk when it is None."""
     n, m = config.n_trajectories, config.n_measurements
     seed = int(config.seed)
     cells = config.truth_dist.inverse_cdf.cells
+    log_ratio = config.pair.log_ratio.ravel()
     rows = _chunk_rows(m)
     for s in range(0, n, rows):
         e = min(s + rows, n)
-        yield s, e, cells(_trajectory_uniforms(seed, s, e, m))
+        idx = cells(_trajectory_uniforms(seed, s, e, m))
+        running = np.take(log_ratio, idx, out=None if out is None else out[s:e])
+        np.cumsum(running, axis=1, out=running)
+        yield s, e, running
 
 
 def simulate_ensemble(config: EnsembleConfig) -> TrajectoryEnsemble:
@@ -282,16 +291,16 @@ def simulate_ensemble(config: EnsembleConfig) -> TrajectoryEnsemble:
     summaries are plain deterministic reductions.
 
     Peak memory is one N x M float64 array plus one chunk's temporaries
-    or one quartile tile; a run estimated above ``ENSEMBLE_BUDGET_BYTES``
-    raises ``ParameterError`` before allocating.
+    or one quartile tile; a run estimated above
+    ``photon_stats.MEMORY_BUDGET_BYTES`` raises ``ParameterError`` before
+    allocating.  ``analytic_confidence`` is the truth's entry of
+    ``confidence(n_measurements, loglik_moments(pair))``.
     """
-    _refuse_above_budget(config)
+    _refuse_above_budget(config, config.truth_dist.probs.size)
     n, m = config.n_trajectories, config.n_measurements
-    log_ratio = config.pair.log_ratio.ravel()
     cum_log = np.empty((n, m))
-    for s, e, idx in _draws_by_chunk(config):
-        np.take(log_ratio, idx, out=cum_log[s:e])
-        np.cumsum(cum_log[s:e], axis=1, out=cum_log[s:e])
+    for _ in _draws_by_chunk(config, cum_log):
+        pass  # each chunk's running sums are written into cum_log
     final = cum_log[:, -1].copy()
 
     # the posteriors overwrite the log ratios
@@ -302,10 +311,11 @@ def simulate_ensemble(config: EnsembleConfig) -> TrajectoryEnsemble:
     q25, q75 = _nearest_rank_rows(pe, (math.ceil(0.25 * n) - 1, math.ceil(0.75 * n) - 1))
     del pe, cum_log
 
+    report = confidence(m, loglik_moments(config.pair))
     if config.truth is Truth.PRESENT:
-        empirical = float(np.mean(final < 0.0))
+        empirical, analytic = float(np.mean(final < 0.0)), report.c_present
     else:
-        empirical = float(np.mean(final > 0.0))
+        empirical, analytic = float(np.mean(final > 0.0)), report.c_absent
 
     return TrajectoryEnsemble(
         config=config,
@@ -314,7 +324,7 @@ def simulate_ensemble(config: EnsembleConfig) -> TrajectoryEnsemble:
         q75=q75,
         final_log_lambda=final,
         empirical_confidence=empirical,
-        analytic_confidence=_analytic_confidence(config),
+        analytic_confidence=analytic,
     )
 
 
@@ -337,38 +347,20 @@ def _nearest_rank_rows(a: np.ndarray, ranks: tuple[int, ...]) -> list[np.ndarray
     return rows
 
 
-def _analytic_confidence(config: EnsembleConfig) -> float:
-    """erf prediction of the final decision rate for the config's truth.
-
-    A zero log-ratio spread means every run ends at the same log ratio;
-    the deterministic limit applies, with ties counted incorrect.
-    """
-    m = loglik_moments(config.pair)
-    present = config.truth is Truth.PRESENT
-    mu, sigma = (m.mu_present, m.sigma_present) if present else (m.mu_absent, m.sigma_absent)
-    if sigma == 0.0:
-        return float((mu < 0.0) if present else (mu > 0.0))
-    report = confidence(config.n_measurements, m)
-    return report.c_present if present else report.c_absent
-
-
 def loglambda_histogram(config: EnsembleConfig, bins: int = 60) -> LogLambdaHistogram:
     """Histogram the final log ratio across the ensemble, with the
     matching normal-approximation parameters for overlay.
 
     The samples are ``simulate_ensemble(config).final_log_lambda``, bit
-    for bit: the same draws, each chunk's running sums taken by the same
-    ``cumsum``, with one final value per trajectory kept in place of the
-    N x M array and its posterior summaries.
+    for bit: both come from ``_draws_by_chunk``, which here keeps the last
+    column of each chunk in place of the N x M array and its posterior
+    summaries.
     """
     if not _is_whole(bins) or bins < 1:
         raise ParameterError(f"bins must be an integer >= 1, got {bins!r}")
-    _refuse_above_budget(config, kept=1)
-    log_ratio = config.pair.log_ratio.ravel()
+    _refuse_above_budget(config, config.truth_dist.probs.size, kept=1)
     samples = np.empty(config.n_trajectories)
-    for s, e, idx in _draws_by_chunk(config):
-        running = np.take(log_ratio, idx)
-        np.cumsum(running, axis=1, out=running)
+    for s, e, running in _draws_by_chunk(config, None):
         samples[s:e] = running[:, -1]
     m = loglik_moments(config.pair)
     n = config.n_measurements

@@ -522,12 +522,21 @@ def test_confidence_guards():
     for n in (0, math.nan):
         with pytest.raises(ParameterError):
             confidence(n, m)
-    for sigma in (0.0, math.nan):
-        degenerate = LogLikMoments(
-            mu_present=-0.1, sigma_present=sigma, mu_absent=0.1, sigma_absent=0.1
-        )
-        with pytest.raises(DegenerateMomentsError):
-            confidence(10, degenerate)
+    # a zero spread ends every run of its truth at n mu: correct when that
+    # sign favours the truth, incorrect otherwise and at a tie; the other
+    # truth keeps its erf value
+    erf = confidence(10, LogLikMoments(-0.1, 0.1, 0.1, 0.1))
+    for mu, limit in ((-0.1, 1.0), (0.0, 0.0), (0.1, 0.0)):
+        present = confidence(10, LogLikMoments(mu, 0.0, 0.1, 0.1))
+        absent = confidence(10, LogLikMoments(-0.1, 0.1, -mu, 0.0))
+        assert (present.c_present, absent.c_absent) == (limit, limit)
+        assert (present.c_absent, absent.c_present) == (erf.c_absent, erf.c_present)
+        assert present.c_total == 0.5 * (limit + erf.c_absent)
+    # a NaN or negative spread still raises
+    for sigma in (math.nan, -0.1):
+        for bad in (LogLikMoments(-0.1, sigma, 0.1, 0.1), LogLikMoments(-0.1, 0.1, 0.1, sigma)):
+            with pytest.raises(DegenerateMomentsError):
+                confidence(10, bad)
 
 
 # ---------------------------------------------------------------------------

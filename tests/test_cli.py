@@ -398,6 +398,32 @@ def test_over_budget_saturation_exits_two_before_any_table(argv, monkeypatch, tm
     assert not out_path.exists()
 
 
+BRIGHT_TABLE = "(1031 MiB of it for a truth table of 33779344 cells)"
+
+
+@pytest.mark.parametrize("runs, message", [
+    (["--n-measurements", "0"], "n_measurements must be >= 1, got 0"),
+    (["--n-measurements", "50", "--n-trajectories", "10000000"],
+     "an ensemble of 10000000 trajectories x 50 measurements needs about 5078 MiB, above the "
+     f"1024 MiB budget {BRIGHT_TABLE}; use fewer trajectories or measurements"),
+    (["--n-measurements", "5", "--n-trajectories", "1000"],
+     "an ensemble of 1000 trajectories x 5 measurements needs about 1032 MiB, above the "
+     f"1024 MiB budget {BRIGHT_TABLE}; saturate the detectors (--saturation) for a smaller table"),
+], ids=["no-measurements", "over-budget-runs", "over-budget-table"])
+def test_simulate_refuses_before_any_table(runs, message, monkeypatch, tmp_path, capsys):
+    # the run's settings and its memory estimate are checked from the
+    # table's size alone, before the bright pair's 5812^2-cell tables
+    def no_build(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(HypothesisPair, "from_params", classmethod(no_build))
+    out_path = tmp_path / "run.csv"
+    code, out, err = run(["simulate", "--truth", "present", "--seed", "1", "-o", str(out_path)]
+                         + BRIGHT_FLAGS + runs, capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not out_path.exists()
+
+
 def test_sweep_preset_runs(tmp_path, capsys):
     target = tmp_path / "fig2b.csv"
     code, _, _ = run(["sweep", "--preset", "fig2b", "-o", str(target)], capsys)

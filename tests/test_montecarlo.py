@@ -9,20 +9,24 @@ import pytest
 from scipy.special import expit
 from scipy.stats import chisquare
 
-from homdetect.bayes import HypothesisPair, loglik_moments, posterior_trajectory
+from homdetect.bayes import HypothesisPair, confidence, loglik_moments, posterior_trajectory
 from homdetect.montecarlo import (
-    ENSEMBLE_BUDGET_BYTES,
     EnsembleConfig,
     Truth,
     _chunk_rows,
-    _draws_by_chunk,
     _estimated_bytes,
     _trajectory_uniforms,
     loglambda_histogram,
     sample_outcome,
     simulate_ensemble,
 )
-from homdetect.photon_stats import InverseCdf, ParameterError, Protocol, ProtocolParams
+from homdetect.photon_stats import (
+    MEMORY_BUDGET_BYTES,
+    InverseCdf,
+    ParameterError,
+    Protocol,
+    ProtocolParams,
+)
 
 LOW_NOISE = ProtocolParams(protocol=Protocol.DIRECT, xi=0.1, eta=0.8, n_e=0.02, n_i=0.02)
 HOM = ProtocolParams(
@@ -262,8 +266,8 @@ def test_trajectory_uniforms_are_numpy_philox(seed, m):
 
 def test_oversize_ensemble_is_refused():
     c = config(n_measurements=50, n_trajectories=10_000_000)
-    assert _estimated_bytes(10_000_000, 50, c.truth_dist.probs.size) > ENSEMBLE_BUDGET_BYTES
-    with pytest.raises(ParameterError, match="budget"):
+    assert _estimated_bytes(10_000_000, 50, c.truth_dist.probs.size) > MEMORY_BUDGET_BYTES
+    with pytest.raises(ParameterError, match="budget.*use fewer trajectories or measurements"):
         simulate_ensemble(c)
 
 
@@ -302,13 +306,13 @@ def test_quartiles_are_nearest_rank_after_a_partial_chunk():
 def test_quartiles_are_nearest_rank_rows_of_a_full_sort(m):
     # the low-noise direct table has few distinct log ratios, so columns
     # are heavily tied; m = 1 and 3 end in a partial column tile, and
-    # n = 1 and a partial chunk end the columns unevenly
+    # n = 1 and a partial chunk end the columns unevenly.  The reference
+    # draws all n rows at once, outside the ensemble's chunked loop
     for n in (1, _chunk_rows(m) + 37):
         c = config(n_measurements=m, n_trajectories=n, seed=17)
         ens = simulate_ensemble(c)
-        log_ratio = c.pair.log_ratio.ravel()
-        cum = np.concatenate([np.cumsum(log_ratio[idx], axis=1)
-                              for _, _, idx in _draws_by_chunk(c)])
+        idx = c.truth_dist.inverse_cdf.cells(_trajectory_uniforms(17, 0, n, m))
+        cum = np.cumsum(c.pair.log_ratio.ravel()[idx], axis=1)
         pe = np.sort(expit(-cum), axis=0)
         assert np.array_equal(ens.q25, pe[math.ceil(0.25 * n) - 1])
         assert np.array_equal(ens.q75, pe[math.ceil(0.75 * n) - 1])
@@ -347,16 +351,26 @@ def test_final_log_lambda_lives_on_a_small_lattice():
     assert distinct < 300
 
 
-def test_zero_spread_takes_the_deterministic_limit():
+@pytest.mark.parametrize("truth", list(Truth))
+def test_zero_spread_takes_the_deterministic_limit(truth):
     # with no background every absent trial records zero counts, so ln(lambda)
-    # has one value under the absent truth and every run decides correctly
+    # has one value under the absent truth and every absent run decides
+    # correctly; a present run decides correctly exactly when it records a
+    # count, which five trials miss with probability (1 - xi eta)^5
     pair = HypothesisPair.from_params(
         ProtocolParams(protocol=Protocol.DIRECT, xi=0.1, eta=0.8, n_e=0.0, n_i=0.0))
-    assert loglik_moments(pair).sigma_absent == 0.0
-    ens = simulate_ensemble(EnsembleConfig(pair=pair, truth=Truth.ABSENT, n_measurements=5,
-                                           n_trajectories=200, seed=3))
-    assert ens.analytic_confidence == 1.0
-    assert ens.empirical_confidence == 1.0
+    m = loglik_moments(pair)
+    assert m.sigma_absent == 0.0 < m.sigma_present
+    n = 20_000
+    ens = simulate_ensemble(EnsembleConfig(pair=pair, truth=truth, n_measurements=5,
+                                           n_trajectories=n, seed=3))
+    if truth is Truth.ABSENT:
+        assert ens.analytic_confidence == 1.0
+        assert ens.empirical_confidence == 1.0
+    else:
+        assert ens.analytic_confidence == confidence(5, m).c_present
+        exact = 1.0 - 0.92**5
+        assert abs(ens.empirical_confidence - exact) < 5 * math.sqrt(exact * (1 - exact) / n)
 
 
 def test_absent_truth_flips_the_decision_rate():
