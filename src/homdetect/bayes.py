@@ -215,6 +215,12 @@ def _confidences(n: float, m: LogLikMoments) -> tuple[float, float, float]:
     return c_p, c_a, 0.5 * (c_p + c_a)
 
 
+def _check_spreads(moments: LogLikMoments) -> None:
+    """A log-ratio spread must be a number >= 0."""
+    if not (moments.sigma_present >= 0.0 and moments.sigma_absent >= 0.0):
+        raise DegenerateMomentsError(f"log-ratio spreads must be numbers >= 0, got {moments}")
+
+
 def confidence(n: int, moments: LogLikMoments) -> ConfidenceReport:
     """Probability of deciding correctly after n trials, under each truth
     and averaged, in the normal approximation of the log ratio.
@@ -225,8 +231,7 @@ def confidence(n: int, moments: LogLikMoments) -> ConfidenceReport:
     raises ``DegenerateMomentsError``."""
     if not n >= 1:
         raise ParameterError(f"trial count must be >= 1, got {n}")
-    if not (moments.sigma_present >= 0.0 and moments.sigma_absent >= 0.0):
-        raise DegenerateMomentsError(f"log-ratio spreads must be numbers >= 0, got {moments}")
+    _check_spreads(moments)
     c_p, c_a, c_total = _confidences(float(n), moments)
     return ConfidenceReport(c_present=c_p, c_absent=c_a, c_total=c_total, n=float(n))
 
@@ -253,6 +258,7 @@ def _n_real(moments: LogLikMoments, c_target: float) -> float:
             "log-ratio means must straddle zero (mu_present < 0 < mu_absent) "
             "for the confidence to approach 1"
         )
+    _check_spreads(m)
     if m.sigma_present <= 0.0 or m.sigma_absent <= 0.0:
         raise HypothesesIndistinguishableError(
             "log-ratio spread is zero under one truth (every record it yields has "
@@ -279,7 +285,9 @@ def _n_real(moments: LogLikMoments, c_target: float) -> float:
 
 def n_for_confidence(c_target: float, moments: LogLikMoments) -> int:
     """Smallest integer trial count whose averaged confidence meets
-    c_target."""
+    c_target.  A NaN or negative spread raises ``DegenerateMomentsError``,
+    as in ``confidence``; a zero spread gives no trial count and raises
+    ``HypothesesIndistinguishableError``."""
     n = max(1, math.ceil(_n_real(moments, c_target)))
     # the bisection root is accurate to ~1 ulp; walk the integer boundary
     # so minimality is exact

@@ -13,23 +13,23 @@ execution order or batching.  The stream is Philox4x64-10 (Salmon et al.,
 and counter word 0 running 1, 2, ...; the four output words of each
 block are used in order, and word x gives the double (x >> 11)·2⁻⁵³.
 That is, bit for bit, what numpy's ``Generator(Philox(key=[s, i]))``
-returns from ``random``, computed here as array arithmetic over a whole
-chunk of trajectories at once.
+returns from ``random``, computed here as array arithmetic over a chunk
+of trajectories and a block of steps at once.
 
 A uniform u draws the first flat row-major cell whose cumulative
 probability exceeds u (the last cell, for a u above the table's rounded
 top).  ``CountDistribution.inverse_cdf`` finds it through a guide table
 built once per table: u in a bucket of width 2⁻¹⁴ that no cumulative
 probability splits reads its cell directly, and only the rest are
-binary-searched, with the bits the binary search alone gives.  The
-per-step quartiles are the nearest-rank rows of the sorted posteriors,
-read from sorted contiguous tiles of ``_TILE_COLUMNS`` columns, bit for
-bit the rows a full sort along the trajectories gives.
+binary-searched, with the bits the binary search alone gives.
 
-An ensemble of N trajectories of M trials holds one N x M float64 array
-(the cumulative log ratios, turned in place into posteriors) plus
-per-chunk temporaries of about ``_CHUNK_UNIFORMS`` uniforms and one
-quartile tile; a run whose estimate exceeds the 1 GiB
+An ensemble runs through its steps in blocks of four (one Philox block;
+more for few trajectories): each block of log ratios is added column by
+column onto one running log ratio per trajectory and turned in place into
+posteriors, whose per-step mean and nearest-rank quartiles are bit for
+bit those of the whole N x M array, which is never held.  A run holds the
+running log ratios, the block, one sorted column and one chunk's
+temporaries, O(N) whatever M; a run whose estimate exceeds the 1 GiB
 ``photon_stats.MEMORY_BUDGET_BYTES`` is refused with ``ParameterError``
 before anything is allocated.
 """
@@ -167,17 +167,21 @@ _PHILOX_ROUNDS = 10
 _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
-# Uniforms drawn per chunk of trajectories, 1310 rows at 50 trials: on a
-# 2-core Xeon VM, chunks of 512 to 2048 rows timed alike and 4096 rows
-# 45 % slower, as a chunk's word arrays leave the cache
-_CHUNK_UNIFORMS = 1 << 16
-# Word arrays of one chunk's size alive at once: 4.5 at most under
-# tracemalloc (Philox rounds, uniforms, cell indices, the gather buffer)
-_CHUNK_ARRAYS = 6
-# Columns of the N x M posteriors sorted at a time for their quartiles, as
-# one contiguous copy: 2 to 8 columns timed alike for N = 100 000 on a
-# 2-core Xeon VM, and each column adds N words to the peak
-_TILE_COLUMNS = 2
+# Trajectories drawn at a time: on a 2-core Xeon VM at 100k x 50, in
+# blocks of four steps, chunks of 2^14 rows ran 10 % faster than 2^13 or
+# 2^15 rows and 25 % faster than 2^12
+_CHUNK_ROWS = 1 << 14
+# Arrays of one chunk's Philox words alive at once: 3.75 at most under
+# tracemalloc (Philox rounds, uniforms, cell indices)
+_CHUNK_ARRAYS = 5
+
+
+def _block_steps(n_trajectories: int, n_measurements: int) -> int:
+    """Steps per block, at most M: four (one Philox block), or for N below
+    a chunk the multiple of four that fills a chunk's draws, as each block
+    costs a fixed count of array operations (blocks of four ran 1000 x 1000
+    2.6 times slower on a 2-core Xeon VM)."""
+    return min(n_measurements, 4 * max(1, _CHUNK_ROWS // n_trajectories))
 
 
 def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -199,13 +203,14 @@ def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return a * np.uint64(m), hi
 
 
-def _trajectory_uniforms(seed: int, start: int, stop: int, n_measurements: int) -> np.ndarray:
-    """Uniforms of trajectories start..stop-1, one row each: row i is
-    ``Generator(Philox(key=[seed, i])).random(n_measurements)``."""
-    blocks = -(-n_measurements // 4)
+def _trajectory_uniforms(seed: int, start: int, stop: int, steps: int, first: int = 0):
+    """Uniforms of trajectories start..stop-1 at steps first..first+steps-1
+    (first a multiple of 4), one row each: row i is
+    ``Generator(Philox(key=[seed, i])).random(first + steps)[first:]``."""
+    blocks = -(-steps // 4)
     # counter (c0, c1, c2, c3) per block, key (k0, k1) per trajectory;
     # the shapes broadcast to rows x blocks from the first round on
-    c0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
+    c0 = np.arange(first // 4 + 1, first // 4 + blocks + 1, dtype=np.uint64)[None, :]
     c1 = c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
     k0 = np.full((1, 1), seed, dtype=np.uint64)
     k1 = np.arange(start, stop, dtype=np.uint64)[:, None]
@@ -220,62 +225,69 @@ def _trajectory_uniforms(seed: int, start: int, stop: int, n_measurements: int) 
     for w, c in enumerate((c0, c1, c2, c3)):
         words[:, :, w] = c
     words >>= np.uint64(11)
-    u = words.reshape(stop - start, 4 * blocks)[:, :n_measurements].astype(np.float64)
+    u = words.reshape(stop - start, 4 * blocks)[:, :steps].astype(np.float64)
     u *= 2.0**-53
     return u
 
 
-def _chunk_rows(n_measurements: int) -> int:
-    return max(1, _CHUNK_UNIFORMS // n_measurements)
-
-
-def _estimated_bytes(
-    n_trajectories: int, n_measurements: int, cells: int, kept: int | None = None
-) -> int:
-    """Peak bytes of a run that keeps ``kept`` float64 words per
-    trajectory, by default ``simulate_ensemble``'s M (the N x M array),
-    one (the final log ratios) and ``_TILE_COLUMNS`` (the quartile tile);
-    one chunk's temporaries (Philox words, uniforms, cell indices); and,
-    for a truth table of ``cells`` cells, four words per cell (the log
-    ratios, the one temporary of their build, the cumulative table and a
-    word of margin) and four per ``InverseCdf`` bucket (the guide and its
-    build's temporaries)."""
-    if kept is None:
-        kept = n_measurements + 1 + _TILE_COLUMNS
-    rows = min(n_trajectories, _chunk_rows(n_measurements))
-    words = rows * 4 * -(-n_measurements // 4)
+def _estimated_bytes(n_trajectories: int, n_measurements: int, cells: int) -> int:
+    """Peak bytes of an ensemble: per trajectory, the running log ratio,
+    the block's steps, the sorted copy of one column and a word of margin
+    for the decisions; the three M-step summaries; one chunk's
+    temporaries (Philox words, uniforms, cell indices); and, for a truth
+    table of ``cells`` cells, four words per cell (the log ratios, the one
+    temporary of their build, the cumulative table and a word of margin)
+    and four per ``InverseCdf`` bucket (the guide and its build's
+    temporaries)."""
+    steps = _block_steps(n_trajectories, n_measurements)
+    chunk = min(n_trajectories, _CHUNK_ROWS) * 4 * -(-steps // 4)
     tables = 4 * (cells + InverseCdf.BUCKETS)
-    return 8 * (n_trajectories * kept + _CHUNK_ARRAYS * words + tables)
+    return 8 * (n_trajectories * (steps + 3) + 3 * n_measurements
+                + _CHUNK_ARRAYS * chunk + tables)
 
 
-def _refuse_above_budget(config: EnsembleConfig, cells: int, kept: int | None = None) -> None:
+def _refuse_above_budget(config: EnsembleConfig, cells: int) -> None:
     """Refuse a run of config on a truth table of ``cells`` cells above the
     memory budget; the pair is not read, so it can be checked before a build."""
     n, m = config.n_trajectories, config.n_measurements
-    need = _estimated_bytes(n, m, cells, kept)
-    table = need - _estimated_bytes(n, m, 0, kept)  # the part that grows with the cells
+    need = _estimated_bytes(n, m, cells)
+    table = need - _estimated_bytes(n, m, 0)  # the part that grows with the cells
     advice = ("saturate the detectors (--saturation) for a smaller table" if 2 * table > need
               else "use fewer trajectories or measurements")
     _check_budget(need, f"an ensemble of {n} trajectories x {m} measurements",
                   f" ({table / 2**20:.0f} MiB of it for a truth table of {cells} cells); {advice}")
 
 
-def _draws_by_chunk(config: EnsembleConfig, out: np.ndarray | None):
-    """The draw and accumulation loop of an ensemble: for each chunk of
-    trajectories s..e-1 in turn, (s, e, the running ln(Lambda) of their
-    records, one row per trajectory), written into ``out[s:e]`` when
-    ``out`` is an N x M array and into a new chunk when it is None."""
+def _running_blocks(config: EnsembleConfig):
+    """The draw and accumulation loop of an ensemble, a block of
+    ``_block_steps`` steps at a time: for the steps j..j+w-1 of each block
+    in turn, (j, w, block, running), where ``block[:, :w]`` holds every
+    trajectory's running ln(Lambda) after those steps and ``running``,
+    one array updated in place, the last of them.  The block is one
+    N x steps buffer, drawn a chunk of trajectories at a time and added
+    onto ``running`` column by column, the order of ``np.cumsum`` along
+    the steps."""
     n, m = config.n_trajectories, config.n_measurements
     seed = int(config.seed)
     cells = config.truth_dist.inverse_cdf.cells
     log_ratio = config.pair.log_ratio.ravel()
-    rows = _chunk_rows(m)
-    for s in range(0, n, rows):
-        e = min(s + rows, n)
-        idx = cells(_trajectory_uniforms(seed, s, e, m))
-        running = np.take(log_ratio, idx, out=None if out is None else out[s:e])
-        np.cumsum(running, axis=1, out=running)
-        yield s, e, running
+    steps = _block_steps(n, m)
+    block = np.empty((n, steps))
+    running = None
+    for j in range(0, m, steps):
+        w = min(steps, m - j)
+        for s in range(0, n, _CHUNK_ROWS):
+            e = min(s + _CHUNK_ROWS, n)
+            idx = cells(_trajectory_uniforms(seed, s, e, w, j))
+            # in-range indices: "clip" writes in place, "raise" via a temporary
+            np.take(log_ratio, idx, out=block[s:e, :w], mode="clip")
+        for c in range(w):
+            if running is None:
+                running = block[:, 0].copy()  # the first draw itself, as cumsum keeps -0.0
+            else:
+                running += block[:, c]
+                block[:, c] = running
+        yield j, w, block, running
 
 
 def simulate_ensemble(config: EnsembleConfig) -> TrajectoryEnsemble:
@@ -287,29 +299,32 @@ def simulate_ensemble(config: EnsembleConfig) -> TrajectoryEnsemble:
     bit.  The stream is Philox4x64-10 keyed (seed, i), counter from 1,
     doubles ``(x >> 11)·2⁻⁵³``, identical to numpy's
     ``Philox(key=[seed, i])``; it is computed for a chunk of trajectories
-    at a time.  Identical configs give bit-identical results, and the
-    summaries are plain deterministic reductions.
+    and a block of steps at a time.  Identical configs give
+    bit-identical results, and the summaries are plain deterministic
+    reductions, bit for bit those of the whole N x M array of posteriors.
 
-    Peak memory is one N x M float64 array plus one chunk's temporaries
-    or one quartile tile; a run estimated above
+    Peak memory is O(N): the running log ratios, one block of steps, one
+    sorted column and one chunk's temporaries; a run estimated above
     ``photon_stats.MEMORY_BUDGET_BYTES`` raises ``ParameterError`` before
     allocating.  ``analytic_confidence`` is the truth's entry of
     ``confidence(n_measurements, loglik_moments(pair))``.
     """
     _refuse_above_budget(config, config.truth_dist.probs.size)
     n, m = config.n_trajectories, config.n_measurements
-    cum_log = np.empty((n, m))
-    for _ in _draws_by_chunk(config, cum_log):
-        pass  # each chunk's running sums are written into cum_log
-    final = cum_log[:, -1].copy()
-
-    # the posteriors overwrite the log ratios
-    pe = cum_log
-    np.negative(pe, out=pe)
-    expit(pe, out=pe)
-    mean_pe = pe.mean(axis=0)
-    q25, q75 = _nearest_rank_rows(pe, (math.ceil(0.25 * n) - 1, math.ceil(0.75 * n) - 1))
-    del pe, cum_log
+    r25, r75 = math.ceil(0.25 * n) - 1, math.ceil(0.75 * n) - 1
+    mean_pe, q25, q75 = np.empty(m), np.empty(m), np.empty(m)
+    column = np.empty(n)
+    for j, w, block, final in _running_blocks(config):
+        pe = block[:, :w]  # the posteriors overwrite the log ratios
+        np.negative(pe, out=pe)
+        expit(pe, out=pe)
+        # numpy sums one column pairwise but two or more row by row, the
+        # order of the N x M array, so a 1-wide tail is summed in the block
+        mean_pe[j:j + w] = block.mean(axis=0)[:w]
+        for c in range(w):
+            np.copyto(column, block[:, c])
+            column.sort()
+            q25[j + c], q75[j + c] = column[r25], column[r75]
 
     report = confidence(m, loglik_moments(config.pair))
     if config.truth is Truth.PRESENT:
@@ -328,40 +343,19 @@ def simulate_ensemble(config: EnsembleConfig) -> TrajectoryEnsemble:
     )
 
 
-def _nearest_rank_rows(a: np.ndarray, ranks: tuple[int, ...]) -> list[np.ndarray]:
-    """Rows ``ranks`` of ``np.sort(a, axis=0)``, bit for bit.
-
-    Each run of ``_TILE_COLUMNS`` columns is copied into one contiguous
-    tile, a row per column, and sorted there: a sort along axis 0 of the
-    C-ordered N x M array would move every column through a strided copy.
-    """
-    n, m = a.shape
-    rows = [np.empty(m) for _ in ranks]
-    tile = np.empty((_TILE_COLUMNS, n))
-    for j in range(0, m, _TILE_COLUMNS):
-        cols = tile[: min(_TILE_COLUMNS, m - j)]
-        cols[...] = a[:, j:j + _TILE_COLUMNS].T
-        cols.sort(axis=1)
-        for row, rank in zip(rows, ranks):
-            row[j:j + cols.shape[0]] = cols[:, rank]
-    return rows
-
-
 def loglambda_histogram(config: EnsembleConfig, bins: int = 60) -> LogLambdaHistogram:
     """Histogram the final log ratio across the ensemble, with the
     matching normal-approximation parameters for overlay.
 
     The samples are ``simulate_ensemble(config).final_log_lambda``, bit
-    for bit: both come from ``_draws_by_chunk``, which here keeps the last
-    column of each chunk in place of the N x M array and its posterior
-    summaries.
+    for bit: both are the running log ratios of ``_running_blocks``, here
+    without the posterior summaries.
     """
     if not _is_whole(bins) or bins < 1:
         raise ParameterError(f"bins must be an integer >= 1, got {bins!r}")
-    _refuse_above_budget(config, config.truth_dist.probs.size, kept=1)
-    samples = np.empty(config.n_trajectories)
-    for s, e, running in _draws_by_chunk(config, None):
-        samples[s:e] = running[:, -1]
+    _refuse_above_budget(config, config.truth_dist.probs.size)
+    for *_, samples in _running_blocks(config):
+        pass  # the running log ratios, final after the last block
     m = loglik_moments(config.pair)
     n = config.n_measurements
     if config.truth is Truth.PRESENT:

@@ -641,6 +641,17 @@ def test_identical_hypotheses_are_flagged():
         n_for_confidence(0.954, m)
 
 
+def test_n_for_confidence_refuses_the_spreads_confidence_refuses():
+    # every comparison with a NaN confidence is false, so the search once
+    # returned 2 for a NaN spread where confidence() raised
+    for sigma in (math.nan, -0.1):
+        for bad in (LogLikMoments(-0.1, sigma, 0.1, 0.1), LogLikMoments(-0.1, 0.1, 0.1, sigma)):
+            with pytest.raises(DegenerateMomentsError):
+                confidence(10, bad)
+            with pytest.raises(DegenerateMomentsError):
+                n_for_confidence(0.954, bad)
+
+
 # ---------------------------------------------------------------------------
 # averaged posterior
 # ---------------------------------------------------------------------------

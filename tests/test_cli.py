@@ -155,7 +155,8 @@ GOLDEN_RUNS = {
 def test_simulate_writes_the_golden_bytes(name, tmp_path, capsys):
     # 100k x 50 ensembles, the first two written by numpy's per-trajectory
     # Philox generators, the saturated one by the binary-search draw and
-    # full column sort that the guide table and column tiles replaced
+    # full column sort of the whole N x M array, which the guide table and
+    # the blocks of four steps replaced
     out_path = tmp_path / f"{name}.csv"
     code, _, err = run(["simulate", "--n-measurements", "50", "--n-trajectories", "100000",
                         "-o", str(out_path)] + GOLDEN_RUNS[name], capsys)
@@ -403,8 +404,8 @@ BRIGHT_TABLE = "(1031 MiB of it for a truth table of 33779344 cells)"
 
 @pytest.mark.parametrize("runs, message", [
     (["--n-measurements", "0"], "n_measurements must be >= 1, got 0"),
-    (["--n-measurements", "50", "--n-trajectories", "10000000"],
-     "an ensemble of 10000000 trajectories x 50 measurements needs about 5078 MiB, above the "
+    (["--n-measurements", "50", "--n-trajectories", "100000000"],
+     "an ensemble of 100000000 trajectories x 50 measurements needs about 6374 MiB, above the "
      f"1024 MiB budget {BRIGHT_TABLE}; use fewer trajectories or measurements"),
     (["--n-measurements", "5", "--n-trajectories", "1000"],
      "an ensemble of 1000 trajectories x 5 measurements needs about 1032 MiB, above the "
@@ -830,12 +831,13 @@ def test_bright_coherent_point_scores_within_1_35_gib():
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
 def test_oversize_ensemble_is_refused_before_it_allocates(tmp_path):
-    # 10^7 x 50 float64 is 4 GB, which the address limit could not map: the
-    # size estimate refuses the run first, with exit 2 and no output file
+    # 10^8 trajectories need 5.6 GB by the estimate (running sums, a block
+    # of four steps, a sorted column), which the address limit could not
+    # map: the estimate refuses the run first, with exit 2 and no output file
     out = tmp_path / "out.csv"
     result = subprocess.run(
         [sys.executable, "-m", "homdetect.cli", "simulate"] + LOW_FLAGS
-        + ["--truth", "present", "--n-measurements", "50", "--n-trajectories", "10000000",
+        + ["--truth", "present", "--n-measurements", "50", "--n-trajectories", "100000000",
            "--seed", "1", "-o", str(out)],
         capture_output=True,
         text=True,
@@ -845,9 +847,30 @@ def test_oversize_ensemble_is_refused_before_it_allocates(tmp_path):
     )
     assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stderr
-    assert "10000000 trajectories x 50 measurements" in result.stderr
+    assert "100000000 trajectories x 50 measurements" in result.stderr
     assert "budget" in result.stderr
     assert not out.exists()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_long_ensemble_runs_within_a_small_address_space(tmp_path):
+    # 10^5 x 400 steps: a run holds the running sums and one block of four
+    # steps, not the 305 MiB N x M array, so it fits in 0.375 GiB
+    out = tmp_path / "out.csv"
+    result = subprocess.run(
+        [sys.executable, "-m", "homdetect.cli", "simulate"] + LOW_FLAGS
+        + ["--truth", "present", "--n-measurements", "400", "--n-trajectories", "100000",
+           "--seed", "1", "-o", str(out)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, OMP_NUM_THREADS="1"),
+        preexec_fn=lambda: _limit_address_space(0.375),
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = out.read_text().splitlines()
+    assert (lines[0], len(lines)) == ("step,mean_Pe,q25,q75", 401)
+    assert lines[-1].startswith("400,")
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")

@@ -13,7 +13,7 @@ from homdetect.bayes import HypothesisPair, confidence, loglik_moments, posterio
 from homdetect.montecarlo import (
     EnsembleConfig,
     Truth,
-    _chunk_rows,
+    _CHUNK_ROWS,
     _estimated_bytes,
     _trajectory_uniforms,
     loglambda_histogram,
@@ -236,7 +236,7 @@ def test_trajectories_are_keyed_across_chunks(m):
     # one chunk against three: the first run's rows are the second's
     # prefix, and rows on either side of a chunk boundary are the draws
     # of numpy's Philox under their own key
-    rows = _chunk_rows(m)
+    rows = _CHUNK_ROWS
     small = simulate_ensemble(config(n_measurements=m, n_trajectories=rows - 24))
     large = simulate_ensemble(config(n_measurements=m, n_trajectories=2 * rows + 24))
     assert np.array_equal(small.final_log_lambda, large.final_log_lambda[: rows - 24])
@@ -252,21 +252,23 @@ def test_trajectories_are_keyed_across_chunks(m):
 @pytest.mark.parametrize("m", [1, 3, 4, 5, 50])
 def test_trajectory_uniforms_are_numpy_philox(seed, m):
     # numpy's generator is the oracle; ranges start past zero and cross a
-    # chunk boundary, and m = 1, 3, 5, 50 end in a partial block
-    rows = _chunk_rows(m)
-    for start, stop in ((0, 3), (7, 12), (rows - 2, rows + 3)):
-        u = _trajectory_uniforms(seed, start, stop, m)
-        expected = np.array([
-            np.random.Generator(np.random.Philox(key=[seed, i])).random(m)
-            for i in range(start, stop)
-        ])
-        assert u.shape == (stop - start, m)
-        assert np.array_equal(u.view(np.uint64), expected.view(np.uint64))
+    # chunk boundary, m = 1, 3, 5, 50 end in a partial block, and the
+    # steps start at the first, second or thirteenth block
+    rows = _CHUNK_ROWS
+    for first in (0, 4, 48):
+        for start, stop in ((0, 3), (7, 12), (rows - 2, rows + 3)):
+            u = _trajectory_uniforms(seed, start, stop, m, first)
+            expected = np.array([
+                np.random.Generator(np.random.Philox(key=[seed, i])).random(first + m)[first:]
+                for i in range(start, stop)
+            ])
+            assert u.shape == (stop - start, m)
+            assert np.array_equal(u.view(np.uint64), expected.view(np.uint64))
 
 
 def test_oversize_ensemble_is_refused():
-    c = config(n_measurements=50, n_trajectories=10_000_000)
-    assert _estimated_bytes(10_000_000, 50, c.truth_dist.probs.size) > MEMORY_BUDGET_BYTES
+    c = config(n_measurements=50, n_trajectories=100_000_000)
+    assert _estimated_bytes(100_000_000, 50, c.truth_dist.probs.size) > MEMORY_BUDGET_BYTES
     with pytest.raises(ParameterError, match="budget.*use fewer trajectories or measurements"):
         simulate_ensemble(c)
 
@@ -299,16 +301,19 @@ def test_quartiles_are_nearest_rank():
 
 
 def test_quartiles_are_nearest_rank_after_a_partial_chunk():
-    _assert_nearest_rank_quartiles(_chunk_rows(5) + 37)
+    _assert_nearest_rank_quartiles(_CHUNK_ROWS + 37)
 
 
-@pytest.mark.parametrize("m", [1, 3, 50])
+@pytest.mark.parametrize("m", [1, 3, 5, 13, 50])
 def test_quartiles_are_nearest_rank_rows_of_a_full_sort(m):
     # the low-noise direct table has few distinct log ratios, so columns
-    # are heavily tied; m = 1 and 3 end in a partial column tile, and
-    # n = 1 and a partial chunk end the columns unevenly.  The reference
-    # draws all n rows at once, outside the ensemble's chunked loop
-    for n in (1, _chunk_rows(m) + 37):
+    # are heavily tied.  Blocks hold 4 steps at n = _CHUNK_ROWS + 37, 12
+    # at n = 5000 and all m at n = 1: m = 5 and 13 end in a block of width
+    # 1, after blocks of 4 and of 12, and a partial chunk ends the columns
+    # unevenly.  The reference draws all n x m steps at once, outside the
+    # ensemble's block loop, and its mean is numpy's over the whole N x M
+    # array: one column is summed pairwise, two or more row by row
+    for n in (1, 5_000, _CHUNK_ROWS + 37):
         c = config(n_measurements=m, n_trajectories=n, seed=17)
         ens = simulate_ensemble(c)
         idx = c.truth_dist.inverse_cdf.cells(_trajectory_uniforms(17, 0, n, m))
@@ -317,13 +322,17 @@ def test_quartiles_are_nearest_rank_rows_of_a_full_sort(m):
         assert np.array_equal(ens.q25, pe[math.ceil(0.25 * n) - 1])
         assert np.array_equal(ens.q75, pe[math.ceil(0.75 * n) - 1])
         assert np.array_equal(ens.final_log_lambda, cum[:, -1])
+        assert np.array_equal(ens.mean_pe, expit(-cum).mean(axis=0))
 
 
-@pytest.mark.parametrize("n, m", [(1, 3), (3_000, 50), (_chunk_rows(7) + 5, 7)])
+@pytest.mark.parametrize("n, m", [(1, 3), (3_000, 50), (_CHUNK_ROWS + 5, 7),
+                                  (100_000, 50), (3_000, 400)])
 def test_peak_memory_stays_within_the_estimate(n, m):
     # a fresh pair, so the log ratios and the inverse CDF are built inside
-    # the measured call, as in a first run
-    for run, kept in ((simulate_ensemble, None), (loglambda_histogram, 1)):
+    # the measured call, as in a first run; (100 000, 50) is the
+    # benchmark's size, and at (3 000, 400) a run holds no more per
+    # trajectory than at (3 000, 50)
+    for run in (simulate_ensemble, loglambda_histogram):
         c = EnsembleConfig(pair=HypothesisPair.from_params(HOM), truth=Truth.ABSENT,
                            n_measurements=m, n_trajectories=n, seed=2)
         tracemalloc.start()
@@ -333,7 +342,7 @@ def test_peak_memory_stays_within_the_estimate(n, m):
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= _estimated_bytes(n, m, c.truth_dist.probs.size, kept), run.__name__
+        assert peak <= _estimated_bytes(n, m, c.truth_dist.probs.size), run.__name__
 
 
 def test_empirical_matches_analytic_at_scale():
@@ -436,7 +445,7 @@ def test_histogram_respects_truth_and_guards():
     for bad in (2.5, "10", True):
         with pytest.raises(ParameterError, match="bins must be an integer"):
             loglambda_histogram(c, bins=bad)
-    # one float per trajectory is kept, and refused above the budget too
+    # the histogram runs the ensemble's loop, and is refused above the budget too
     with pytest.raises(ParameterError, match="budget"):
         loglambda_histogram(config(n_trajectories=200_000_000))
 
@@ -444,10 +453,10 @@ def test_histogram_respects_truth_and_guards():
 @pytest.mark.parametrize("truth", list(Truth))
 @pytest.mark.parametrize("t", [None, 2])
 def test_histogram_samples_are_the_ensemble_final_log_ratios(t, truth):
-    # the histogram keeps one running sum per trajectory through the
-    # ensemble's chunks; N ends inside, at and just past a chunk edge
+    # the histogram keeps the ensemble's running sums, drawn a chunk of
+    # trajectories at a time; N ends inside, at and just past a chunk edge
     pair = HypothesisPair.from_params(HOM).saturated(t)
-    rows = _chunk_rows(50)
+    rows = _CHUNK_ROWS
     for n in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
         c = EnsembleConfig(pair=pair, truth=truth, n_measurements=50, n_trajectories=n, seed=5)
         samples = loglambda_histogram(c).samples
