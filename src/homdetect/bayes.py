@@ -14,7 +14,7 @@ direct quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -79,7 +79,7 @@ class HypothesisPair:
 
     def __post_init__(self) -> None:
         a, b = self.present, self.absent
-        if {**vars(a.params), "xi": 0.0} != vars(b.params):
+        if a.params._with_field("xi", 0.0) != b.params:
             raise ParameterError("absent hypothesis must be at xi = 0 and differ in nothing else")
         if a.probs.shape != b.probs.shape:
             raise ParameterError("hypothesis tables have different shapes")
@@ -91,7 +91,7 @@ class HypothesisPair:
         """Build the absent table, the Poisson envelope, once and the
         present table from it (``with_emitter``), each with its own tail
         check and the bits a build of its own gives; both unsaturated."""
-        absent = build_distribution(replace(params, xi=0.0))
+        absent = build_distribution(params._with_field("xi", 0.0))
         return cls(present=with_emitter(absent, params), absent=absent)
 
     def saturated(self, t: int | None) -> "HypothesisPair":
@@ -236,9 +236,18 @@ def confidence(n: int, moments: LogLikMoments) -> ConfidenceReport:
     return ConfidenceReport(c_present=c_p, c_absent=c_a, c_total=c_total, n=float(n))
 
 
-# Bracket expansion in n_for_confidence stops here; beyond it the target
-# is treated as unreachable.
+# The N search's doubling bracket stops here; beyond it the target is
+# treated as unreachable.
 _N_SEARCH_CAP = 2.0**62
+
+# The N search places a window by Newton's method on r = sqrt(n/2), from
+# r = 0: the averaged confidence is concave in r, so the iterates rise to
+# the crossing.  They stop once a step moves r by _NEWTON_TOL or less
+# (relative), and give up after _NEWTON_STEPS steps.  The window reaches
+# _N_WINDOW (relative) to either side of the estimate.
+_NEWTON_TOL = 1e-14
+_NEWTON_STEPS = 100
+_N_WINDOW = 1e-12
 
 
 def _check_c_target(c_target: float) -> None:
@@ -248,9 +257,57 @@ def _check_c_target(c_target: float) -> None:
         raise ParameterError(f"c_target must lie in (0.5, 1), got {c_target}")
 
 
+def _newton_n(m: LogLikMoments, c_target: float) -> float | None:
+    """Newton's estimate of the real n where the averaged confidence,
+    1/2 + (erf(r b) - erf(r a)) / 4 with r = sqrt(n/2), a = mu_p/sigma_p
+    and b = mu_a/sigma_a, crosses c_target; None when a step is not
+    finite or the steps do not settle."""
+    a = m.mu_present / m.sigma_present
+    b = m.mu_absent / m.sigma_absent
+    gap, two_sqrt_pi = c_target - 0.5, 2.0 * math.sqrt(math.pi)
+    r = 0.0
+    for _ in range(_NEWTON_STEPS):
+        slope = (b * math.exp(-(r * b) ** 2) - a * math.exp(-(r * a) ** 2)) / two_sqrt_pi
+        step = (gap - 0.25 * (math.erf(r * b) - math.erf(r * a))) / slope
+        if not math.isfinite(step):
+            return None
+        r += step
+        if abs(step) <= _NEWTON_TOL * r:
+            return 2.0 * r * r
+    return None
+
+
+def _bracket(m: LogLikMoments, c_target: float) -> tuple[float, float]:
+    """Trial counts lo < hi whose averaged confidences fall below and reach
+    c_target: Newton's window where ``_confidences`` confirms it, else
+    lo = 0 and hi doubled from 1, which refuses a target not met by
+    _N_SEARCH_CAP trials."""
+    n = _newton_n(m, c_target)
+    if n is not None:
+        lo, hi = n * (1.0 - _N_WINDOW), n * (1.0 + _N_WINDOW)
+        if hi <= _N_SEARCH_CAP and _confidences(lo, m)[2] < c_target <= _confidences(hi, m)[2]:
+            return lo, hi
+    lo, hi = 0.0, 1.0
+    while _confidences(hi, m)[2] < c_target:
+        hi *= 2.0
+        if hi > _N_SEARCH_CAP:
+            raise HypothesesIndistinguishableError(
+                f"confidence never reaches {c_target} within {_N_SEARCH_CAP} trials"
+            )
+    return lo, hi
+
+
 def _n_real(moments: LogLikMoments, c_target: float) -> float:
     """Real-valued trial count where the averaged confidence crosses
-    c_target; the integer answer is its ceiling."""
+    c_target; the integer answer is its ceiling.
+
+    ``_bracket``'s interval is bisected down to adjacent floats, and the
+    upper one is returned: ``_confidences`` there reaches c_target and at
+    the float below falls short.  Every verdict is a ``_confidences``
+    comparison; Newton only places the window.  So wherever the
+    confidence is monotone over floats the result is the float that plain
+    bisection from (0, 2^k] returns.  A target not met by 2^62 trials
+    raises ``HypothesesIndistinguishableError``."""
     _check_c_target(c_target)
     m = moments
     if not (m.mu_present < 0.0 < m.mu_absent):
@@ -264,13 +321,7 @@ def _n_real(moments: LogLikMoments, c_target: float) -> float:
             "log-ratio spread is zero under one truth (every record it yields has "
             "the same ratio); the normal approximation gives no trial count"
         )
-    lo, hi = 0.0, 1.0
-    while _confidences(hi, m)[2] < c_target:
-        hi *= 2.0
-        if hi > _N_SEARCH_CAP:
-            raise HypothesesIndistinguishableError(
-                f"confidence never reaches {c_target} within {_N_SEARCH_CAP} trials"
-            )
+    lo, hi = _bracket(m, c_target)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -285,12 +336,14 @@ def _n_real(moments: LogLikMoments, c_target: float) -> float:
 
 def n_for_confidence(c_target: float, moments: LogLikMoments) -> int:
     """Smallest integer trial count whose averaged confidence meets
-    c_target.  A NaN or negative spread raises ``DegenerateMomentsError``,
-    as in ``confidence``; a zero spread gives no trial count and raises
-    ``HypothesesIndistinguishableError``."""
+    c_target, by ``_confidences`` alone: the ceiling of ``_n_real``,
+    walked down and up across the integer boundary.  A NaN or negative
+    spread raises ``DegenerateMomentsError``, as in ``confidence``; a zero
+    spread, or a target not met by 2^62 trials, gives no trial count and
+    raises ``HypothesesIndistinguishableError``."""
     n = max(1, math.ceil(_n_real(moments, c_target)))
-    # the bisection root is accurate to ~1 ulp; walk the integer boundary
-    # so minimality is exact
+    # the real root lies within an ulp of the crossing; walk the integer
+    # boundary so minimality is exact
     while n > 1 and _confidences(n - 1.0, moments)[2] >= c_target:
         n -= 1
     while _confidences(float(n), moments)[2] < c_target:

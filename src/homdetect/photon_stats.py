@@ -89,6 +89,41 @@ class Protocol(str, Enum):
         return 2 if self is not Protocol.DIRECT else 1
 
 
+def _refuse_bool(name: str, value) -> None:
+    if isinstance(value, (bool, np.bool_)):
+        raise ParameterError(f"{name} must be a number, got {value!r}")
+
+
+def _fraction(name: str, value) -> float:
+    v = float(value)
+    if not (0.0 <= v <= 1.0) or math.isnan(v):
+        raise ParameterError(f"{name} must lie in [0, 1], got {v}")
+    return v
+
+
+def _mean_count(name: str, value) -> float:
+    v = float(value)
+    if not (v >= 0.0) or math.isinf(v):
+        raise ParameterError(f"{name} must be finite and >= 0, got {v}")
+    return v
+
+
+def _cosine(name: str, value) -> float:
+    v = float(value)
+    if not (-1.0 <= v <= 1.0) or math.isnan(v):
+        raise ParameterError(f"{name} must lie in [-1, 1], got {v}")
+    return v
+
+
+# The rule of each numeric field of ProtocolParams, in field order: it takes
+# a value that is not a boolean and returns it as a checked float.
+_FIELD_RULES = {
+    "xi": _fraction, "eta": _fraction, "epsilon": _fraction,
+    "n_c": _mean_count, "n_e": _mean_count, "n_i": _mean_count,
+    "cos_theta": _cosine,
+}
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Physical parameters of one measurement configuration.
@@ -116,25 +151,25 @@ class ProtocolParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "protocol", Protocol(self.protocol))
-        for name in ("xi", "eta", "epsilon", "n_c", "n_e", "n_i", "cos_theta"):
-            if isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ParameterError(f"{name} must be a number, got {getattr(self, name)!r}")
-        for name in ("xi", "eta", "epsilon"):
-            v = float(getattr(self, name))
-            object.__setattr__(self, name, v)
-            if not (0.0 <= v <= 1.0) or math.isnan(v):
-                raise ParameterError(f"{name} must lie in [0, 1], got {v}")
-        for name in ("n_c", "n_e", "n_i"):
-            v = float(getattr(self, name))
-            object.__setattr__(self, name, v)
-            if not (v >= 0.0) or math.isinf(v):
-                raise ParameterError(f"{name} must be finite and >= 0, got {v}")
-        ct = float(self.cos_theta)
-        if not (-1.0 <= ct <= 1.0) or math.isnan(ct):
-            raise ParameterError(f"cos_theta must lie in [-1, 1], got {ct}")
+        for name in _FIELD_RULES:
+            _refuse_bool(name, getattr(self, name))
+        for name, rule in _FIELD_RULES.items():
+            object.__setattr__(self, name, rule(name, getattr(self, name)))
         if self.protocol is Protocol.INCOHERENT_HOM:
-            ct = 0.0
-        object.__setattr__(self, "cos_theta", ct)
+            object.__setattr__(self, "cos_theta", 0.0)
+
+    def _with_field(self, name: str, value) -> "ProtocolParams":
+        """This parameter set with one numeric field changed, as
+        ``dataclasses.replace`` gives it; only the new value is checked,
+        by the rule ``__post_init__`` applies to it."""
+        _refuse_bool(name, value)
+        value = _FIELD_RULES[name](name, value)
+        if name == "cos_theta" and self.protocol is Protocol.INCOHERENT_HOM:
+            value = 0.0
+        varied = object.__new__(type(self))
+        varied.__dict__.update(self.__dict__)
+        varied.__dict__[name] = value
+        return varied
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -529,7 +564,7 @@ def with_emitter(absent: CountDistribution, params: ProtocolParams) -> CountDist
     the emitter's bracket, with its own tail check and the bits of
     ``build_distribution(params)``.  ParameterError unless ``absent`` is
     unsaturated and at params but for xi = 0; at xi = 0 it is returned."""
-    if absent.saturation is not None or {**vars(params), "xi": 0.0} != vars(absent.params):
+    if absent.saturation is not None or params._with_field("xi", 0.0) != absent.params:
         raise ParameterError("with_emitter takes the unsaturated xi = 0 table of its params")
     if params.xi == 0.0:
         return absent

@@ -13,7 +13,7 @@ import functools
 import math
 import numbers
 from contextvars import ContextVar
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -218,13 +218,13 @@ def optimize_nc(
     def f(nc: float) -> float:
         # real-valued crossing point; smooth in n_c where defined
         try:
-            return _n_real(group.get(replace(params, n_c=nc), t), c_target)
+            return _n_real(group.get(params._with_field("n_c", nc), t), c_target)
         except (DegenerateParameterError, HypothesesIndistinguishableError):
             return math.inf
 
     def n_int(nc: float) -> int:
         # an unscorable finalist raises its exception again
-        return n_for_confidence(c_target, group.get(replace(params, n_c=nc), t))
+        return n_for_confidence(c_target, group.get(params._with_field("n_c", nc), t))
 
     candidates = [0.0] + list(np.geomspace(lo, hi, NC_GRID_POINTS))
     values = [f(nc) for nc in candidates]

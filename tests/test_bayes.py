@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import expit
+from scipy.special import erfinv, expit
 from scipy.stats import lognorm
 
 from homdetect.bayes import (
@@ -590,9 +590,9 @@ def _n_real_200_halvings(m, c_target):
     return hi
 
 
-def _n_int_reference(m, c_target):
+def _n_int_reference(m, c_target, root):
     """The smallest integer N, walked from the ceiling of the real root."""
-    n = max(1, math.ceil(_n_real_200_halvings(m, c_target)))
+    n = max(1, math.ceil(root))
     while n > 1 and _reference_c_total(n - 1.0, m) >= c_target:
         n -= 1
     while _reference_c_total(float(n), m) < c_target:
@@ -613,19 +613,62 @@ def _seeded_moments(rng, flat):
     )
 
 
-def test_n_search_stops_early_with_identical_result():
+def test_n_search_stops_early_with_identical_result(monkeypatch):
     # both the real root and the integer N equal the reference bisection
-    # exactly, also on near-flat moments where N is 1e7..4e10
+    # exactly over 20 000 seeded searches: near-flat moments, where N is
+    # 1e7..4e10, and targets within 1e-9 of 0.5 and of 1, where the
+    # confidence's floats are flat over more than Newton's window and the
+    # search takes the doubling bracket
+    calls = [0]
+    confidences = bayes._confidences
+
+    def counted(n, m):
+        calls[0] += 1
+        return confidences(n, m)
+
+    monkeypatch.setattr(bayes, "_confidences", counted)
     rng = np.random.default_rng(20250501)
-    largest = 0
-    for i in range(400):
+    largest = windowed = windowed_calls = 0
+    for i in range(20_000):
         m = _seeded_moments(rng, flat=i % 4 == 3)
-        target = rng.uniform(0.6, 0.999)
-        assert _n_real(m, target) == _n_real_200_halvings(m, target)
+        kind = i % 10
+        if kind == 8:
+            target = 0.5 + rng.uniform(1e-12, 1e-9)
+        elif kind == 9:
+            target = 1.0 - rng.uniform(1e-12, 1e-9)
+        else:
+            target = rng.uniform(0.6, 0.999)
+        before, root = calls[0], _n_real_200_halvings(m, target)
+        assert _n_real(m, target) == root
+        if kind < 8:
+            windowed += 1
+            windowed_calls += calls[0] - before
         n = n_for_confidence(target, m)
-        assert n == _n_int_reference(m, target)
+        assert n == _n_int_reference(m, target, root)
         largest = max(largest, n)
     assert largest > 1e10
+    # bisection over the plain bracket takes about 64 confidences a search
+    assert windowed_calls / windowed <= 25
+
+
+def test_n_search_keeps_the_cap_refusal():
+    # moments whose crossing lies at or just beside 2^62 trials: a root
+    # the reference finds beyond the cap is refused, any other is equal
+    refused = found = 0
+    for sigma in (0.01, 1.0, 7.0):
+        for target in (0.6, 0.954, 0.999):
+            for offset in (-1e-6, -1e-11, -1e-13, 0.0, 1e-13, 1e-11, 1e-6, 3.0):
+                b = float(erfinv(2.0 * target - 1.0)) / math.sqrt(2.0**61 * (1.0 + offset))
+                m = LogLikMoments(-b * sigma, sigma, b * sigma, sigma)
+                expected = _n_real_200_halvings(m, target)
+                if expected > bayes._N_SEARCH_CAP:
+                    refused += 1
+                    with pytest.raises(HypothesesIndistinguishableError, match="never reaches"):
+                        _n_real(m, target)
+                else:
+                    found += 1
+                    assert _n_real(m, target) == expected
+    assert refused >= 27 and found >= 27
 
 
 def test_identical_hypotheses_are_flagged():

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
 import os
 import re
@@ -443,6 +444,17 @@ def test_preset_integer_columns_match_the_baseline(preset, capsys):
     cut = [",".join(row[:1] + row[5:9]) for row in (line.split(",") for line in out.splitlines())]
     with open(os.path.join(os.path.dirname(__file__), "preset_columns", f"{preset}.csv")) as fh:
         assert cut == fh.read().splitlines()
+
+
+@pytest.mark.parametrize("preset", ["fig2a", "fig2b"])
+def test_preset_bytes_match_the_pinned_sha256(preset, capsys):
+    # every byte, n_c and the float columns too; CI checks all six presets
+    # against the same file
+    code, out, _ = run(["sweep", "--preset", preset], capsys)
+    assert code == 0
+    with open(os.path.join(os.path.dirname(__file__), "preset_sha256.txt")) as fh:
+        pinned = dict(reversed(line.split()) for line in fh)
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned[f"{preset}.csv"]
 
 
 def test_sweep_unknown_preset_exits_two(capsys):

@@ -5,7 +5,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -84,6 +84,49 @@ def test_rejects_non_finite():
 def test_incoherent_forces_zero_phase_average():
     p = hom_params(protocol=Protocol.INCOHERENT_HOM, cos_theta=0.9)
     assert p.cos_theta == 0.0
+
+
+_VARIANT_VALUES = {
+    "xi": (0.0, 0.25, 1, np.float64(0.5), "0.75"),
+    "eta": (0.0, 0.3, 1, np.float32(0.9)),
+    "epsilon": (0.0, 0.5, 1),
+    "n_c": (0.0, 1e-3, 6, np.float64(1e3), 1e300),
+    "n_e": (0.0, 0.01, 10),
+    "n_i": (0.0, 2.5, np.int64(3)),
+    "cos_theta": (-1.0, -0.5, 0.0, 0.5, 1),
+}
+_REFUSED = (math.nan, math.inf, -math.inf, -1.5, True, False, np.bool_(True), np.bool_(False))
+
+
+def _made(make):
+    """The parameter set make() returns with its hash, or the message of
+    the ParameterError it raises."""
+    try:
+        p = make()
+    except ParameterError as exc:
+        return str(exc)
+    return p, hash(p)
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_one_field_variant_matches_replace(protocol):
+    # the variant checks only the field it changes, by the rule and with
+    # the message __post_init__ uses, and gives replace's value and hash
+    base = ProtocolParams(protocol, xi=0.2, eta=0.8, epsilon=0.9, n_c=3.0, n_e=0.4, n_i=0.1,
+                          cos_theta=0.7)
+    for name, accepted in _VARIANT_VALUES.items():
+        for i, value in enumerate(accepted + _REFUSED):
+            made = _made(lambda: base._with_field(name, value))
+            assert made == _made(lambda: replace(base, **{name: value})), (name, value)
+            if i < len(accepted):
+                varied = made[0]
+                assert all(type(getattr(varied, f)) is float for f in _VARIANT_VALUES)
+                assert varied.protocol is protocol
+                if protocol is Protocol.INCOHERENT_HOM:
+                    assert varied.cos_theta == 0.0
+            else:
+                assert isinstance(made, str) and name in made
+    assert base._with_field("xi", 0.5) != base and base.xi == 0.2
 
 
 def test_boundary_values_accepted():
