@@ -41,13 +41,14 @@ from .photon_stats import (
     ParameterError,
     Protocol,
     ProtocolParams,
+    _json_text,
     _parse_saturation,
+    _table_document,
     _table_k_max,
     apply_saturation,
     atomic_write_text,
     build_distribution,
     table_csv_text,
-    table_entries,
 )
 from .sweep import (
     SweepResult,
@@ -134,10 +135,6 @@ def _emit(text: str, output: str | None) -> None:
         atomic_write_text(output, text)
 
 
-def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=1) + "\n"
-
-
 def _emit_result(result: SweepResult, args: argparse.Namespace) -> None:
     csv = args.format == "csv"
     _emit(result.csv_text() if csv else _json_text(result.json_dict()), args.output)
@@ -173,22 +170,16 @@ def cmd_dist(args: argparse.Namespace) -> int:
     t = _parse_saturation(args.saturation, params.protocol.detectors)
     if args.diff:
         pair = HypothesisPair.from_params(params).saturated(t)
-        table = pair.present.probs - pair.absent.probs
-        if args.format == "csv":
-            text = table_csv_text(table, "dp")
-        else:
-            text = _json_text({
-                "params": params.to_dict(),
-                "saturation": t,
-                "k_max": pair.present.k_max,
-                "diff": True,
-                "entries": table_entries(table),
-            })
+        table, header, key, value = pair.present.probs - pair.absent.probs, "dp", "diff", True
     else:
         dist = build_distribution(params)
         if t is not None:
             dist = apply_saturation(dist, t)
-        text = dist.csv_text() if args.format == "csv" else _json_text(dist.to_json_dict())
+        table, header, key, value = dist.probs, "p", "tail_mass", dist.tail_mass
+    if args.format == "csv":
+        text = table_csv_text(table, header)
+    else:
+        text = _json_text(_table_document(params, t, table, key, value))
     _emit(text, args.output)
     return 0
 
@@ -208,17 +199,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _refuse_above_budget(config, (k + 1) ** params.protocol.detectors)
     pair = HypothesisPair.from_params(params).saturated(t)
     ensemble = simulate_ensemble(replace(config, pair=pair))
-
-    if args.format == "csv":
-        ensemble.to_csv(args.output)
-    else:
-        steps = {
-            "step": list(range(1, ensemble.mean_pe.size + 1)),
-            "mean_Pe": [float(v) for v in ensemble.mean_pe],
-            "q25": [float(v) for v in ensemble.q25],
-            "q75": [float(v) for v in ensemble.q75],
-        }
-        atomic_write_text(args.output, _json_text(steps))
+    write_steps = ensemble.to_csv if args.format == "csv" else ensemble.to_json
+    write_steps(args.output)
     ensemble.to_summary_json(_summary_path(args.output))
     return 0
 

@@ -36,7 +36,6 @@ before anything is allocated.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -52,7 +51,9 @@ from .photon_stats import (
     Outcome,
     ParameterError,
     _check_budget,
+    _csv_text,
     _is_whole,
+    _json_text,
     atomic_write_text,
 )
 
@@ -120,13 +121,24 @@ class TrajectoryEnsemble:
     empirical_confidence: float
     analytic_confidence: float
 
+    def _steps(self) -> dict[str, list]:
+        """The per-step columns of the ensemble's CSV and JSON files, by
+        name, in file order."""
+        return {
+            "step": list(range(1, self.mean_pe.size + 1)),
+            "mean_Pe": self.mean_pe.tolist(),
+            "q25": self.q25.tolist(),
+            "q75": self.q75.tolist(),
+        }
+
     def to_csv(self, path: str | os.PathLike) -> None:
-        lines = ["step,mean_Pe,q25,q75"]
-        for i in range(self.mean_pe.size):
-            lines.append(
-                f"{i + 1},{self.mean_pe[i]:.17g},{self.q25[i]:.17g},{self.q75[i]:.17g}"
-            )
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        steps = self._steps()
+        rows = zip(*steps.values())
+        atomic_write_text(path, _csv_text(steps.keys(), "%d,%.17g,%.17g,%.17g", rows))
+
+    def to_json(self, path: str | os.PathLike) -> None:
+        """The steps as one list per column, keyed by column name."""
+        atomic_write_text(path, _json_text(self._steps()))
 
     def summary_dict(self) -> dict:
         return {
@@ -139,7 +151,7 @@ class TrajectoryEnsemble:
         }
 
     def to_summary_json(self, path: str | os.PathLike) -> None:
-        atomic_write_text(path, json.dumps(self.summary_dict(), indent=1) + "\n")
+        atomic_write_text(path, _json_text(self.summary_dict()))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ deterministic half of an inverse-CDF draw.
 
 from __future__ import annotations
 
+import itertools
+import json
 import math
 import numbers
 import os
@@ -48,7 +50,6 @@ __all__ = [
     "with_emitter",
     "apply_saturation",
     "table_csv_text",
-    "table_entries",
 ]
 
 # Probabilities this far below zero are floating-point noise from the exact
@@ -89,34 +90,43 @@ class Protocol(str, Enum):
         return 2 if self is not Protocol.DIRECT else 1
 
 
-def _refuse_bool(name: str, value) -> None:
-    if isinstance(value, (bool, np.bool_)):
-        raise ParameterError(f"{name} must be a number, got {value!r}")
+def _number(name: str, value) -> float:
+    """A parameter as a float: a real number that is not a boolean, or a
+    numeric string.  Anything else, None, bytes, complex and Decimal
+    included, raises ParameterError; float() would read a boolean as 0 or
+    1 and bytes as a number."""
+    if isinstance(value, float):
+        # the common case, ahead of the abstract-class check that would
+        # double the cost of ``ProtocolParams._with_field``
+        return float(value)
+    if isinstance(value, (numbers.Real, str)) and not isinstance(value, (bool, np.bool_)):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise ParameterError(f"{name} must be a number, got {value!r}")
 
 
-def _fraction(name: str, value) -> float:
-    v = float(value)
+def _fraction(name: str, v: float) -> float:
     if not (0.0 <= v <= 1.0) or math.isnan(v):
         raise ParameterError(f"{name} must lie in [0, 1], got {v}")
     return v
 
 
-def _mean_count(name: str, value) -> float:
-    v = float(value)
+def _mean_count(name: str, v: float) -> float:
     if not (v >= 0.0) or math.isinf(v):
         raise ParameterError(f"{name} must be finite and >= 0, got {v}")
     return v
 
 
-def _cosine(name: str, value) -> float:
-    v = float(value)
+def _cosine(name: str, v: float) -> float:
     if not (-1.0 <= v <= 1.0) or math.isnan(v):
         raise ParameterError(f"{name} must lie in [-1, 1], got {v}")
     return v
 
 
-# The rule of each numeric field of ProtocolParams, in field order: it takes
-# a value that is not a boolean and returns it as a checked float.
+# The range rule of each numeric field of ProtocolParams, in field order: it
+# takes a float that ``_number`` gave and returns it, or raises.
 _FIELD_RULES = {
     "xi": _fraction, "eta": _fraction, "epsilon": _fraction,
     "n_c": _mean_count, "n_e": _mean_count, "n_i": _mean_count,
@@ -151,19 +161,18 @@ class ProtocolParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "protocol", Protocol(self.protocol))
-        for name in _FIELD_RULES:
-            _refuse_bool(name, getattr(self, name))
-        for name, rule in _FIELD_RULES.items():
-            object.__setattr__(self, name, rule(name, getattr(self, name)))
+        # every field must be a number before any is range-checked
+        values = [_number(name, getattr(self, name)) for name in _FIELD_RULES]
+        for (name, rule), value in zip(_FIELD_RULES.items(), values):
+            object.__setattr__(self, name, rule(name, value))
         if self.protocol is Protocol.INCOHERENT_HOM:
             object.__setattr__(self, "cos_theta", 0.0)
 
     def _with_field(self, name: str, value) -> "ProtocolParams":
         """This parameter set with one numeric field changed, as
         ``dataclasses.replace`` gives it; only the new value is checked,
-        by the rule ``__post_init__`` applies to it."""
-        _refuse_bool(name, value)
-        value = _FIELD_RULES[name](name, value)
+        by the rules ``__post_init__`` applies to it."""
+        value = _FIELD_RULES[name](name, _number(name, value))
         if name == "cos_theta" and self.protocol is Protocol.INCOHERENT_HOM:
             value = 0.0
         varied = object.__new__(type(self))
@@ -473,13 +482,8 @@ class CountDistribution:
 
     def outcomes(self) -> Iterator[tuple[Outcome, float]]:
         """Iterate (outcome, probability) in row-major order."""
-        if self.probs.ndim == 2:
-            for j in range(self.probs.shape[0]):
-                for k in range(self.probs.shape[1]):
-                    yield Outcome(j, k), float(self.probs[j, k])
-        else:
-            for j in range(self.probs.shape[0]):
-                yield Outcome(j), float(self.probs[j])
+        for *counts, p in _cells(self.probs):
+            yield Outcome(*counts), p
 
     # -- serialization ------------------------------------------------------
 
@@ -487,41 +491,49 @@ class CountDistribution:
         return table_csv_text(self.probs, "p")
 
     def to_json_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "saturation": self.saturation,
-            "k_max": self.k_max,
-            "tail_mass": self.tail_mass,
-            "entries": table_entries(self.probs),
-        }
+        return _table_document(self.params, self.saturation, self.probs,
+                               "tail_mass", self.tail_mass)
+
+
+def _cells(table: np.ndarray) -> Iterator[tuple]:
+    """Each cell of a count table indexed like ``CountDistribution.probs``
+    as (j, value) or (j, k, value), in row-major order, value a float."""
+    counts = itertools.product(*map(range, table.shape))
+    return map(tuple.__add__, counts, zip(table.ravel().tolist()))
+
+
+def _csv_text(columns, row_format: str, rows) -> str:
+    """CSV under a header of column names, each row a tuple written by the
+    %-format ``row_format``."""
+    return "\n".join([",".join(columns), *map(row_format.__mod__, rows)]) + "\n"
+
+
+def _json_text(doc) -> str:
+    """A JSON document as every output file holds one: indented by one
+    space per level, with a final newline."""
+    return json.dumps(doc, indent=1) + "\n"
 
 
 def table_csv_text(table: np.ndarray, value_header: str) -> str:
     """CSV of a count table indexed like ``CountDistribution.probs``:
     ``j,k,<value_header>`` rows for a joint table, ``j,<value_header>``
     for a direct one, values at full 17-digit precision."""
-    if table.ndim == 2:
-        lines = [f"j,k,{value_header}"]
-        for j in range(table.shape[0]):
-            for k in range(table.shape[1]):
-                lines.append(f"{j},{k},{table[j, k]:.17g}")
-    else:
-        lines = [f"j,{value_header}"]
-        for j in range(table.shape[0]):
-            lines.append(f"{j},{table[j]:.17g}")
-    return "\n".join(lines) + "\n"
+    columns = ("j", "k")[:table.ndim] + (value_header,)
+    return _csv_text(columns, "%d," * table.ndim + "%.17g", _cells(table))
 
 
-def table_entries(table: np.ndarray) -> list[list]:
-    """JSON entries of a count table: [j, k, value] or [j, value] per
-    outcome, in row-major order."""
-    if table.ndim == 2:
-        return [
-            [j, k, float(table[j, k])]
-            for j in range(table.shape[0])
-            for k in range(table.shape[1])
-        ]
-    return [[j, float(table[j])] for j in range(table.shape[0])]
+def _table_document(params: ProtocolParams, saturation: int | None, table: np.ndarray,
+                    key: str, value) -> dict:
+    """The JSON document of a count table: its params, saturation and
+    k_max, then ``key`` (tail_mass, or diff for a difference table), then
+    the entries [j, k, value] or [j, value] in row-major order."""
+    return {
+        "params": params.to_dict(),
+        "saturation": saturation,
+        "k_max": table.shape[0] - 1,
+        key: value,
+        "entries": list(map(list, _cells(table))),
+    }
 
 
 def _tail_allowance(params: ProtocolParams, k_max: int) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from contextvars import ContextVar
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
@@ -32,7 +31,10 @@ from .photon_stats import (
     ParameterError,
     Protocol,
     ProtocolParams,
+    _FIELD_RULES,
     _check_saturation,
+    _csv_text,
+    _number,
     _parse_saturation,
 )
 
@@ -64,15 +66,9 @@ FLAT_REL_TOL = 1e-9
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _spec_number(value) -> float:
-    """A number of a sweep spec as a float, from a real or a numeric string;
-    anything else, booleans and other strings included, raises TypeError."""
-    try:
-        if isinstance(value, (numbers.Real, str)) and not isinstance(value, bool):
-            return float(value)
-    except ValueError:
-        pass
-    raise TypeError(f"not a number: {value!r}")
+def _cutoff_text(t: int | None) -> int | str:
+    """A detector cutoff as sweeps write it: "inf" for none."""
+    return "inf" if t is None else t
 
 
 def _check_nc_bounds(name: str, bounds) -> None:
@@ -284,59 +280,49 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         for name in ("xi", "epsilon", "cos_theta", "c_target"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, _spec_number(value))
-            except TypeError:
-                raise ParameterError(f"sweep spec {name} must be a number, got {value!r}") from None
+            object.__setattr__(self, name, _number(f"sweep spec {name}", getattr(self, name)))
         self._normalize("protocols", lambda p: Protocol(p).value)
         for name in ("eta", "n_e") if self.n_i is None else ("eta", "n_e", "n_i"):
-            self._normalize(name, _spec_number)
+            self._normalize(name)
         if isinstance(self.n_c, str):
             if self.n_c != "optimize":
                 raise ParameterError(f'n_c must be a grid or "optimize", got {self.n_c!r}')
         else:
-            self._normalize("n_c", _spec_number)
+            self._normalize("n_c")
         detectors = max(Protocol(p).detectors for p in self.protocols)
         self._normalize("saturations", lambda raw: _parse_saturation(raw, detectors))
-        self._normalize("nc_bounds", _spec_number)
+        self._normalize("nc_bounds")
         _check_nc_bounds("sweep spec nc_bounds", self.nc_bounds)
         # out-of-range values are refused here, not turned into error rows
         _check_c_target(self.c_target)
-        ProtocolParams(Protocol.COHERENT_HOM, xi=self.xi, epsilon=self.epsilon,
-                       cos_theta=self.cos_theta)
+        for name in ("xi", "epsilon", "cos_theta"):
+            _FIELD_RULES[name](name, getattr(self, name))
         for name in ("eta", "n_e", "n_i", "n_c"):
             if isinstance(getattr(self, name), tuple):
                 for value in getattr(self, name):
-                    ProtocolParams(Protocol.COHERENT_HOM, **{name: value})
+                    _FIELD_RULES[name](name, value)
 
-    def _normalize(self, name: str, convert: Callable) -> None:
-        """Store a nonempty list field as a tuple of converted entries; an
-        empty axis would run no point."""
+    def _normalize(self, name: str, convert: Callable | None = None) -> None:
+        """Store a nonempty list field as a tuple of entries converted by
+        ``convert``, by default the parameter number rule; an empty axis
+        would run no point."""
         values = getattr(self, name)
         if not isinstance(values, (list, tuple)):
             raise ParameterError(f"sweep spec {name} must be a list, got {values!r}")
         if not values:
             raise ParameterError(f"sweep spec {name} must not be empty")
-        try:
-            object.__setattr__(self, name, tuple(convert(v) for v in values))
-        except TypeError:
-            raise ParameterError(f"sweep spec {name} holds a non-number: {values!r}") from None
+        convert = convert or functools.partial(_number, f"sweep spec {name}")
+        object.__setattr__(self, name, tuple(convert(v) for v in values))
 
     def to_dict(self) -> dict:
-        return {
-            "protocols": list(self.protocols),
-            "xi": self.xi,
-            "epsilon": self.epsilon,
-            "cos_theta": self.cos_theta,
-            "eta": list(self.eta),
-            "n_e": list(self.n_e),
-            "n_i": None if self.n_i is None else list(self.n_i),
-            "n_c": self.n_c if isinstance(self.n_c, str) else list(self.n_c),
-            "saturations": ["inf" if t is None else t for t in self.saturations],
-            "c_target": self.c_target,
-            "nc_bounds": list(self.nc_bounds),
-        }
+        """The spec as ``from_dict`` reads it: every field by name, a tuple
+        as a list and an unbounded counter as "inf"."""
+        doc = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            doc[f.name] = list(value) if isinstance(value, tuple) else value
+        doc["saturations"] = [_cutoff_text(t) for t in self.saturations]
+        return doc
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
@@ -344,6 +330,10 @@ class SweepSpec:
         if unknown:
             raise ParameterError(f"unknown sweep spec keys: {', '.join(unknown)}")
         return cls(**d)
+
+
+# a row's keys in JSON; its CSV columns are all but the last
+_ROW_FIELDS = ("protocol", "eta", "n_e", "n_i", "n_c", "t", "N", "speedup", "at_bound", "error")
 
 
 @dataclass(frozen=True)
@@ -362,45 +352,35 @@ class SweepRow:
     at_bound: bool | None
     error: str | None = None
 
+    def _record(self) -> tuple:
+        """The row's values under ``_ROW_FIELDS``."""
+        return (self.protocol, self.eta, self.n_e, self.n_i, self.n_c, _cutoff_text(self.t),
+                self.n_2sigma, self.speedup, self.at_bound, self.error)
+
+    def _csv_cells(self) -> tuple:
+        """The record as CSV cells: N, speedup and at_bound as text, all
+        three empty on an error row."""
+        *point, n, speedup, at_bound, error = self._record()
+        if error is not None:
+            return (*point, "", "", "")
+        return (*point, n, "%.17g" % speedup, "true" if at_bound else "false")
+
 
 @dataclass(frozen=True)
 class SweepResult:
     spec: SweepSpec
     rows: tuple[SweepRow, ...]
 
-    CSV_HEADER = "protocol,eta,n_e,n_i,n_c,t,N,speedup,at_bound"
+    CSV_HEADER = ",".join(_ROW_FIELDS[:-1])
 
     def csv_text(self) -> str:
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            t = "inf" if r.t is None else str(r.t)
-            if r.error is not None:
-                tail = ",,"
-            else:
-                tail = f"{r.n_2sigma},{r.speedup:.17g},{'true' if r.at_bound else 'false'}"
-            lines.append(
-                f"{r.protocol},{r.eta:.17g},{r.n_e:.17g},{r.n_i:.17g},{r.n_c:.17g},{t},{tail}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv_text(_ROW_FIELDS[:-1], "%s,%.17g,%.17g,%.17g,%.17g,%s,%s,%s,%s",
+                         map(SweepRow._csv_cells, self.rows))
 
     def json_dict(self) -> dict:
         return {
             "spec": self.spec.to_dict(),
-            "rows": [
-                {
-                    "protocol": r.protocol,
-                    "eta": r.eta,
-                    "n_e": r.n_e,
-                    "n_i": r.n_i,
-                    "n_c": r.n_c,
-                    "t": "inf" if r.t is None else r.t,
-                    "N": r.n_2sigma,
-                    "speedup": r.speedup,
-                    "at_bound": r.at_bound,
-                    "error": r.error,
-                }
-                for r in self.rows
-            ],
+            "rows": [dict(zip(_ROW_FIELDS, r._record())) for r in self.rows],
         }
 
 

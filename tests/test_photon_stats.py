@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from dataclasses import astuple, replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -65,12 +66,28 @@ def hom_params(protocol=Protocol.COHERENT_HOM, **kw):
         ("n_e", True),
         ("n_i", np.bool_(True)),
         ("cos_theta", False),
+        # nor is anything but a real or a numeric string: these raised a bare
+        # TypeError or ValueError, or were read as numbers
+        ("eta", None),
+        ("eta", [0.5]),
+        ("eta", 1j),
+        ("eta", "abc"),
+        ("eta", b"1"),
+        ("eta", Decimal("0.5")),
     ],
 )
 def test_rejects_out_of_range(field, value):
     with pytest.raises(ParameterError) as err:
         hom_params(**{field: value})
     assert field in str(err.value)
+
+
+def test_non_numbers_are_refused_before_ranges():
+    # every field is read as a number before any is range-checked
+    with pytest.raises(ParameterError, match="eta must be a number, got None"):
+        hom_params(xi=2.0, eta=None)
+    with pytest.raises(ParameterError, match="cos_theta must be a number"):
+        hom_params(xi=-1.0, cos_theta="abc")
 
 
 def test_rejects_non_finite():
@@ -95,7 +112,8 @@ _VARIANT_VALUES = {
     "n_i": (0.0, 2.5, np.int64(3)),
     "cos_theta": (-1.0, -0.5, 0.0, 0.5, 1),
 }
-_REFUSED = (math.nan, math.inf, -math.inf, -1.5, True, False, np.bool_(True), np.bool_(False))
+_REFUSED = (math.nan, math.inf, -math.inf, -1.5, True, False, np.bool_(True), np.bool_(False),
+            None, [0.5], 1j, "abc", b"1", Decimal("0.5"))
 
 
 def _made(make):
