@@ -25,6 +25,7 @@ from .photon_stats import (
     Outcome,
     ParameterError,
     ProtocolParams,
+    _is_whole,
     build_distribution,
     apply_saturation,
     with_emitter,
@@ -229,8 +230,8 @@ def confidence(n: int, moments: LogLikMoments) -> ConfidenceReport:
     exact: 1.0 when that sign favours it (mu_present < 0, mu_absent > 0),
     else 0.0, a tie counting as incorrect.  A NaN or negative spread
     raises ``DegenerateMomentsError``."""
-    if not n >= 1:
-        raise ParameterError(f"trial count must be >= 1, got {n}")
+    if not _is_whole(n) or n < 1:
+        raise ParameterError(f"trial count must be an integer >= 1, got {n!r}")
     _check_spreads(moments)
     c_p, c_a, c_total = _confidences(float(n), moments)
     return ConfidenceReport(c_present=c_p, c_absent=c_a, c_total=c_total, n=float(n))

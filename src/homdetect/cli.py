@@ -53,8 +53,6 @@ from .photon_stats import (
 from .sweep import (
     SweepResult,
     SweepSpec,
-    evaluate_point,
-    grid_points,
     optimize_nc,  # noqa: F401  unused here; bench/spans.py wraps this binding
     preset,
     preset_names,
@@ -211,8 +209,13 @@ def _summary_path(output: str) -> str:
 
 
 def _run_point(args: argparse.Namespace, spec: SweepSpec) -> int:
-    (point,) = grid_points(spec)
-    _emit_result(SweepResult(spec=spec, rows=(evaluate_point(spec, point),)), args)
+    """Emit the one-point sweep of nmeas or speedup; its error row exits 2."""
+    result = run_sweep(spec)
+    (row,) = result.rows
+    if row.error is not None:
+        sys.stderr.write(f"error: {row.error}\n")
+        return 2
+    _emit_result(result, args)
     return 0
 
 

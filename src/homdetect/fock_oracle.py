@@ -159,29 +159,31 @@ def _amplitude_parts(cfg: OracleConfig, cos_theta: float):
 
 def _check_indices(cfg: OracleConfig, *indices: int) -> None:
     for idx in indices:
+        if not _is_whole(idx):
+            raise ParameterError(f"mode index must be an integer, got {idx!r}")
         if not (0 <= idx < cfg.fock_dim):
             raise ParameterError(f"mode index {idx} outside [0, fock_dim)")
+
+
+def _phase_average(cfg: OracleConfig, f):
+    """f(cos_theta) at the configured reference phase, or for the
+    incoherent protocol its mean over PHASE_GRID evenly spaced phases."""
+    if cfg.params.protocol is not Protocol.INCOHERENT_HOM:
+        return f(cfg.params.cos_theta)
+    phases = [math.cos(2.0 * math.pi * i / PHASE_GRID) for i in range(PHASE_GRID)]
+    return np.mean([f(ct) for ct in phases], axis=0)
 
 
 def joint_pmf(cfg: OracleConfig, k: int, l: int, m: int, n: int) -> float:
     """Probability of k, l photons on the detected pair and m, n on the
     lost pair, before any background is added."""
     _check_indices(cfg, k, l, m, n)
-    if cfg.params.protocol is Protocol.INCOHERENT_HOM:
-        return float(
-            np.mean([_joint_single(cfg, k, l, m, n, ct) for ct in _phase_grid()])
-        )
-    return _joint_single(cfg, k, l, m, n, cfg.params.cos_theta)
 
+    def f(cos_theta: float):
+        B, E, W, X = _amplitude_parts(cfg, cos_theta)
+        return abs(B[k, l] * W[m, n] + E[k, l] * X[m, n]) ** 2
 
-def _joint_single(cfg: OracleConfig, k: int, l: int, m: int, n: int, cos_theta: float) -> float:
-    B, E, W, X = _amplitude_parts(cfg, cos_theta)
-    amp = B[k, l] * W[m, n] + E[k, l] * X[m, n]
-    return float(abs(amp) ** 2)
-
-
-def _phase_grid() -> list[float]:
-    return [math.cos(2.0 * math.pi * i / PHASE_GRID) for i in range(PHASE_GRID)]
+    return float(_phase_average(cfg, f))
 
 
 def _traced_table(cfg: OracleConfig, cos_theta: float, k_hi: int, l_hi: int) -> np.ndarray:
@@ -235,10 +237,7 @@ def traced_pmf(cfg: OracleConfig, k: int, l: int) -> float:
     """Probability of detected counts (k, l) with the lost pair summed out,
     before any background is added."""
     _check_indices(cfg, k, l)
-    if cfg.params.protocol is Protocol.INCOHERENT_HOM:
-        tables = [_traced_table(cfg, ct, k, l) for ct in _phase_grid()]
-        return float(np.mean([t[k, l] for t in tables]))
-    return float(_traced_table(cfg, cfg.params.cos_theta, k, l)[k, l])
+    return float(_phase_average(cfg, lambda ct: _traced_table(cfg, ct, k, l)[k, l]))
 
 
 def oracle_table(cfg: OracleConfig, j_max: int, k_max: int) -> np.ndarray:
@@ -249,14 +248,8 @@ def oracle_table(cfg: OracleConfig, j_max: int, k_max: int) -> np.ndarray:
     each.
     """
     _check_indices(cfg, j_max, k_max)
-    p = cfg.params
-    if p.protocol is Protocol.INCOHERENT_HOM:
-        traced = np.mean(
-            [_traced_table(cfg, ct, j_max, k_max) for ct in _phase_grid()], axis=0
-        )
-    else:
-        traced = _traced_table(cfg, p.cos_theta, j_max, k_max)
-    nu = derived_means(p).n_noise / 2.0
+    traced = _phase_average(cfg, lambda ct: _traced_table(cfg, ct, j_max, k_max))
+    nu = derived_means(cfg.params).n_noise / 2.0
     noise_j = _poisson_vec(np.arange(j_max + 1.0), nu)
     noise_k = _poisson_vec(np.arange(k_max + 1.0), nu)
     out = np.zeros((j_max + 1, k_max + 1))

@@ -509,9 +509,9 @@ def _csv_text(columns, row_format: str, rows) -> str:
 
 
 def _json_text(doc) -> str:
-    """A JSON document as every output file holds one: indented by one
-    space per level, with a final newline."""
-    return json.dumps(doc, indent=1) + "\n"
+    """A JSON document as every output file holds one: strict, with no NaN
+    or infinity, indented by one space per level and newline-terminated."""
+    return json.dumps(doc, indent=1, allow_nan=False) + "\n"
 
 
 def table_csv_text(table: np.ndarray, value_header: str) -> str:

@@ -339,13 +339,14 @@ _ROW_FIELDS = ("protocol", "eta", "n_e", "n_i", "n_c", "t", "N", "speedup", "at_
 @dataclass(frozen=True)
 class SweepRow:
     """One evaluated grid point; ``error`` holds the failure message when
-    the point could not be evaluated."""
+    the point could not be evaluated, and n_c is then None if it was to
+    be optimized."""
 
     protocol: str
     eta: float
     n_e: float
     n_i: float
-    n_c: float
+    n_c: float | None
     t: int | None
     n_2sigma: int | None
     speedup: float | None
@@ -358,12 +359,13 @@ class SweepRow:
                 self.n_2sigma, self.speedup, self.at_bound, self.error)
 
     def _csv_cells(self) -> tuple:
-        """The record as CSV cells: N, speedup and at_bound as text, all
-        three empty on an error row."""
-        *point, n, speedup, at_bound, error = self._record()
+        """The record as CSV cells: n_c, N, speedup and at_bound as text,
+        the last three empty on an error row and n_c empty where None."""
+        *point, n_c, t, n, speedup, at_bound, error = self._record()
+        n_c = "" if n_c is None else "%.17g" % n_c
         if error is not None:
-            return (*point, "", "", "")
-        return (*point, n, "%.17g" % speedup, "true" if at_bound else "false")
+            return (*point, n_c, t, "", "", "")
+        return (*point, n_c, t, n, "%.17g" % speedup, "true" if at_bound else "false")
 
 
 @dataclass(frozen=True)
@@ -374,7 +376,7 @@ class SweepResult:
     CSV_HEADER = ",".join(_ROW_FIELDS[:-1])
 
     def csv_text(self) -> str:
-        return _csv_text(_ROW_FIELDS[:-1], "%s,%.17g,%.17g,%.17g,%.17g,%s,%s,%s,%s",
+        return _csv_text(_ROW_FIELDS[:-1], "%s,%.17g,%.17g,%.17g,%s,%s,%s,%s,%s",
                          map(SweepRow._csv_cells, self.rows))
 
     def json_dict(self) -> dict:
@@ -410,55 +412,47 @@ def grid_points(spec: SweepSpec) -> list[tuple]:
 
 
 def evaluate_point(spec: SweepSpec, point: tuple) -> SweepRow:
-    """Evaluate one grid point of the spec; raises when it cannot be
-    evaluated.  Under ``run_sweep`` the point reads its row group's
-    moments and the sweep's direct baseline instead of rebuilding them.
+    """The sweep row of one grid point of the spec.
+
+    A point that cannot be evaluated (degenerate parameters,
+    indistinguishable hypotheses, truncation overflow) becomes an error
+    row: the failure message, no N, speedup or at_bound, and the point's
+    own n_c, None where it was to be optimized.  Under ``run_sweep`` the
+    point reads its row group's moments and the sweep's direct baseline
+    instead of rebuilding them.
     """
     protocol, eta, ne, ni, t, nc = point
-    params = ProtocolParams(
-        protocol=protocol,
-        xi=spec.xi,
-        eta=eta,
-        epsilon=spec.epsilon,
-        n_c=0.0 if nc == "optimize" else nc,
-        n_e=ne,
-        n_i=ni,
-        cos_theta=spec.cos_theta,
-    )
-    direct = params.protocol is Protocol.DIRECT
-    at_bound = False
-    if nc == "optimize":
-        opt = optimize_nc(params, t, spec.c_target, spec.nc_bounds)
-        n, nc, at_bound = opt.n_star, opt.n_c_star, opt.at_bound
-    elif not direct:
-        n = n_two_sigma(params, t, spec.c_target)
-    n_direct = _direct_n(params, t, spec.c_target)
-    if direct:
-        n = n_direct
-    return SweepRow(protocol, eta, ne, ni, nc, t, n, n_direct / n, at_bound)
+    optimize = nc == "optimize"
+    try:
+        params = ProtocolParams(protocol=protocol, xi=spec.xi, eta=eta, epsilon=spec.epsilon,
+                                n_c=0.0 if optimize else nc, n_e=ne, n_i=ni,
+                                cos_theta=spec.cos_theta)
+        n_c, n, at_bound = nc, None, False
+        if optimize:
+            n_c, n, at_bound = optimize_nc(params, t, spec.c_target, spec.nc_bounds)
+        elif params.protocol is not Protocol.DIRECT:
+            n = n_two_sigma(params, t, spec.c_target)
+        n_direct = _direct_n(params, t, spec.c_target)
+    except (ValueError, RuntimeError) as exc:
+        return SweepRow(protocol, eta, ne, ni, None if optimize else nc, t, None, None, None,
+                        error=str(exc))
+    n = n_direct if n is None else n
+    return SweepRow(protocol, eta, ne, ni, n_c, t, n, n_direct / n, at_bound)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate every grid point of the spec, in ``grid_points`` order.
-
-    Points that fail (degenerate parameters, indistinguishable
-    hypotheses, truncation overflow) become error rows instead of
-    aborting the sweep.
+    """The row of every grid point of the spec, as ``evaluate_point``
+    makes it, in ``grid_points`` order.  The points of one (protocol, eta,
+    n_e, n_i) share a row group, so each brightness is built once for all
+    of its saturations.
     """
     group = _RowGroup(spec.saturations)
     token = _ROW_GROUP.set(group)
     rows = []
     try:
         for point in grid_points(spec):
-            protocol, eta, ne, ni, t, nc = point
-            group.enter((protocol, eta, ne, ni), t)
-            try:
-                rows.append(evaluate_point(spec, point))
-            except (ValueError, RuntimeError) as exc:
-                nc_val = float("nan") if nc == "optimize" else nc
-                rows.append(
-                    SweepRow(protocol, eta, ne, ni, nc_val, t, None, None, None, error=str(exc))
-                )
+            group.enter(point[:4], point[4])
+            rows.append(evaluate_point(spec, point))
     finally:
         _ROW_GROUP.reset(token)
     return SweepResult(spec=spec, rows=tuple(rows))

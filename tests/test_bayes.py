@@ -519,9 +519,11 @@ def test_confidence_increases_with_n():
 
 def test_confidence_guards():
     m = loglik_moments(HypothesisPair.from_params(LOW_NOISE))
-    for n in (0, math.nan):
+    # a trial count is an integer >= 1, by the rule of EnsembleConfig
+    for n in (0, math.nan, True, 1.5, "10", math.inf):
         with pytest.raises(ParameterError):
             confidence(n, m)
+    assert confidence(np.int64(10), m) == confidence(10, m)
     # a zero spread ends every run of its truth at n mu: correct when that
     # sign favours the truth, incorrect otherwise and at a tie; the other
     # truth keeps its erf value

@@ -308,6 +308,35 @@ def test_point_queries_exit_two_on_bad_points(capsys):
         assert out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("protocol", ["direct", "coherent", "incoherent"])
+@pytest.mark.parametrize("background", ["1", "0"])
+def test_point_commands_are_one_point_sweeps(protocol, background, capsys):
+    # nmeas and speedup print the row of the flag form of sweep, in both
+    # formats, or exit 2 with its message when it is an error row; with no
+    # background, every row's direct baseline has a zero spread and fails
+    commands = [["nmeas"]]
+    if protocol != "direct":
+        commands += [["speedup"], ["speedup", "--optimize-nc"]]
+    errors = 0
+    for t in ("inf", "4", "2", "1"):
+        flags = ["--protocol", protocol, "--eta", "0.9", "--ne", background,
+                 "--ni", background, "--saturation", t]
+        for command in commands:
+            sweep = ["sweep"] + command[1:] + flags
+            for fmt in ("json", "csv"):
+                code, swept, _ = run(sweep + ["--format", fmt], capsys)
+                assert code == 0
+                if fmt == "json":
+                    (row,) = json.loads(swept)["rows"]
+                got = run(command + flags + ["--format", fmt], capsys)
+                if row["error"] is None:
+                    assert got == (0, swept, ""), (command, t, fmt)
+                else:
+                    errors += 1
+                    assert got == (2, "", f"error: {row['error']}\n"), (command, t, fmt)
+    assert bool(errors) == (background == "0")
+
+
 def test_sweep_preset_and_config_conflict(tmp_path, capsys):
     cfg = tmp_path / "spec.json"
     cfg.write_text("{}")
@@ -446,15 +475,16 @@ def test_preset_integer_columns_match_the_baseline(preset, capsys):
         assert cut == fh.read().splitlines()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("preset", ["fig2a", "fig2b"])
-def test_preset_bytes_match_the_pinned_sha256(preset, capsys):
+def test_preset_bytes_match_the_pinned_sha256(preset, fmt, capsys):
     # every byte, n_c and the float columns too; CI checks all six presets
-    # against the same file
-    code, out, _ = run(["sweep", "--preset", preset], capsys)
+    # and these two JSON documents against the same file
+    code, out, _ = run(["sweep", "--preset", preset, "--format", fmt], capsys)
     assert code == 0
     with open(os.path.join(os.path.dirname(__file__), "preset_sha256.txt")) as fh:
         pinned = dict(reversed(line.split()) for line in fh)
-    assert hashlib.sha256(out.encode()).hexdigest() == pinned[f"{preset}.csv"]
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned[f"{preset}.{fmt}"]
 
 
 def test_sweep_unknown_preset_exits_two(capsys):
@@ -469,6 +499,31 @@ def test_sweep_json_format(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["rows"][0]["N"] == 57
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_every_json_output_is_strict_json(tmp_path, capsys):
+    # an optimized row that fails has no brightness: null, not NaN
+    failing = config_file(tmp_path, {"protocols": ["direct", "coherent"], "eta": [0.9],
+                                     "n_e": [0.0], "n_c": "optimize"})
+    for argv in (["dist"] + HEADLINE_FLAGS, ["dist", "--diff"] + HEADLINE_FLAGS,
+                 ["nmeas"] + LOW_FLAGS, ["speedup"] + HEADLINE_FLAGS,
+                 ["sweep", "--config", failing]):
+        code, out, err = run(argv + ["--format", "json"], capsys)
+        assert code == 0, err
+        doc = _strict_json(out)
+    assert [(r["n_c"], r["error"] is not None) for r in doc["rows"]] == [(0.0, True), (None, True)]
+    code, _, err = run(["simulate", "--format", "json", "-o", str(tmp_path / "run.json")]
+                       + LOW_FLAGS + SIM_FLAGS, capsys)
+    assert code == 0, err
+    for name in ("run.json", "run.summary.json"):
+        _strict_json((tmp_path / name).read_text())
 
 
 # ---------------------------------------------------------------------------

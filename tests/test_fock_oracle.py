@@ -74,6 +74,15 @@ def test_index_validation():
         joint_pmf(cfg, 10, 0, 0, 0)
     with pytest.raises(ParameterError):
         traced_pmf(cfg, 0, -1)
+    # a float or a boolean index is refused as a parameter error, not left
+    # to numpy's indexing; a numpy integer is an integer
+    for call in (lambda: oracle_table(cfg, 2.5, 3), lambda: traced_pmf(cfg, 1.5, 2),
+                 lambda: joint_pmf(cfg, 1, 1, 1, 1.0), lambda: oracle_pmf(cfg, True, 1),
+                 lambda: compare_with_closed_form(cfg, jk_sum_max=True)):
+        with pytest.raises(ParameterError, match="mode index must be an integer"):
+            call()
+    assert joint_pmf(cfg, np.int64(1), 1, 1, 1) == joint_pmf(cfg, 1, 1, 1, 1)
+    assert np.array_equal(oracle_table(cfg, np.int64(2), 3), oracle_table(cfg, 2, 3))
 
 
 # ---------------------------------------------------------------------------

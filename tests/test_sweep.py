@@ -183,7 +183,7 @@ def test_flat_optimum_at_unscorable_dark_reference_is_an_error_row(monkeypatch):
     (row,) = run_sweep(tiny_spec(protocols=("coherent",), eta=(0.9,), n_e=(1.0,),
                                  n_c="optimize")).rows
     assert row.error == "dark reference undefined"
-    assert math.isnan(row.n_c) and row.n_2sigma is None
+    assert row.n_c is None and row.n_2sigma is None
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +436,7 @@ def test_sweep_rows_equal_points_evaluated_alone(saturations, n_c):
     points = sweep_module.grid_points(spec)
     assert len(rows) == len(points)
     for row, point in zip(rows, points):
-        if row.error is None:
-            assert row == sweep_module.evaluate_point(spec, point)
-        else:
-            with pytest.raises((ValueError, RuntimeError)) as caught:
-                sweep_module.evaluate_point(spec, point)
-            assert row.error == str(caught.value)
+        assert row == sweep_module.evaluate_point(spec, point)
     assert any(r.error is None for r in rows) and any(r.error is not None for r in rows)
 
 

@@ -104,7 +104,8 @@ def ref_sweep_csv(result):
             tail = ",,"
         else:
             tail = f"{r.n_2sigma},{r.speedup:.17g},{'true' if r.at_bound else 'false'}"
-        lines.append(f"{r.protocol},{r.eta:.17g},{r.n_e:.17g},{r.n_i:.17g},{r.n_c:.17g},{t},{tail}")
+        n_c = "" if r.n_c is None else f"{r.n_c:.17g}"
+        lines.append(f"{r.protocol},{r.eta:.17g},{r.n_e:.17g},{r.n_i:.17g},{n_c},{t},{tail}")
     return "\n".join(lines) + "\n"
 
 
@@ -217,7 +218,7 @@ def test_awkward_cells_keep_their_bytes(shape):
 # ---------------------------------------------------------------------------
 
 _SPECS = [
-    # error rows (eta = 0), at_bound rows, t = None beside t = 2, n_c = nan
+    # error rows (eta = 0), at_bound rows, t = None beside t = 2, n_c = None
     SweepSpec(protocols=("direct", "coherent", "incoherent"), eta=(0.99, 0.0),
               n_e=(0.01, 1.0), n_i=(0.0,), n_c="optimize", saturations=(None, 2),
               nc_bounds=(0.1, 30.0)),
