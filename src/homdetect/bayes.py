@@ -245,10 +245,13 @@ _N_SEARCH_CAP = 2.0**62
 # r = 0: the averaged confidence is concave in r, so the iterates rise to
 # the crossing.  They stop once a step moves r by _NEWTON_TOL or less
 # (relative), and give up after _NEWTON_STEPS steps.  The window reaches
-# _N_WINDOW (relative) to either side of the estimate.
+# _N_WINDOW (relative) plus _C_ROUNDING ulps of c_target over the slope in n
+# to either side of the estimate: near c = 0.5 and 1 the computed confidence
+# is flat over far wider runs of floats (an ulp from erf, one from the mean).
 _NEWTON_TOL = 1e-14
 _NEWTON_STEPS = 100
 _N_WINDOW = 1e-12
+_C_ROUNDING = 2.0
 
 
 def _check_c_target(c_target: float) -> None:
@@ -258,11 +261,12 @@ def _check_c_target(c_target: float) -> None:
         raise ParameterError(f"c_target must lie in (0.5, 1), got {c_target}")
 
 
-def _newton_n(m: LogLikMoments, c_target: float) -> float | None:
+def _newton_n(m: LogLikMoments, c_target: float) -> tuple[float, float] | None:
     """Newton's estimate of the real n where the averaged confidence,
     1/2 + (erf(r b) - erf(r a)) / 4 with r = sqrt(n/2), a = mu_p/sigma_p
-    and b = mu_a/sigma_a, crosses c_target; None when a step is not
-    finite or the steps do not settle."""
+    and b = mu_a/sigma_a, crosses c_target, with the confidence's slope
+    in n there; None when a step is not finite or the steps do not
+    settle."""
     a = m.mu_present / m.sigma_present
     b = m.mu_absent / m.sigma_absent
     gap, two_sqrt_pi = c_target - 0.5, 2.0 * math.sqrt(math.pi)
@@ -274,7 +278,7 @@ def _newton_n(m: LogLikMoments, c_target: float) -> float | None:
             return None
         r += step
         if abs(step) <= _NEWTON_TOL * r:
-            return 2.0 * r * r
+            return 2.0 * r * r, slope / (4.0 * r)  # dn = 4 r dr
     return None
 
 
@@ -283,9 +287,11 @@ def _bracket(m: LogLikMoments, c_target: float) -> tuple[float, float]:
     c_target: Newton's window where ``_confidences`` confirms it, else
     lo = 0 and hi doubled from 1, which refuses a target not met by
     _N_SEARCH_CAP trials."""
-    n = _newton_n(m, c_target)
-    if n is not None:
-        lo, hi = n * (1.0 - _N_WINDOW), n * (1.0 + _N_WINDOW)
+    estimate = _newton_n(m, c_target)
+    if estimate is not None:
+        n, slope = estimate
+        half = n * _N_WINDOW + _C_ROUNDING * math.ulp(c_target) / slope
+        lo, hi = max(0.0, n - half), n + half
         if hi <= _N_SEARCH_CAP and _confidences(lo, m)[2] < c_target <= _confidences(hi, m)[2]:
             return lo, hi
     lo, hi = 0.0, 1.0

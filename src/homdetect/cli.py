@@ -208,11 +208,12 @@ def _summary_path(output: str) -> str:
     return base + ".summary.json"
 
 
-def _run_point(args: argparse.Namespace, spec: SweepSpec) -> int:
-    """Emit the one-point sweep of nmeas or speedup; its error row exits 2."""
+def _run_point(args: argparse.Namespace, spec: SweepSpec, answer: str) -> int:
+    """Emit the one-point sweep of nmeas or speedup; a row without the
+    command's answer (its ``SweepRow`` field) exits 2 with the row's error."""
     result = run_sweep(spec)
     (row,) = result.rows
-    if row.error is not None:
+    if getattr(row, answer) is None:
         sys.stderr.write(f"error: {row.error}\n")
         return 2
     _emit_result(result, args)
@@ -220,14 +221,14 @@ def _run_point(args: argparse.Namespace, spec: SweepSpec) -> int:
 
 
 def cmd_nmeas(args: argparse.Namespace) -> int:
-    return _run_point(args, _point_spec(args))
+    return _run_point(args, _point_spec(args), "n_2sigma")
 
 
 def cmd_speedup(args: argparse.Namespace) -> int:
     spec = _point_spec(args)
     if spec.protocols == (Protocol.DIRECT.value,):
         raise ParameterError("speedup compares a two-detector protocol against direct detection")
-    return _run_point(args, spec)
+    return _run_point(args, spec, "speedup")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -27,11 +27,12 @@ An ensemble runs through its steps in blocks of four (one Philox block;
 more for few trajectories): each block of log ratios is added column by
 column onto one running log ratio per trajectory and turned in place into
 posteriors, whose per-step mean and nearest-rank quartiles are bit for
-bit those of the whole N x M array, which is never held.  A run holds the
-running log ratios, the block, one sorted column and one chunk's
-temporaries, O(N) whatever M; a run whose estimate exceeds the 1 GiB
-``photon_stats.MEMORY_BUDGET_BYTES`` is refused with ``ParameterError``
-before anything is allocated.
+bit those of the whole N x M array, which is never held; after the last
+step the running log ratios are ``final_log_lambda``, which
+``loglambda_histogram`` bins.  A run holds the running log ratios, the
+block, one sorted column and one chunk's temporaries, O(N) whatever M; a
+run whose estimate exceeds the 1 GiB ``photon_stats.MEMORY_BUDGET_BYTES``
+is refused with ``ParameterError`` before anything is allocated.
 """
 
 from __future__ import annotations
@@ -270,38 +271,6 @@ def _refuse_above_budget(config: EnsembleConfig, cells: int) -> None:
                   f" ({table / 2**20:.0f} MiB of it for a truth table of {cells} cells); {advice}")
 
 
-def _running_blocks(config: EnsembleConfig):
-    """The draw and accumulation loop of an ensemble, a block of
-    ``_block_steps`` steps at a time: for the steps j..j+w-1 of each block
-    in turn, (j, w, block, running), where ``block[:, :w]`` holds every
-    trajectory's running ln(Lambda) after those steps and ``running``,
-    one array updated in place, the last of them.  The block is one
-    N x steps buffer, drawn a chunk of trajectories at a time and added
-    onto ``running`` column by column, the order of ``np.cumsum`` along
-    the steps."""
-    n, m = config.n_trajectories, config.n_measurements
-    seed = int(config.seed)
-    cells = config.truth_dist.inverse_cdf.cells
-    log_ratio = config.pair.log_ratio.ravel()
-    steps = _block_steps(n, m)
-    block = np.empty((n, steps))
-    running = None
-    for j in range(0, m, steps):
-        w = min(steps, m - j)
-        for s in range(0, n, _CHUNK_ROWS):
-            e = min(s + _CHUNK_ROWS, n)
-            idx = cells(_trajectory_uniforms(seed, s, e, w, j))
-            # in-range indices: "clip" writes in place, "raise" via a temporary
-            np.take(log_ratio, idx, out=block[s:e, :w], mode="clip")
-        for c in range(w):
-            if running is None:
-                running = block[:, 0].copy()  # the first draw itself, as cumsum keeps -0.0
-            else:
-                running += block[:, c]
-                block[:, c] = running
-        yield j, w, block, running
-
-
 def simulate_ensemble(config: EnsembleConfig) -> TrajectoryEnsemble:
     """Run the full ensemble and summarize the posterior per step.
 
@@ -323,10 +292,29 @@ def simulate_ensemble(config: EnsembleConfig) -> TrajectoryEnsemble:
     """
     _refuse_above_budget(config, config.truth_dist.probs.size)
     n, m = config.n_trajectories, config.n_measurements
+    seed = int(config.seed)
     r25, r75 = math.ceil(0.25 * n) - 1, math.ceil(0.75 * n) - 1
     mean_pe, q25, q75 = np.empty(m), np.empty(m), np.empty(m)
     column = np.empty(n)
-    for j, w, block, final in _running_blocks(config):
+    cells = config.truth_dist.inverse_cdf.cells
+    log_ratio = config.pair.log_ratio.ravel()
+    steps = _block_steps(n, m)
+    block = np.empty((n, steps))
+    final = None
+    for j in range(0, m, steps):
+        w = min(steps, m - j)
+        for s in range(0, n, _CHUNK_ROWS):
+            e = min(s + _CHUNK_ROWS, n)
+            idx = cells(_trajectory_uniforms(seed, s, e, w, j))
+            # in-range indices: "clip" writes in place, "raise" via a temporary
+            np.take(log_ratio, idx, out=block[s:e, :w], mode="clip")
+        # the running log ratios, added column by column in np.cumsum's order
+        for c in range(w):
+            if final is None:
+                final = block[:, 0].copy()  # the first draw itself, as cumsum keeps -0.0
+            else:
+                final += block[:, c]
+                block[:, c] = final
         pe = block[:, :w]  # the posteriors overwrite the log ratios
         np.negative(pe, out=pe)
         expit(pe, out=pe)
@@ -359,15 +347,12 @@ def loglambda_histogram(config: EnsembleConfig, bins: int = 60) -> LogLambdaHist
     """Histogram the final log ratio across the ensemble, with the
     matching normal-approximation parameters for overlay.
 
-    The samples are ``simulate_ensemble(config).final_log_lambda``, bit
-    for bit: both are the running log ratios of ``_running_blocks``, here
-    without the posterior summaries.
+    The samples are ``simulate_ensemble(config).final_log_lambda``: the
+    ensemble is run whole, summaries and memory check included.
     """
     if not _is_whole(bins) or bins < 1:
         raise ParameterError(f"bins must be an integer >= 1, got {bins!r}")
-    _refuse_above_budget(config, config.truth_dist.probs.size)
-    for *_, samples in _running_blocks(config):
-        pass  # the running log ratios, final after the last block
+    samples = simulate_ensemble(config).final_log_lambda
     m = loglik_moments(config.pair)
     n = config.n_measurements
     if config.truth is Truth.PRESENT:

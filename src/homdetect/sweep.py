@@ -340,7 +340,8 @@ _ROW_FIELDS = ("protocol", "eta", "n_e", "n_i", "n_c", "t", "N", "speedup", "at_
 class SweepRow:
     """One evaluated grid point; ``error`` holds the failure message when
     the point could not be evaluated, and n_c is then None if it was to
-    be optimized."""
+    be optimized.  A row whose direct baseline alone failed keeps its N,
+    n_c and at_bound, and only its speedup is None."""
 
     protocol: str
     eta: float
@@ -360,12 +361,11 @@ class SweepRow:
 
     def _csv_cells(self) -> tuple:
         """The record as CSV cells: n_c, N, speedup and at_bound as text,
-        the last three empty on an error row and n_c empty where None."""
-        *point, n_c, t, n, speedup, at_bound, error = self._record()
-        n_c = "" if n_c is None else "%.17g" % n_c
-        if error is not None:
-            return (*point, n_c, t, "", "", "")
-        return (*point, n_c, t, n, "%.17g" % speedup, "true" if at_bound else "false")
+        each empty where None."""
+        *point, n_c, t, n, speedup, at_bound, _ = self._record()
+        return (*point, "" if n_c is None else "%.17g" % n_c, t, "" if n is None else n,
+                "" if speedup is None else "%.17g" % speedup,
+                "" if at_bound is None else "true" if at_bound else "false")
 
 
 @dataclass(frozen=True)
@@ -417,26 +417,30 @@ def evaluate_point(spec: SweepSpec, point: tuple) -> SweepRow:
     A point that cannot be evaluated (degenerate parameters,
     indistinguishable hypotheses, truncation overflow) becomes an error
     row: the failure message, no N, speedup or at_bound, and the point's
-    own n_c, None where it was to be optimized.  Under ``run_sweep`` the
-    point reads its row group's moments and the sweep's direct baseline
-    instead of rebuilding them.
+    own n_c, None where it was to be optimized.  A two-detector point
+    whose direct baseline alone fails keeps its N, n_c and at_bound, has
+    no speedup, and reads ``direct baseline: <message>`` in ``error``.
+    Under ``run_sweep`` the point reads its row group's moments and the
+    sweep's direct baseline instead of rebuilding them.
     """
     protocol, eta, ne, ni, t, nc = point
     optimize = nc == "optimize"
+    n_c, n, at_bound = None if optimize else nc, None, None
     try:
         params = ProtocolParams(protocol=protocol, xi=spec.xi, eta=eta, epsilon=spec.epsilon,
                                 n_c=0.0 if optimize else nc, n_e=ne, n_i=ni,
                                 cos_theta=spec.cos_theta)
-        n_c, n, at_bound = nc, None, False
         if optimize:
             n_c, n, at_bound = optimize_nc(params, t, spec.c_target, spec.nc_bounds)
         elif params.protocol is not Protocol.DIRECT:
-            n = n_two_sigma(params, t, spec.c_target)
+            n, at_bound = n_two_sigma(params, t, spec.c_target), False
         n_direct = _direct_n(params, t, spec.c_target)
     except (ValueError, RuntimeError) as exc:
-        return SweepRow(protocol, eta, ne, ni, None if optimize else nc, t, None, None, None,
-                        error=str(exc))
-    n = n_direct if n is None else n
+        # a row with its N has failed in the baseline alone
+        return SweepRow(protocol, eta, ne, ni, n_c, t, n, None, at_bound,
+                        error=str(exc) if n is None else f"direct baseline: {exc}")
+    if n is None:  # a direct point is its own baseline
+        n, at_bound = n_direct, False
     return SweepRow(protocol, eta, ne, ni, n_c, t, n, n_direct / n, at_bound)
 
 

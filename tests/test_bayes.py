@@ -619,8 +619,7 @@ def test_n_search_stops_early_with_identical_result(monkeypatch):
     # both the real root and the integer N equal the reference bisection
     # exactly over 20 000 seeded searches: near-flat moments, where N is
     # 1e7..4e10, and targets within 1e-9 of 0.5 and of 1, where the
-    # confidence's floats are flat over more than Newton's window and the
-    # search takes the doubling bracket
+    # confidence's floats are flat over runs far wider than 1e-12 of N
     calls = [0]
     confidences = bayes._confidences
 
@@ -651,6 +650,38 @@ def test_n_search_stops_early_with_identical_result(monkeypatch):
     assert largest > 1e10
     # bisection over the plain bracket takes about 64 confidences a search
     assert windowed_calls / windowed <= 25
+
+
+def test_newton_window_holds_near_half_and_one(monkeypatch):
+    # near c = 0.5 and 1 the confidence is flat over runs of floats wider
+    # than 1e-12 of N; the window widened by its rounding over its slope
+    # is still confirmed, so no search doubles from 1 (64..155
+    # confidences), and the root is the reference's float.  Halving the
+    # window to adjacent floats costs log2 of its width in floats: it is
+    # about 9e-6 N wide at 0.5 + 1e-10, so 35 or 36 halvings, against 14
+    # at 0.954
+    calls = [0]
+    confidences = bayes._confidences
+
+    def counted(n, m):
+        calls[0] += 1
+        return confidences(n, m)
+
+    monkeypatch.setattr(bayes, "_confidences", counted)
+    rng = np.random.default_rng(20261019)
+    most = {0.954: 17, 0.5 + 1e-10: 39, 0.5 + 1e-6: 25, 1.0 - 1e-6: 21, 1.0 - 1e-10: 33}
+    for target, bound in most.items():
+        counts = []
+        for i in range(500):
+            m = _seeded_moments(rng, flat=i % 4 == 3)
+            root = _n_real_200_halvings(m, target)
+            calls[0] = 0
+            assert _n_real(m, target) == root
+            counts.append(calls[0])
+            assert bayes._bracket(m, target)[0] > 0.0  # Newton's window, not (0, 2^k]
+        assert max(counts) <= bound, target
+        if target == 0.954:
+            assert np.mean(counts) <= 16
 
 
 def test_n_search_keeps_the_cap_refusal():

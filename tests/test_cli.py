@@ -312,12 +312,14 @@ def test_point_queries_exit_two_on_bad_points(capsys):
 @pytest.mark.parametrize("background", ["1", "0"])
 def test_point_commands_are_one_point_sweeps(protocol, background, capsys):
     # nmeas and speedup print the row of the flag form of sweep, in both
-    # formats, or exit 2 with its message when it is an error row; with no
-    # background, every row's direct baseline has a zero spread and fails
+    # formats, or exit 2 with its message when the row lacks the command's
+    # answer (N for nmeas, the speedup for speedup); with no background,
+    # every row's direct baseline has a zero spread and fails, so a direct
+    # row has no N and a two-detector row keeps its N but has no speedup
     commands = [["nmeas"]]
     if protocol != "direct":
         commands += [["speedup"], ["speedup", "--optimize-nc"]]
-    errors = 0
+    errors, exits = 0, set()
     for t in ("inf", "4", "2", "1"):
         flags = ["--protocol", protocol, "--eta", "0.9", "--ne", background,
                  "--ni", background, "--saturation", t]
@@ -329,12 +331,16 @@ def test_point_commands_are_one_point_sweeps(protocol, background, capsys):
                 if fmt == "json":
                     (row,) = json.loads(swept)["rows"]
                 got = run(command + flags + ["--format", fmt], capsys)
-                if row["error"] is None:
+                if row["N" if command == ["nmeas"] else "speedup"] is not None:
                     assert got == (0, swept, ""), (command, t, fmt)
                 else:
                     errors += 1
                     assert got == (2, "", f"error: {row['error']}\n"), (command, t, fmt)
+                exits.add((command[0], got[0]))
     assert bool(errors) == (background == "0")
+    if background == "0":
+        two_detector = {("nmeas", 0), ("speedup", 2)}
+        assert exits == ({("nmeas", 2)} if protocol == "direct" else two_detector)
 
 
 def test_sweep_preset_and_config_conflict(tmp_path, capsys):
@@ -509,8 +515,9 @@ def _strict_json(text):
 
 
 def test_every_json_output_is_strict_json(tmp_path, capsys):
-    # an optimized row that fails has no brightness: null, not NaN
-    failing = config_file(tmp_path, {"protocols": ["direct", "coherent"], "eta": [0.9],
+    # an optimized row that fails has no brightness: null, not NaN, and a
+    # row whose direct baseline alone fails has no speedup: null
+    failing = config_file(tmp_path, {"protocols": ["direct", "coherent"], "eta": [0.0, 0.9],
                                      "n_e": [0.0], "n_c": "optimize"})
     for argv in (["dist"] + HEADLINE_FLAGS, ["dist", "--diff"] + HEADLINE_FLAGS,
                  ["nmeas"] + LOW_FLAGS, ["speedup"] + HEADLINE_FLAGS,
@@ -518,7 +525,11 @@ def test_every_json_output_is_strict_json(tmp_path, capsys):
         code, out, err = run(argv + ["--format", "json"], capsys)
         assert code == 0, err
         doc = _strict_json(out)
-    assert [(r["n_c"], r["error"] is not None) for r in doc["rows"]] == [(0.0, True), (None, True)]
+    *failed, kept = doc["rows"]
+    assert [(r["n_c"], r["N"], r["speedup"]) for r in failed] == [(0.0, None, None)] * 2 + [
+        (None, None, None)]
+    assert kept["n_c"] > 0.0 and kept["N"] >= 1 and kept["speedup"] is None
+    assert all(r["error"] is not None for r in doc["rows"])
     code, _, err = run(["simulate", "--format", "json", "-o", str(tmp_path / "run.json")]
                        + LOW_FLAGS + SIM_FLAGS, capsys)
     assert code == 0, err

@@ -445,7 +445,7 @@ def test_histogram_respects_truth_and_guards():
     for bad in (2.5, "10", True):
         with pytest.raises(ParameterError, match="bins must be an integer"):
             loglambda_histogram(c, bins=bad)
-    # the histogram runs the ensemble's loop, and is refused above the budget too
+    # the histogram runs the ensemble, and is refused above the budget too
     with pytest.raises(ParameterError, match="budget"):
         loglambda_histogram(config(n_trajectories=200_000_000))
 
@@ -453,11 +453,14 @@ def test_histogram_respects_truth_and_guards():
 @pytest.mark.parametrize("truth", list(Truth))
 @pytest.mark.parametrize("t", [None, 2])
 def test_histogram_samples_are_the_ensemble_final_log_ratios(t, truth):
-    # the histogram keeps the ensemble's running sums, drawn a chunk of
-    # trajectories at a time; N ends inside, at and just past a chunk edge
+    # the histogram bins simulate_ensemble's final log ratios, drawn a
+    # chunk of trajectories at a time; N ends inside, at and just past a
+    # chunk edge.  The reference draws all n x m steps at once, outside the
+    # ensemble's block loop, and sums each row with np.cumsum
     pair = HypothesisPair.from_params(HOM).saturated(t)
-    rows = _CHUNK_ROWS
+    rows, m = _CHUNK_ROWS, 50
     for n in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
-        c = EnsembleConfig(pair=pair, truth=truth, n_measurements=50, n_trajectories=n, seed=5)
-        samples = loglambda_histogram(c).samples
-        assert np.array_equal(samples, simulate_ensemble(c).final_log_lambda)
+        c = EnsembleConfig(pair=pair, truth=truth, n_measurements=m, n_trajectories=n, seed=5)
+        idx = c.truth_dist.inverse_cdf.cells(_trajectory_uniforms(5, 0, n, m))
+        cum = np.cumsum(pair.log_ratio.ravel()[idx], axis=1)
+        assert np.array_equal(loglambda_histogram(c).samples, cum[:, -1])

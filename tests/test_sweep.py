@@ -428,7 +428,7 @@ def test_sweep_rows_equal_points_evaluated_alone(saturations, n_c):
     # a sweep folds one unsaturated build per brightness at every
     # saturation of its row group; each row must still be what its point
     # gives alone.  n_e = 0 leaves direct detection a zero spread, so its
-    # rows are error rows
+    # rows are error rows and the two-detector rows there have no speedup
     spec = SweepSpec(protocols=("direct", "coherent", "incoherent"), eta=(0.9,),
                      n_e=(0.0, 1.0), n_c=n_c, saturations=saturations,
                      nc_bounds=(1e-2, 10.0))
@@ -438,6 +438,33 @@ def test_sweep_rows_equal_points_evaluated_alone(saturations, n_c):
     for row, point in zip(rows, points):
         assert row == sweep_module.evaluate_point(spec, point)
     assert any(r.error is None for r in rows) and any(r.error is not None for r in rows)
+
+
+@pytest.mark.parametrize("n_c", ["optimize", (1.0,)])
+@pytest.mark.parametrize("t", [None, 4, 2, 1])
+def test_rows_keep_their_n_when_only_the_direct_baseline_fails(t, n_c):
+    # without background, direct detection's absent truth yields one record
+    # alone, so the baseline's spread is zero and it fails; the direct row
+    # is an error row, and each two-detector row keeps its N, n_c and
+    # at_bound with no speedup
+    spec = SweepSpec(protocols=("direct", "coherent", "incoherent"), xi=0.1, epsilon=1.0,
+                     eta=(0.9,), n_e=(0.0,), n_c=n_c, saturations=(t,), nc_bounds=(1e-2, 10.0))
+    direct, *rows = run_sweep(spec).rows
+    assert direct.error.startswith("log-ratio spread is zero")
+    assert (direct.n_2sigma, direct.speedup, direct.at_bound) == (None, None, None)
+    assert direct.n_c == 0.0
+    for row in rows:
+        assert row.error.startswith("direct baseline: log-ratio spread is zero")
+        assert row.speedup is None and isinstance(row.at_bound, bool)
+        assert row.n_c is not None and row.n_2sigma >= 1
+        params = ProtocolParams(protocol=row.protocol, xi=0.1, eta=0.9, epsilon=1.0,
+                                n_c=row.n_c, n_e=0.0, n_i=0.0)
+        assert row.n_2sigma == n_two_sigma(params, t)
+        cells = SweepResult(spec, (row,)).csv_text().splitlines()[1].split(",")
+        assert cells[4:] == ["%.17g" % row.n_c, "inf" if t is None else str(t), str(row.n_2sigma), "",
+                             "true" if row.at_bound else "false"]
+    if n_c != "optimize" and t is None:
+        assert [r.n_2sigma for r in rows] == [34, 563]
 
 
 def _count_builds(monkeypatch) -> list:

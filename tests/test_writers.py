@@ -100,8 +100,10 @@ def ref_sweep_csv(result):
     lines = ["protocol,eta,n_e,n_i,n_c,t,N,speedup,at_bound"]
     for r in result.rows:
         t = "inf" if r.t is None else str(r.t)
-        if r.error is not None:
+        if r.n_2sigma is None:  # an error row
             tail = ",,"
+        elif r.speedup is None:  # a row whose direct baseline alone failed
+            tail = f"{r.n_2sigma},,{'true' if r.at_bound else 'false'}"
         else:
             tail = f"{r.n_2sigma},{r.speedup:.17g},{'true' if r.at_bound else 'false'}"
         n_c = "" if r.n_c is None else f"{r.n_c:.17g}"
