@@ -43,7 +43,7 @@ from .photon_stats import (
     ProtocolParams,
     _json_text,
     _parse_saturation,
-    _table_document,
+    _table_json_text,
     _table_k_max,
     apply_saturation,
     atomic_write_text,
@@ -177,7 +177,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
     if args.format == "csv":
         text = table_csv_text(table, header)
     else:
-        text = _json_text(_table_document(params, t, table, key, value))
+        text = _table_json_text(params, t, table, key, value)
     _emit(text, args.output)
     return 0
 

@@ -50,10 +50,19 @@ __all__ = [
 # symmetric grid is exact up to rounding; 64 keeps that slack negligible.
 PHASE_GRID = 64
 
-# Largest per-mode truncation.  The _mode_tensors cache keeps four complex
-# dim x dim arrays for each of up to 64 phases, 4 KiB * dim**2 in all:
-# 164 MB at this cap.
+# Largest per-mode truncation.  A table call holds the pair tensors of one
+# group of phases at a time, a few complex arrays of GROUP_BYTES or of one
+# phase's 16 B * loss_sum_max**2 (640 kB at this cap), and keeps none after
+# it returns; the cap bounds its work, 64 phases of dim**2 cells each.
 FOCK_DIM_MAX = 200
+
+# Largest complex pair tensor of a group of phases, so that a group's
+# tensors stay in cache; one phase's tensor may exceed it.
+GROUP_BYTES = 128 * 1024
+
+# Amplitude rows up to which the coherent-state recurrence runs on Python
+# floats; numpy's per-call cost only pays from about this many rows.
+SCALAR_ROWS = 8
 
 NORM_DEFICIT_TOL = 1e-10
 LOSS_RESIDUAL_TOL = 1e-10
@@ -102,59 +111,105 @@ class OracleConfig:
             )
 
 
-def _coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
-    """Number-basis amplitudes of a coherent state, <n|alpha>, n < dim."""
-    c = np.zeros(dim, dtype=complex)
-    c[0] = 1.0
-    for n in range(1, dim):
-        c[n] = c[n - 1] * alpha / math.sqrt(n)
-    return c * math.exp(-abs(alpha) ** 2 / 2.0)
+def _phases(cfg: OracleConfig) -> list[float]:
+    """cos(theta) of each reference phase the protocol reads: the configured
+    one, or PHASE_GRID evenly spaced ones for the incoherent protocol."""
+    if cfg.params.protocol is not Protocol.INCOHERENT_HOM:
+        return [cfg.params.cos_theta]
+    return [math.cos(2.0 * math.pi * i / PHASE_GRID) for i in range(PHASE_GRID)]
 
 
-def _raised(c: np.ndarray) -> np.ndarray:
-    """Amplitudes of a-dagger applied to the state with amplitudes c:
-    <n| a-dagger |psi> = sqrt(n) <n-1|psi>."""
-    out = np.zeros_like(c)
-    out[1:] = np.sqrt(np.arange(1, c.size)) * c[:-1]
-    return out
+def _coherent_rows(alphas: list[complex], length: int) -> np.ndarray:
+    """Number-basis amplitudes <n|alpha>, n < length, one row per alpha.
 
-
-@lru_cache(maxsize=64)
-def _mode_tensors(cfg: OracleConfig, cos_theta: float):
-    """Pairwise amplitude tensors for the detected and lost mode pairs.
-
-    Returns (U, V, W, X): U and W are the bare displaced-vacuum amplitude
-    products for the detected and lost pairs; V and X are the same pairs
-    with the emitter photon added to one mode of the pair, weighted by the
-    emitter's split amplitudes.
+    The recurrence c[n] = c[n-1] alpha / sqrt(n) runs in real arithmetic:
+    the complex product (c alpha) written out, then a multiplication by
+    1 / sqrt(n), which is how numpy's complex division (Smith's method)
+    divides by sqrt(n) + 0j.  So each value is that of the recurrence on
+    numpy complex scalars; only the sign of a zero may differ, and no later
+    product, square or sum reads it.  A few rows run on Python floats, more
+    on every row at once in numpy.
     """
+    a = np.array(alphas, dtype=complex)
+    steps = np.empty((length, 2, a.size))  # (re, im) of c[n] per row
+    if a.size <= SCALAR_ROWS:
+        for row, alpha in enumerate(alphas):
+            ar, ai, re, im = alpha.real, alpha.imag, 1.0, 0.0
+            cells = [(re, im)]
+            for n in range(1, length):
+                scale = 1.0 / math.sqrt(n)
+                re, im = (re * ar - im * ai) * scale, (re * ai + im * ar) * scale
+                cells.append((re, im))
+            steps[:, :, row] = cells
+    else:
+        steps[0, 0], steps[0, 1] = 1.0, 0.0
+        same = np.array([a.real, a.real])  # times (re, im): re ar, im ar
+        swap = np.array([-a.imag, a.imag])  # times (im, re): -im ai, re ai
+        cross = np.empty((2, a.size))
+        for n in range(1, length):
+            prev, step = steps[n - 1], steps[n]
+            np.multiply(prev, same, out=step)
+            np.multiply(prev[::-1], swap, out=cross)
+            step += cross
+            step *= 1.0 / math.sqrt(n)
+    norm = np.array([math.exp(-abs(alpha) ** 2 / 2.0) for alpha in alphas])
+    rows = np.empty((a.size, length), dtype=complex)
+    np.multiply(steps[:, 0].T, norm[:, None], out=rows.real)
+    np.multiply(steps[:, 1].T, norm[:, None], out=rows.imag)
+    return rows
+
+
+def _pair_rows(plus: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A mode pair displaced by (-alpha, +alpha), from the rows of +alpha:
+    the amplitudes of each mode and of each mode with one photon added,
+    <n| a-dagger |psi> = sqrt(n) <n-1|psi>.  Negating alpha negates the odd
+    amplitudes exactly."""
+    minus = plus.copy()
+    np.negative(minus[:, 1::2], out=minus[:, 1::2])
+    root = np.sqrt(np.arange(1, plus.shape[1]))
+    raised = []
+    for c in (minus, plus):
+        r = np.zeros_like(c)
+        r[:, 1:] = root * c[:, :-1]
+        raised.append(r)
+    return minus, plus, *raised
+
+
+def _amplitude_rows(cfg: OracleConfig, length: int):
+    """The rows of ``_pair_rows`` for the detected and the lost pair, one
+    per phase of ``_phases``, for photon numbers below length."""
     p = cfg.params
-    dim = cfg.fock_dim
-    sin_theta = math.sqrt(max(0.0, 1.0 - cos_theta * cos_theta))
-    alpha_c = math.sqrt(p.n_c) * complex(cos_theta, sin_theta)
-    alpha_d = math.sqrt(p.eta * p.epsilon / 2.0) * alpha_c
-    alpha_l = math.sqrt((1.0 - p.eta) * p.epsilon / 2.0) * alpha_c
-
-    d1 = _coherent_amplitudes(-alpha_d, dim)
-    d2 = _coherent_amplitudes(alpha_d, dim)
-    l1 = _coherent_amplitudes(-alpha_l, dim)
-    l2 = _coherent_amplitudes(alpha_l, dim)
-
-    U = np.outer(d1, d2)
-    V = math.sqrt(p.eta / 2.0) * (np.outer(_raised(d1), d2) + np.outer(d1, _raised(d2)))
-    W = np.outer(l1, l2)
-    X = math.sqrt((1.0 - p.eta) / 2.0) * (np.outer(_raised(l1), l2) + np.outer(l1, _raised(l2)))
-    return U, V, W, X
+    detected, lost = [], []
+    for cos_theta in _phases(cfg):
+        sin_theta = math.sqrt(max(0.0, 1.0 - cos_theta * cos_theta))
+        alpha_c = math.sqrt(p.n_c) * complex(cos_theta, sin_theta)
+        detected.append(math.sqrt(p.eta * p.epsilon / 2.0) * alpha_c)
+        lost.append(math.sqrt((1.0 - p.eta) * p.epsilon / 2.0) * alpha_c)
+    rows = _coherent_rows(detected + lost, length)
+    return _pair_rows(rows[: len(detected)]), _pair_rows(rows[len(detected):])
 
 
-def _amplitude_parts(cfg: OracleConfig, cos_theta: float):
-    """Detected-pair factors of the output amplitude:
+def _pair_tensors(pair, weight: float, rows, cols):
+    """Amplitude products of a mode pair per phase over the index boxes rows
+    x cols: the bare displaced vacuum, c1[m] c2[n], and the same pair with
+    the emitter photon added to one mode, weighted by its split amplitude.
+
+    Each product has np.outer's shape, a stride-0 factor times a contiguous
+    row, so every cell has the bits of the per-phase outer product.
+    """
+    minus, plus, raised_minus, raised_plus = pair
+    bare = minus[:, rows, None] * plus[:, None, cols]
+    photon = raised_minus[:, rows, None] * plus[:, None, cols]
+    photon += minus[:, rows, None] * raised_plus[:, None, cols]
+    photon *= weight
+    return bare, photon
+
+
+def _detected_parts(cfg: OracleConfig, U: np.ndarray, V: np.ndarray):
+    """Detected-pair factors of the output amplitude,
     A[k,l,m,n] = B[k,l] W[m,n] + E[k,l] X[m,n]."""
-    p = cfg.params
-    U, V, W, X = _mode_tensors(cfg, cos_theta)
-    B = math.sqrt(1.0 - p.xi) * U + math.sqrt(p.xi) * V
-    E = math.sqrt(p.xi) * U
-    return B, E, W, X
+    xi = cfg.params.xi
+    return math.sqrt(1.0 - xi) * U + math.sqrt(xi) * V, math.sqrt(xi) * U
 
 
 def _check_indices(cfg: OracleConfig, *indices: int) -> None:
@@ -165,57 +220,35 @@ def _check_indices(cfg: OracleConfig, *indices: int) -> None:
             raise ParameterError(f"mode index {idx} outside [0, fock_dim)")
 
 
-def _phase_average(cfg: OracleConfig, f):
-    """f(cos_theta) at the configured reference phase, or for the
-    incoherent protocol its mean over PHASE_GRID evenly spaced phases."""
-    if cfg.params.protocol is not Protocol.INCOHERENT_HOM:
-        return f(cfg.params.cos_theta)
-    phases = [math.cos(2.0 * math.pi * i / PHASE_GRID) for i in range(PHASE_GRID)]
-    return np.mean([f(ct) for ct in phases], axis=0)
+@lru_cache(maxsize=2)
+def _joint_rows(cfg: OracleConfig):
+    """``_amplitude_rows`` over the whole basis, kept for the one-cell calls
+    of ``joint_pmf``: a few complex rows of fock_dim per phase."""
+    return _amplitude_rows(cfg, cfg.fock_dim)
 
 
 def joint_pmf(cfg: OracleConfig, k: int, l: int, m: int, n: int) -> float:
     """Probability of k, l photons on the detected pair and m, n on the
-    lost pair, before any background is added."""
+    lost pair, before any background is added, averaged over the phases."""
     _check_indices(cfg, k, l, m, n)
-
-    def f(cos_theta: float):
-        B, E, W, X = _amplitude_parts(cfg, cos_theta)
-        return abs(B[k, l] * W[m, n] + E[k, l] * X[m, n]) ** 2
-
-    return float(_phase_average(cfg, f))
-
-
-def _traced_table(cfg: OracleConfig, cos_theta: float, k_hi: int, l_hi: int) -> np.ndarray:
-    """Sum the joint pmf over the lost pair, for detected counts up to
-    (k_hi, l_hi) inclusive.
-
-    With A = B W + E X and the lost-pair sum running over the truncated
-    box, the quadratic expands into three scalar sums over (m, n), leaving
-    a closed expression per detected pair.  The discarded mass is bounded
-    by Poisson tails of the lost-mode brightness and must stay below
-    LOSS_RESIDUAL_TOL.
-    """
-    B, E, W, X = _amplitude_parts(cfg, cos_theta)
-    M = cfg.loss_sum_max
-    Wb, Xb = W[:M, :M], X[:M, :M]
-    s_ww = float(np.sum(np.abs(Wb) ** 2))
-    s_xx = float(np.sum(np.abs(Xb) ** 2))
-    s_wx = complex(np.sum(Wb * np.conj(Xb)))
-
-    Bs, Es = B[: k_hi + 1, : l_hi + 1], E[: k_hi + 1, : l_hi + 1]
-    table = (
-        np.abs(Bs) ** 2 * s_ww
-        + np.abs(Es) ** 2 * s_xx
-        + 2.0 * np.real(Bs * np.conj(Es) * s_wx)
-    )
-
-    # Residual bound: |A|^2 <= 2|B|^2 |W|^2 + 2|E|^2 |X|^2 pointwise.  The
-    # |W|^2 terms are a product of two Poisson pmfs in the lost-mode
-    # brightness n_l, and the |X|^2 bound is a pair of shifted Poisson
-    # series whose full sums are (n_l + 1) each, so both out-of-box
-    # remainders follow from truncated Poisson sums.
     p = cfg.params
+    detected, lost = _joint_rows(cfg)
+    k, l, m, n = (slice(i, i + 1) for i in (k, l, m, n))
+    B, E = _detected_parts(cfg, *_pair_tensors(detected, math.sqrt(p.eta / 2.0), k, l))
+    W, X = _pair_tensors(lost, math.sqrt((1.0 - p.eta) / 2.0), m, n)
+    return float(np.mean(np.abs(B * W + E * X) ** 2))
+
+
+def _loss_tails(cfg: OracleConfig) -> tuple[float, float]:
+    """Out-of-box mass bounds of the lost-pair sums, |W|^2 and |X|^2.
+
+    The |W|^2 terms are a product of two Poisson pmfs in the lost-mode
+    brightness n_l, and the |X|^2 bound is a pair of shifted Poisson series
+    whose full sums are (n_l + 1) each, so both remainders follow from
+    truncated Poisson sums.  Neither depends on the phase.
+    """
+    p = cfg.params
+    M = cfg.loss_sum_max
     n_l = (1.0 - p.eta) * p.epsilon * p.n_c / 2.0
     counts = np.arange(M, dtype=float)
     pois_row = _poisson_vec(counts, n_l)
@@ -223,21 +256,68 @@ def _traced_table(cfg: OracleConfig, cos_theta: float, k_hi: int, l_hi: int) -> 
     tail_ww = max(0.0, 1.0 - head * head)
     head_raised = float(((counts + 1.0) * pois_row)[: M - 1].sum())
     tail_xx = 2.0 * (1.0 - p.eta) * max(0.0, (n_l + 1.0) - head_raised * head)
-    worst = 2.0 * float(np.max(np.abs(Bs) ** 2)) * tail_ww + 2.0 * float(
-        np.max(np.abs(Es) ** 2)
-    ) * tail_xx
-    if worst > LOSS_RESIDUAL_TOL:
-        raise OracleTruncationError(
-            f"lost-mode sum residual bound {worst:.3e} above {LOSS_RESIDUAL_TOL}; raise loss_sum_max"
+    return tail_ww, tail_xx
+
+
+def _group_size(cells: int, phases: int) -> int:
+    """Phases per group: the largest power of two, at most ``phases``, whose
+    complex tensors of ``cells`` cells each fit in GROUP_BYTES."""
+    group = 1
+    while 2 * group <= phases and 2 * group * cells * 16 <= GROUP_BYTES:
+        group *= 2
+    return group
+
+
+def _traced(cfg: OracleConfig, k_hi: int, l_hi: int) -> np.ndarray:
+    """The joint pmf summed over the lost pair, for detected counts up to
+    (k_hi, l_hi) inclusive, averaged over the phases.
+
+    With A = B W + E X and the lost-pair sum running over the truncated
+    box, the quadratic expands into three scalar sums over (m, n), leaving
+    a closed expression per detected pair.  The phases go in groups of
+    ``_group_size``, each building its pair tensors over the two boxes
+    alone, and no tensor outlives its group.  Each group's tensors are
+    contiguous, so every product reads its rows as the per-phase outer
+    products did and every sum runs over one phase's contiguous box: each
+    cell keeps the bits of the phase-by-phase computation.  The discarded
+    mass is bounded pointwise, |A|^2 <= 2|B|^2 |W|^2 + 2|E|^2 |X|^2, by
+    ``_loss_tails``, and must stay below LOSS_RESIDUAL_TOL at every phase.
+    """
+    p = cfg.params
+    M, J, K = cfg.loss_sum_max, k_hi + 1, l_hi + 1
+    tail_ww, tail_xx = _loss_tails(cfg)
+    detected, lost = _amplitude_rows(cfg, max(J, K, M))
+    phases = detected[0].shape[0]
+    group = _group_size(max(J * K, M * M), phases)
+    tables = np.empty((phases, J, K))
+    box, rows, cols = slice(0, M), slice(0, J), slice(0, K)
+    for start in range(0, phases, group):
+        g = slice(start, start + group)
+        W, X = _pair_tensors([c[g] for c in lost], math.sqrt((1.0 - p.eta) / 2.0), box, box)
+        s_ww = (np.abs(W) ** 2).sum(axis=(1, 2))[:, None, None]
+        s_xx = (np.abs(X) ** 2).sum(axis=(1, 2))[:, None, None]
+        s_wx = (W * np.conj(X)).sum(axis=(1, 2))[:, None, None]
+        del W, X
+        B, E = _detected_parts(
+            cfg, *_pair_tensors([c[g] for c in detected], math.sqrt(p.eta / 2.0), rows, cols)
         )
-    return table
+        bb, ee = np.abs(B) ** 2, np.abs(E) ** 2
+        tables[g] = bb * s_ww + ee * s_xx + 2.0 * np.real(B * np.conj(E) * s_wx)
+        worst = 2.0 * bb.max(axis=(1, 2)) * tail_ww + 2.0 * ee.max(axis=(1, 2)) * tail_xx
+        over = worst[worst > LOSS_RESIDUAL_TOL]
+        if over.size:
+            raise OracleTruncationError(
+                f"lost-mode sum residual bound {over[0]:.3e} above {LOSS_RESIDUAL_TOL}; "
+                "raise loss_sum_max"
+            )
+    return tables[0] if phases == 1 else tables.mean(axis=0)
 
 
 def traced_pmf(cfg: OracleConfig, k: int, l: int) -> float:
     """Probability of detected counts (k, l) with the lost pair summed out,
     before any background is added."""
     _check_indices(cfg, k, l)
-    return float(_phase_average(cfg, lambda ct: _traced_table(cfg, ct, k, l)[k, l]))
+    return float(_traced(cfg, k, l)[k, l])
 
 
 def oracle_table(cfg: OracleConfig, j_max: int, k_max: int) -> np.ndarray:
@@ -248,7 +328,7 @@ def oracle_table(cfg: OracleConfig, j_max: int, k_max: int) -> np.ndarray:
     each.
     """
     _check_indices(cfg, j_max, k_max)
-    traced = _phase_average(cfg, lambda ct: _traced_table(cfg, ct, j_max, k_max))
+    traced = _traced(cfg, j_max, k_max)
     nu = derived_means(cfg.params).n_noise / 2.0
     noise_j = _poisson_vec(np.arange(j_max + 1.0), nu)
     noise_k = _poisson_vec(np.arange(k_max + 1.0), nu)

@@ -285,6 +285,11 @@ def _bracketed(
     if p.protocol is Protocol.DIRECT:
         q = p.eta * p.xi
         return _clamp_negative((1.0 - q) * envelope + q * _poisson_vec(counts - 1.0, n_noise))
+    if n_bar == 0.0:
+        # no light but the emitter's: its photon is detected with
+        # probability eta xi, at either detector alike, with no background
+        q = p.eta * p.xi
+        return (1.0 - q) * envelope + (q / 2.0) * (np.add.outer(counts, cols) == 1.0)
     if n_bar**2 == 0.0:
         # the bracket divides by n_bar**2, which underflows below about 2e-162
         raise DegenerateParameterError(
@@ -522,18 +527,44 @@ def table_csv_text(table: np.ndarray, value_header: str) -> str:
     return _csv_text(columns, "%d," * table.ndim + "%.17g", _cells(table))
 
 
-def _table_document(params: ProtocolParams, saturation: int | None, table: np.ndarray,
-                    key: str, value) -> dict:
-    """The JSON document of a count table: its params, saturation and
-    k_max, then ``key`` (tail_mass, or diff for a difference table), then
-    the entries [j, k, value] or [j, value] in row-major order."""
+def _table_head(params: ProtocolParams, saturation: int | None, table: np.ndarray,
+                key: str, value) -> dict:
+    """A count table's document up to its entries: its params, saturation
+    and k_max, then ``key`` (tail_mass, or diff for a difference table)."""
     return {
         "params": params.to_dict(),
         "saturation": saturation,
         "k_max": table.shape[0] - 1,
         key: value,
-        "entries": list(map(list, _cells(table))),
     }
+
+
+def _table_document(params: ProtocolParams, saturation: int | None, table: np.ndarray,
+                    key: str, value) -> dict:
+    """The JSON document of a count table: ``_table_head``, then the
+    entries [j, k, value] or [j, value] in row-major order."""
+    return {**_table_head(params, saturation, table, key, value),
+            "entries": list(map(list, _cells(table)))}
+
+
+def _table_json_text(params: ProtocolParams, saturation: int | None, table: np.ndarray,
+                     key: str, value) -> str:
+    """``_json_text`` of ``_table_document``, byte for byte.
+
+    json indents through its pure-Python encoder, about three times the
+    cost of its C one, so only the head goes through it; each entry is
+    written by one %-format, whose ``%r`` is the float repr json writes.
+    A non-finite cell is refused with json's own error.
+    """
+    head = _json_text({**_table_head(params, saturation, table, key, value), "entries": []})
+    flat = table.ravel()
+    finite = np.isfinite(flat)
+    if not finite.all():
+        bad = float(flat[np.argmin(finite)])
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+    row = "  [\n" + "   %d,\n" * table.ndim + "   %r\n  ]"
+    entries = ",\n".join(map(row.__mod__, _cells(table)))
+    return head[: -len("[]\n}\n")] + "[\n" + entries + "\n ]\n}\n"
 
 
 def _tail_allowance(params: ProtocolParams, k_max: int) -> float:

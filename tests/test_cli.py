@@ -955,8 +955,8 @@ def test_long_ensemble_runs_within_a_small_address_space(tmp_path):
 @pytest.mark.parametrize("fock_dim,code", [("20000", 2), ("200", 0)])
 def test_oracle_basis_is_capped_before_it_allocates(fock_dim, code):
     # a 20000^2 complex array is 6 GB, which used to fail with exit 1 under
-    # the address limit; the cap itself, with all 64 incoherent phases held
-    # in the mode-tensor cache, runs within it
+    # the address limit; the cap itself runs within it, the 64 incoherent
+    # phases one at a time with no tensor kept past its phase
     result = subprocess.run(
         [sys.executable, "-m", "homdetect.cli", "validate-oracle", "--protocol", "incoherent",
          "--nc", "1", "--fock-dim", fock_dim],

@@ -1,5 +1,8 @@
 """Tests for the number-basis cross-check of the two-detector statistics."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,10 +16,10 @@ from homdetect.fock_oracle import (
     traced_pmf,
 )
 from homdetect.photon_stats import (
-    DegenerateParameterError,
     ParameterError,
     Protocol,
     ProtocolParams,
+    _poisson_vec,
     apply_saturation,
     build_distribution,
     derived_means,
@@ -204,7 +207,7 @@ def test_compare_refuses_a_tolerance_not_finite_and_at_least_zero(tol):
 
 def test_closed_form_matches_oracle_at_random_points():
     # xi, eta and epsilon sit at 0 or 1 two times in three and the inputs
-    # often go dark, so the edges and the degenerate n_bar = 0 are covered
+    # often go dark, so the edges and the no-light limit n_bar = 0 are covered
     rng = np.random.default_rng(20261018)
 
     def unit():
@@ -225,21 +228,168 @@ def test_closed_form_matches_oracle_at_random_points():
         direct = ProtocolParams(protocol=Protocol.DIRECT, xi=params.xi, eta=params.eta,
                                 n_e=params.n_e, n_i=params.n_i)
         cfg = OracleConfig(params=params, fock_dim=30)
-        tables = [direct]
         if params.xi > 0.0 and derived_means(params).n_bar == 0.0:
+            # the exact limit: the emitter's photon alone, at either detector alike
             degenerate += 1
-            with pytest.raises(DegenerateParameterError):
-                build_distribution(params)
-            with pytest.raises(DegenerateParameterError):
-                compare_with_closed_form(cfg, tol=1e-12)
-        else:
-            worst, where, ok = compare_with_closed_form(cfg, tol=1e-12)
-            assert ok, (params, worst, where)
-            tables.append(params)
-        for p in tables:
+            q = params.eta * params.xi
+            assert oracle_pmf(cfg, 1, 0) == pytest.approx(q / 2.0, abs=1e-12)
+            assert oracle_pmf(cfg, 0, 0) == pytest.approx(1.0 - q, abs=1e-12)
+        worst, where, ok = compare_with_closed_form(cfg, tol=1e-12)
+        assert ok, (params, worst, where)
+        for p in (direct, params):
             dist = build_distribution(p)
             assert np.all(dist.probs >= 0.0), p
             assert abs(dist.total() + dist.tail_mass - 1.0) <= 1e-12, p
             saturated = apply_saturation(dist, int(rng.integers(1, 5)))
             assert abs(saturated.total() - (dist.total() + dist.tail_mass)) <= 1e-12, p
     assert degenerate > 0
+
+
+# ---------------------------------------------------------------------------
+# bit pin against the per-phase oracle
+# ---------------------------------------------------------------------------
+
+# The oracle as it was written before it ran per configuration: one phase
+# at a time, the coherent-state recurrence on complex scalars, full
+# fock_dim x fock_dim mode tensors, the lost-pair sums over their top-left
+# box, and the phase average of a list of tables.
+
+
+def ref_coherent_amplitudes(alpha, dim):
+    c = np.zeros(dim, dtype=complex)
+    c[0] = 1.0
+    for n in range(1, dim):
+        c[n] = c[n - 1] * alpha / math.sqrt(n)
+    return c * math.exp(-abs(alpha) ** 2 / 2.0)
+
+
+def ref_raised(c):
+    out = np.zeros_like(c)
+    out[1:] = np.sqrt(np.arange(1, c.size)) * c[:-1]
+    return out
+
+
+def ref_amplitude_parts(cfg, cos_theta):
+    p, dim = cfg.params, cfg.fock_dim
+    sin_theta = math.sqrt(max(0.0, 1.0 - cos_theta * cos_theta))
+    alpha_c = math.sqrt(p.n_c) * complex(cos_theta, sin_theta)
+    alpha_d = math.sqrt(p.eta * p.epsilon / 2.0) * alpha_c
+    alpha_l = math.sqrt((1.0 - p.eta) * p.epsilon / 2.0) * alpha_c
+    d1, d2 = ref_coherent_amplitudes(-alpha_d, dim), ref_coherent_amplitudes(alpha_d, dim)
+    l1, l2 = ref_coherent_amplitudes(-alpha_l, dim), ref_coherent_amplitudes(alpha_l, dim)
+    U = np.outer(d1, d2)
+    V = math.sqrt(p.eta / 2.0) * (np.outer(ref_raised(d1), d2) + np.outer(d1, ref_raised(d2)))
+    W = np.outer(l1, l2)
+    X = math.sqrt((1.0 - p.eta) / 2.0) * (np.outer(ref_raised(l1), l2)
+                                          + np.outer(l1, ref_raised(l2)))
+    return math.sqrt(1.0 - p.xi) * U + math.sqrt(p.xi) * V, math.sqrt(p.xi) * U, W, X
+
+
+def ref_traced_table(cfg, cos_theta, k_hi, l_hi):
+    B, E, W, X = ref_amplitude_parts(cfg, cos_theta)
+    M = cfg.loss_sum_max
+    Wb, Xb = W[:M, :M], X[:M, :M]
+    s_ww = float(np.sum(np.abs(Wb) ** 2))
+    s_xx = float(np.sum(np.abs(Xb) ** 2))
+    s_wx = complex(np.sum(Wb * np.conj(Xb)))
+    Bs, Es = B[: k_hi + 1, : l_hi + 1], E[: k_hi + 1, : l_hi + 1]
+    table = np.abs(Bs) ** 2 * s_ww + np.abs(Es) ** 2 * s_xx + 2.0 * np.real(Bs * np.conj(Es) * s_wx)
+    p = cfg.params
+    n_l = (1.0 - p.eta) * p.epsilon * p.n_c / 2.0
+    counts = np.arange(M, dtype=float)
+    pois_row = _poisson_vec(counts, n_l)
+    head = float(pois_row.sum())
+    tail_ww = max(0.0, 1.0 - head * head)
+    head_raised = float(((counts + 1.0) * pois_row)[: M - 1].sum())
+    tail_xx = 2.0 * (1.0 - p.eta) * max(0.0, (n_l + 1.0) - head_raised * head)
+    worst = 2.0 * float(np.max(np.abs(Bs) ** 2)) * tail_ww + 2.0 * float(
+        np.max(np.abs(Es) ** 2)
+    ) * tail_xx
+    if worst > 1e-10:
+        raise OracleTruncationError(
+            f"lost-mode sum residual bound {worst:.3e} above 1e-10; raise loss_sum_max"
+        )
+    return table
+
+
+def ref_oracle_table(cfg, j_max, k_max):
+    f = lambda ct: ref_traced_table(cfg, ct, j_max, k_max)  # noqa: E731
+    if cfg.params.protocol is not Protocol.INCOHERENT_HOM:
+        traced = f(cfg.params.cos_theta)
+    else:
+        traced = np.mean([f(math.cos(2.0 * math.pi * i / 64)) for i in range(64)], axis=0)
+    nu = derived_means(cfg.params).n_noise / 2.0
+    noise_j = _poisson_vec(np.arange(j_max + 1.0), nu)
+    noise_k = _poisson_vec(np.arange(k_max + 1.0), nu)
+    out = np.zeros((j_max + 1, k_max + 1))
+    for dj in range(j_max + 1):
+        for dk in range(k_max + 1):
+            out[dj:, dk:] += noise_j[dj] * noise_k[dk] * traced[: j_max + 1 - dj, : k_max + 1 - dk]
+    return out
+
+
+def _table_or_message(table, cfg, j_max, k_max):
+    try:
+        return table(cfg, j_max, k_max)
+    except OracleTruncationError as exc:
+        return str(exc)
+
+
+def test_oracle_table_keeps_every_bit_of_the_per_phase_oracle():
+    # the bench compares the argmax cell of 1e-18 to 1e-15 noise, so the
+    # table must keep its bits, not only its values; the loss box, the
+    # detected box and the phase all vary, and a loss box of 1 makes the
+    # residual guard fire with its message.  The last 100 points sit at
+    # xi = 1 with a lit loss pair, where the cross sum of W conj(X) weighs
+    # most: summing it in another order moves bits at 4 % of them
+    rng = np.random.default_rng(20261019)
+
+    def unit():
+        return (0.0, 1.0, float(rng.uniform()))[rng.integers(3)]
+
+    tables = messages = 0
+    for i in range(400):
+        cross = i >= 300
+        params = ProtocolParams(
+            protocol=(Protocol.COHERENT_HOM, Protocol.INCOHERENT_HOM)[rng.integers(2)],
+            xi=1.0 if cross else unit(),
+            eta=float(rng.uniform()) if cross else unit(),
+            epsilon=float(rng.uniform()) if cross else unit(),
+            n_c=(float(rng.uniform(0.0, 4.0)) if cross or rng.integers(2) else 0.0),
+            n_e=float(rng.uniform(0.0, 1.0)), n_i=float(rng.uniform(0.0, 1.0)),
+            cos_theta=(1.0, -1.0, 0.0, float(rng.uniform(-1.0, 1.0)))[rng.integers(4)],
+        )
+        dim = int(rng.integers(12, 41))
+        loss = (dim, dim - 3, 1)[rng.integers(2 if cross else 3)]
+        try:
+            cfg = OracleConfig(params=params, fock_dim=dim, loss_sum_max=loss)
+        except OracleTruncationError:
+            continue  # the basis is too small for this n_c
+        j_max, k_max = int(rng.integers(0, 12)), int(rng.integers(0, 12))
+        want = _table_or_message(ref_oracle_table, cfg, j_max, k_max)
+        got = _table_or_message(oracle_table, cfg, j_max, k_max)
+        if isinstance(want, str):
+            assert got == want, (params, dim, loss)
+            messages += 1
+        else:
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (params, dim, loss)
+            tables += 1
+    assert tables > 250 and messages > 20
+
+
+def test_oracle_table_holds_no_mode_tensor_past_its_call():
+    # an incoherent table at the basis cap: a per-phase tensor cache held
+    # 4 x 64 complex 200 x 200 arrays (164 MB) after the call; the groups
+    # of phases peak at about 4 MB and nothing outlives the call
+    params = incoherent(xi=0.3, eta=0.7, epsilon=0.9, n_c=2.0, n_e=0.1, n_i=0.1)
+    oracle_table(OracleConfig(params=params, fock_dim=20), 3, 3)  # warm lazy imports
+    cfg = OracleConfig(params=params, fock_dim=200)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = oracle_table(cfg, 10, 10)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 16 * 2**20
+    assert after - before - table.nbytes < 16 * 2**10

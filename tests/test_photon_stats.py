@@ -306,10 +306,22 @@ def test_incoherent_equals_phase_zero_coherent_bitwise():
     assert np.array_equal(inc.probs, coh0.probs)
 
 
-def test_hom_degenerate_dark_port_raises():
-    with pytest.raises(DegenerateParameterError):
-        hom_pmf(hom_params(xi=0.5, eta=0.0, n_c=1.0), 0, 0)
-    # n_bar**2 underflows to 0 here, which would divide 0 by 0
+@pytest.mark.parametrize("protocol", [Protocol.COHERENT_HOM, Protocol.INCOHERENT_HOM])
+def test_hom_without_light_gives_the_exact_limit(protocol):
+    # n_bar = 0: no light reaches the detectors but the emitter's photon,
+    # detected with probability eta xi at either detector alike; at
+    # eta = 0 the table is a point mass at (0, 0)
+    for kw in (dict(eta=0.0, n_c=1.0), dict(eta=0.7, n_c=0.0), dict(eta=1.0, epsilon=0.5, n_c=0.0)):
+        params = hom_params(protocol, xi=0.5, cos_theta=0.3, **kw)
+        assert derived_means(params).n_bar == 0.0
+        q = params.eta * params.xi
+        expected = np.zeros((21, 21))
+        expected[0, 0], expected[1, 0], expected[0, 1] = 1.0 - q, q / 2.0, q / 2.0
+        dist = build_distribution(params)
+        assert np.array_equal(dist.probs, expected)
+        assert (hom_pmf(params, 0, 0), hom_pmf(params, 0, 1), hom_pmf(params, 1, 1)) == \
+            (1.0 - q, q / 2.0, 0.0)
+    # n_bar > 0 whose square underflows to 0 would divide 0 by 0
     with pytest.raises(DegenerateParameterError):
         hom_pmf(hom_params(xi=0.5, n_c=0.0, n_e=0.0, n_i=1e-170), 0, 0)
 

@@ -198,6 +198,37 @@ def test_seeded_tables_keep_their_bytes(protocol, seed, t, tmp_path):
         ref_json_text(ref_diff_dict(params, t))
 
 
+@pytest.mark.parametrize("t", [None, 1, 2, 4])
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_table_json_text_matches_the_json_encoder(protocol, t):
+    # the entries block is written by %-format, not by json's indenting
+    # encoder; the documents of tables and of differences keep every byte
+    for seed in range(4):
+        params = _seeded_params(protocol, seed)
+        dist = build_distribution(params)
+        if t is not None:
+            dist = apply_saturation(dist, t)
+        assert photon_stats._table_json_text(params, t, dist.probs, "tail_mass",
+                                             dist.tail_mass) == ref_json_text(ref_dist_dict(dist))
+        pair = HypothesisPair.from_params(params).saturated(t)
+        assert photon_stats._table_json_text(
+            params, t, pair.present.probs - pair.absent.probs, "diff", True
+        ) == ref_json_text(ref_diff_dict(params, t))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_table_json_text_refuses_a_non_finite_cell(bad):
+    # with json's own message, naming the first such cell in row-major order
+    table = np.array(_AWKWARD).reshape(3, 3)
+    table[1, 2], table[2, 0] = bad, float("nan")
+    params = ProtocolParams(Protocol.COHERENT_HOM)
+    with pytest.raises(ValueError) as want:
+        photon_stats._json_text(photon_stats._table_document(params, None, table, "diff", True))
+    with pytest.raises(ValueError) as got:
+        photon_stats._table_json_text(params, None, table, "diff", True)
+    assert str(got.value) == str(want.value)
+
+
 # cells whose text is easy to get wrong: signed zero, subnormals, values
 # near underflow and exact zeros beside ordinary probabilities
 _AWKWARD = [0.25, -0.0, 5e-324, 1e-300, 0.0, 0.25, 0.5, 2.2250738585072014e-308, 0.0]
@@ -212,6 +243,8 @@ def test_awkward_cells_keep_their_bytes(shape):
     assert dist.csv_text() == ref_table_csv_text(table, "p")
     assert table_csv_text(-table, "dp") == ref_table_csv_text(-table, "dp")
     assert photon_stats._json_text(dist.to_json_dict()) == ref_json_text(ref_dist_dict(dist))
+    assert photon_stats._table_json_text(dist.params, None, table, "tail_mass",
+                                         dist.tail_mass) == ref_json_text(ref_dist_dict(dist))
     assert list(dist.outcomes()) == [(Outcome(*e[:-1]), e[-1]) for e in ref_table_entries(table)]
 
 
