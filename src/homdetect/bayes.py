@@ -25,6 +25,8 @@ from .photon_stats import (
     Outcome,
     ParameterError,
     ProtocolParams,
+    _checked_tail,
+    _folded,
     _is_whole,
     build_distribution,
     apply_saturation,
@@ -109,17 +111,22 @@ class HypothesisPair:
     def log_ratio(self) -> np.ndarray:
         """ln(lambda) for every tabulated outcome, read-only, floored so
         conclusive outcomes stay finite; an outcome dead under both
-        hypotheses floors both logs alike, so it gets exactly +0.0.
-
-        ln(max(pa, F)) - ln(max(pe, F)), written in place: the kept table
-        and one temporary for the present side are its only allocations."""
-        table = np.maximum(self.absent.probs, PROB_FLOOR)
-        np.log(table, out=table)
-        present = np.maximum(self.present.probs, PROB_FLOOR)
-        np.log(present, out=present)
-        table -= present
+        hypotheses floors both logs alike, so it gets exactly +0.0."""
+        table = _log_ratios(self.present.probs, self.absent.probs)
         table.setflags(write=False)
         return table
+
+
+def _log_ratios(present: np.ndarray, absent: np.ndarray) -> np.ndarray:
+    """ln(max(pa, F)) - ln(max(pe, F)) of two aligned tables, F =
+    PROB_FLOOR, written in place: the new table and one temporary for the
+    present side are its only allocations."""
+    table = np.maximum(absent, PROB_FLOOR)
+    np.log(table, out=table)
+    present = np.maximum(present, PROB_FLOOR)
+    np.log(present, out=present)
+    table -= present
+    return table
 
 
 @dataclass(frozen=True)
@@ -184,14 +191,33 @@ def loglik_moments(pair: HypothesisPair) -> LogLikMoments:
     over tables whose tails are at most 1.8e-10 (the tail allowance at the
     10000-count cap), far below the quoted precision.
     """
-    log_ratio = pair.log_ratio.ravel()
+    return _moments(pair.log_ratio, pair.present.probs, pair.absent.probs)
+
+
+def _moments(log_ratio: np.ndarray, *tables: np.ndarray) -> LogLikMoments:
+    """The mean and spread of ``log_ratio`` weighted by each of the present
+    and the absent table, aligned with it."""
+    log_ratio = log_ratio.ravel()
     squared = log_ratio * log_ratio
     moments = []
-    for dist in (pair.present, pair.absent):
-        w = dist.probs.ravel()
+    for table in tables:
+        w = table.ravel()
         mu, second = float(np.dot(w, log_ratio)), float(np.dot(w, squared))
         moments += [mu, math.sqrt(max(0.0, second - mu * mu))]
     return LogLikMoments(*moments)
+
+
+def _saturated_moments(pair: HypothesisPair, t: int) -> LogLikMoments:
+    """``loglik_moments(pair.saturated(t))`` of an unsaturated pair, bit for
+    bit, scored from the folded arrays: each table folded and its mass
+    checked, present first, as ``apply_saturation`` does, with no
+    distribution or pair built around them."""
+    folds = []
+    for dist in (pair.present, pair.absent):
+        table = _folded(dist, t)
+        _checked_tail(dist.params, table, t)
+        folds.append(table)
+    return _moments(_log_ratios(*folds), *folds)
 
 
 def lognormal_pdf(lam: float, mu_y: float, sigma_y: float) -> float:
@@ -304,17 +330,10 @@ def _bracket(m: LogLikMoments, c_target: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _n_real(moments: LogLikMoments, c_target: float) -> float:
-    """Real-valued trial count where the averaged confidence crosses
-    c_target; the integer answer is its ceiling.
-
-    ``_bracket``'s interval is bisected down to adjacent floats, and the
-    upper one is returned: ``_confidences`` there reaches c_target and at
-    the float below falls short.  Every verdict is a ``_confidences``
-    comparison; Newton only places the window.  So wherever the
-    confidence is monotone over floats the result is the float that plain
-    bisection from (0, 2^k] returns.  A target not met by 2^62 trials
-    raises ``HypothesesIndistinguishableError``."""
+def _check_search(moments: LogLikMoments, c_target: float) -> None:
+    """Refuse an N search that has no answer: a target outside (0.5, 1),
+    means that do not straddle zero, a NaN or negative spread
+    (``DegenerateMomentsError``) or a zero one, in that order."""
     _check_c_target(c_target)
     m = moments
     if not (m.mu_present < 0.0 < m.mu_absent):
@@ -328,6 +347,21 @@ def _n_real(moments: LogLikMoments, c_target: float) -> float:
             "log-ratio spread is zero under one truth (every record it yields has "
             "the same ratio); the normal approximation gives no trial count"
         )
+
+
+def _n_real(moments: LogLikMoments, c_target: float) -> float:
+    """Real-valued trial count where the averaged confidence crosses
+    c_target.
+
+    ``_bracket``'s interval is bisected down to adjacent floats, and the
+    upper one is returned: ``_confidences`` there reaches c_target and at
+    the float below falls short.  Every verdict is a ``_confidences``
+    comparison; Newton only places the window.  So wherever the
+    confidence is monotone over floats the result is the float that plain
+    bisection from (0, 2^k] returns.  A target not met by 2^62 trials
+    raises ``HypothesesIndistinguishableError``."""
+    _check_search(moments, c_target)
+    m = moments
     lo, hi = _bracket(m, c_target)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -341,21 +375,46 @@ def _n_real(moments: LogLikMoments, c_target: float) -> float:
     return hi
 
 
+# The integer N search starts at the ceiling of Newton's estimate when that
+# is at most 2^53 - _N_STEPS, so that every integer it visits is a float,
+# and takes that start's answer if its walk ends within _N_STEPS steps.
+_N_EXACT = 2.0**53
+_N_STEPS = 4
+
+
+def _walk(m: LogLikMoments, c_target: float, n: int, steps: float = math.inf) -> int | None:
+    """From n, down while the integer below still meets c_target, then up
+    while n falls short: the integer where the averaged confidence
+    crosses c_target, or None once more than ``steps`` steps are taken."""
+    taken = 0
+    while n > 1 and _confidences(n - 1.0, m)[2] >= c_target:
+        n, taken = n - 1, taken + 1
+        if taken > steps:
+            return None
+    while _confidences(float(n), m)[2] < c_target:
+        n, taken = n + 1, taken + 1
+        if taken > steps:
+            return None
+    return n
+
+
 def n_for_confidence(c_target: float, moments: LogLikMoments) -> int:
     """Smallest integer trial count whose averaged confidence meets
-    c_target, by ``_confidences`` alone: the ceiling of ``_n_real``,
-    walked down and up across the integer boundary.  A NaN or negative
-    spread raises ``DegenerateMomentsError``, as in ``confidence``; a zero
-    spread, or a target not met by 2^62 trials, gives no trial count and
-    raises ``HypothesesIndistinguishableError``."""
-    n = max(1, math.ceil(_n_real(moments, c_target)))
-    # the real root lies within an ulp of the crossing; walk the integer
-    # boundary so minimality is exact
-    while n > 1 and _confidences(n - 1.0, moments)[2] >= c_target:
-        n -= 1
-    while _confidences(float(n), moments)[2] < c_target:
-        n += 1
-    return n
+    c_target, by ``_confidences`` alone: ``_walk`` from the ceiling of
+    Newton's estimate where it ends within a few steps, else from the
+    ceiling of ``_n_real``, which lies within an ulp of the crossing.
+    Wherever the confidence is monotone over the integers walked, both
+    starts give the one crossing.  A NaN or negative spread raises
+    ``DegenerateMomentsError``, as in ``confidence``; a zero spread, or a
+    target not met by 2^62 trials, gives no trial count and raises
+    ``HypothesesIndistinguishableError``."""
+    _check_search(moments, c_target)
+    estimate = _newton_n(moments, c_target)
+    if estimate is not None and estimate[0] <= _N_EXACT - _N_STEPS:
+        n = _walk(moments, c_target, max(1, math.ceil(estimate[0])), _N_STEPS)
+        if n is not None:
+            return n
+    return _walk(moments, c_target, max(1, math.ceil(_n_real(moments, c_target))))
 
 
 def mean_posterior(mu_y: float, sigma_y: float) -> float:

@@ -438,20 +438,8 @@ class CountDistribution:
 
     def __post_init__(self) -> None:
         self.probs.setflags(write=False)
-        t, total = self.saturation, float(self.probs.sum())
-        if t is not None and self.probs.shape != (t + 1,) * self.probs.ndim:
-            raise ParameterError(f"a table saturated at {t} spans 0..{t}, got {self.probs.shape}")
-        tail = 0.0 if t is not None else max(0.0, 1.0 - total)
-        object.__setattr__(self, "tail_mass", tail)
-        off = abs(total + tail - 1.0)
-        if tail <= TAIL_FLOOR and off <= TAIL_FLOOR:
-            return  # within every allowance, so none is worked out
-        allowance = _tail_allowance(self.params, _table_k_max(self.params))
-        if tail > allowance:
-            raise TruncationError(f"untabulated mass {tail:.3g} > {allowance:.3g} allowed at "
-                                  f"k_max {self.k_max}, n_bar = {derived_means(self.params).n_bar}")
-        if not off <= allowance:
-            raise ParameterError(f"table mass {total!r} is not within {allowance:.3g} of 1")
+        object.__setattr__(self, "tail_mass", _checked_tail(self.params, self.probs,
+                                                            self.saturation))
 
     @property
     def k_max(self) -> int:
@@ -498,6 +486,25 @@ class CountDistribution:
     def to_json_dict(self) -> dict:
         return _table_document(self.params, self.saturation, self.probs,
                                "tail_mass", self.tail_mass)
+
+
+def _checked_tail(params: ProtocolParams, probs: np.ndarray, saturation: int | None) -> float:
+    """The ``tail_mass`` of a table at params, saturated at ``saturation``
+    or not, once its shape and mass pass ``CountDistribution``'s checks."""
+    t, total = saturation, float(probs.sum())
+    if t is not None and probs.shape != (t + 1,) * probs.ndim:
+        raise ParameterError(f"a table saturated at {t} spans 0..{t}, got {probs.shape}")
+    tail = 0.0 if t is not None else max(0.0, 1.0 - total)
+    off = abs(total + tail - 1.0)
+    if tail <= TAIL_FLOOR and off <= TAIL_FLOOR:
+        return tail  # within every allowance, so none is worked out
+    allowance = _tail_allowance(params, _table_k_max(params))
+    if tail > allowance:
+        raise TruncationError(f"untabulated mass {tail:.3g} > {allowance:.3g} allowed at "
+                              f"k_max {probs.shape[0] - 1}, n_bar = {derived_means(params).n_bar}")
+    if not off <= allowance:
+        raise ParameterError(f"table mass {total!r} is not within {allowance:.3g} of 1")
+    return tail
 
 
 def _cells(table: np.ndarray) -> Iterator[tuple]:
@@ -623,7 +630,8 @@ def _check_budget(need: int, work: str, advice: str = "") -> None:
 
 
 def _scoring_bytes(t: int, detectors: int) -> int:
-    """Peak bytes of ``loglik_moments(pair.saturated(t))``: five float64
+    """Peak bytes of scoring a pair folded at t, as a folded pair or from
+    its folded arrays (``bayes._saturated_moments``): five float64
     tables of (t + 1)^d cells, a fold's edge row and 4 KiB of objects.
     Four tables are live at the peak: the two folds, the log ratios and
     either their build's one temporary or their squares; the fifth is
@@ -666,15 +674,10 @@ def _parse_saturation(raw, detectors: int) -> int | None:
     return _check_saturation(t, detectors)
 
 
-def apply_saturation(dist: CountDistribution, t: int) -> CountDistribution:
-    """Fold counts above threshold t into the boundary bins.
-
-    A detector that saturates at t reports min(count, t), so all mass with
-    j >= t collapses onto j = t (per detector for joint tables).  The
-    distribution tail joins the top corner bin, making the result exactly
-    normalized.  Saturation is applied at most once, and a threshold that
-    ``_check_saturation`` refuses raises before anything is allocated.
-    """
+def _folded(dist: CountDistribution, t: int) -> np.ndarray:
+    """``apply_saturation``'s table as a new array, before its mass check:
+    refused, before anything is allocated, for a saturated ``dist`` or a
+    threshold that ``_check_saturation`` refuses."""
     if dist.saturation is not None:
         raise ParameterError("distribution is already saturated")
     _check_saturation(t, dist.probs.ndim)
@@ -689,7 +692,19 @@ def apply_saturation(dist: CountDistribution, t: int) -> CountDistribution:
         out = np.zeros(t + 1)
         out[:edge] = p[:edge]
         out[t] += p[edge:].sum() + dist.tail_mass
-    return CountDistribution(params=dist.params, probs=out, saturation=t)
+    return out
+
+
+def apply_saturation(dist: CountDistribution, t: int) -> CountDistribution:
+    """Fold counts above threshold t into the boundary bins.
+
+    A detector that saturates at t reports min(count, t), so all mass with
+    j >= t collapses onto j = t (per detector for joint tables).  The
+    distribution tail joins the top corner bin, making the result exactly
+    normalized.  Saturation is applied at most once, and a threshold that
+    ``_check_saturation`` refuses raises before anything is allocated.
+    """
+    return CountDistribution(params=dist.params, probs=_folded(dist, t), saturation=t)
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:

@@ -23,6 +23,7 @@ from .bayes import (
     LogLikMoments,
     _check_c_target,
     _n_real,
+    _saturated_moments,
     loglik_moments,
     n_for_confidence,
 )
@@ -95,26 +96,32 @@ class _RowGroup:
     """The one store of per-brightness work in a sweep.
 
     ``moments`` holds one (protocol, eta, n_e, n_i) group's moments, keyed
-    by (params, t), and is cleared when the group changes.  Its rows differ
-    only in t and n_c, and each asks for its own t alone.  A miss builds
-    the unsaturated pair once and scores it at every t still ``ahead``:
-    this row's first, then the later rows', which ask for the same
-    brightness, and a fold is cheap next to a build.  No table or
-    exception is kept: a fold keeps the total, so a pair refused at one t
-    is refused at all, and a miss checks this row's t on the protocol's
+    by (params, t), and ``params`` the group's ``ProtocolParams`` by n_c,
+    one per brightness; both are cleared when the group changes.  Its rows
+    differ only in t and n_c, and each asks for its own t alone.  A miss
+    builds the unsaturated pair once and scores it at every t still
+    ``ahead``: this row's first, then the later rows', which ask for the
+    same brightness.  A fold is scored from the pair's folded arrays
+    (``_saturated_moments``), with every check and bit of
+    ``apply_saturation`` and no distribution built around them.  No table
+    or exception is kept: a fold keeps the total, so a pair refused at one
+    t is refused at all, and a miss checks this row's t on the protocol's
     detectors before it builds.  ``direct`` holds the sweep's direct trial
-    counts by (eta, n_e, n_i, t).
+    counts by (eta, n_e, n_i, t), and ``direct_params`` their params by
+    (eta, n_e, n_i).
     """
 
     def __init__(self, saturations: tuple[int | None, ...]) -> None:
         self.saturations = self.ahead = saturations
         self.group: tuple | None = None
         self.moments: dict[tuple[ProtocolParams, int | None], LogLikMoments] = {}
+        self.params: dict[float, ProtocolParams] = {}
         self.direct: dict[tuple, int] = {}
+        self.direct_params: dict[tuple, ProtocolParams] = {}
 
     def enter(self, group: tuple, t: int | None) -> None:
         if group != self.group:
-            self.group, self.moments = group, {}
+            self.group, self.moments, self.params = group, {}, {}
         self.ahead = self.saturations[self.saturations.index(t):]
 
     def get(self, params: ProtocolParams, t: int | None) -> LogLikMoments:
@@ -123,8 +130,20 @@ class _RowGroup:
                 _check_saturation(t, params.protocol.detectors)
             pair = HypothesisPair.from_params(params)
             for s in self.ahead:
-                self.moments[(params, s)] = loglik_moments(pair.saturated(s))
+                self.moments[(params, s)] = (loglik_moments(pair) if s is None
+                                             else _saturated_moments(pair, s))
         return self.moments[(params, t)]
+
+    def row_params(self, spec: SweepSpec, point: tuple) -> ProtocolParams:
+        """The params of a point of this group: n_c = 0 where it is to be
+        optimized."""
+        protocol, eta, ne, ni, _, nc = point
+        n_c = 0.0 if nc == "optimize" else nc
+        if n_c not in self.params:
+            self.params[n_c] = ProtocolParams(protocol=protocol, xi=spec.xi, eta=eta,
+                                              epsilon=spec.epsilon, n_c=n_c, n_e=ne, n_i=ni,
+                                              cos_theta=spec.cos_theta)
+        return self.params[n_c]
 
 
 # The row group of the sweep being run in this context, if any; set only by
@@ -149,12 +168,14 @@ def _direct_n(params: ProtocolParams, t: int | None, c_target: float) -> int:
     and backgrounds; the reference-beam settings do not apply.  A sweep
     computes it once per (eta, n_e, n_i, t)."""
     group = _group(t)
-    key = (params.eta, params.n_e, params.n_i, t)
-    if key not in group.direct:
-        direct = ProtocolParams(protocol=Protocol.DIRECT, xi=params.xi, eta=params.eta,
-                                n_e=params.n_e, n_i=params.n_i)
-        group.direct[key] = n_two_sigma(direct, t, c_target)
-    return group.direct[key]
+    key = (params.eta, params.n_e, params.n_i)
+    if key + (t,) not in group.direct:
+        if key not in group.direct_params:
+            group.direct_params[key] = ProtocolParams(
+                protocol=Protocol.DIRECT, xi=params.xi, eta=params.eta,
+                n_e=params.n_e, n_i=params.n_i)
+        group.direct[key + (t,)] = n_two_sigma(group.direct_params[key], t, c_target)
+    return group.direct[key + (t,)]
 
 
 def speedup(params: ProtocolParams, t: int | None = None, c_target: float = TWO_SIGMA) -> float:
@@ -420,16 +441,14 @@ def evaluate_point(spec: SweepSpec, point: tuple) -> SweepRow:
     own n_c, None where it was to be optimized.  A two-detector point
     whose direct baseline alone fails keeps its N, n_c and at_bound, has
     no speedup, and reads ``direct baseline: <message>`` in ``error``.
-    Under ``run_sweep`` the point reads its row group's moments and the
-    sweep's direct baseline instead of rebuilding them.
+    Under ``run_sweep`` the point reads its row group's params and moments
+    and the sweep's direct baseline instead of rebuilding them.
     """
     protocol, eta, ne, ni, t, nc = point
     optimize = nc == "optimize"
     n_c, n, at_bound = None if optimize else nc, None, None
     try:
-        params = ProtocolParams(protocol=protocol, xi=spec.xi, eta=eta, epsilon=spec.epsilon,
-                                n_c=0.0 if optimize else nc, n_e=ne, n_i=ni,
-                                cos_theta=spec.cos_theta)
+        params = _group(t).row_params(spec, point)
         if optimize:
             n_c, n, at_bound = optimize_nc(params, t, spec.c_target, spec.nc_bounds)
         elif params.protocol is not Protocol.DIRECT:

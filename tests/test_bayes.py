@@ -152,18 +152,99 @@ def test_pair_tables_equal_standalone_builds(protocol, saturation):
 ])
 def test_scoring_a_folded_pair_stays_within_the_estimate(protocol, thresholds):
     # the estimate that apply_saturation checks against the memory budget
-    # bounds the measured peak of folding a fresh pair and scoring it
+    # bounds the measured peak of folding a fresh pair and scoring it, as a
+    # pair or from its folded arrays
     params = replace(LOW_NOISE, protocol=protocol, epsilon=0.9, n_c=6.0)
     for t in thresholds:
-        pair = HypothesisPair.from_params(params)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            loglik_moments(pair.saturated(t))
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= photon_stats._scoring_bytes(t, pair.present.probs.ndim), t
+        for score in (lambda pair: loglik_moments(pair.saturated(t)),
+                      lambda pair: bayes._saturated_moments(pair, t)):
+            pair = HypothesisPair.from_params(params)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                score(pair)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= photon_stats._scoring_bytes(t, pair.present.probs.ndim), t
+
+
+def _seeded_params(rng, protocol):
+    return ProtocolParams(
+        protocol=protocol, xi=rng.uniform(), eta=rng.uniform(0.05, 1.0),
+        epsilon=rng.uniform(), n_c=10.0 ** rng.uniform(-2.0, 1.5),
+        n_e=10.0 ** rng.uniform(-2.0, 1.0), n_i=10.0 ** rng.uniform(-3.0, 0.0),
+        cos_theta=rng.uniform(-1.0, 1.0),
+    )
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_saturated_moments_keeps_every_bit(protocol):
+    # scoring a fold from its arrays gives the four floats of the folded
+    # pair's loglik_moments exactly, at small t and beyond the table
+    rng = np.random.default_rng(20261020)
+    for _ in range(12):
+        pair = HypothesisPair.from_params(_seeded_params(rng, protocol))
+        k_max = pair.present.k_max
+        for t in (1, 2, 4, 7, k_max, k_max + 1, k_max + 9):
+            want = loglik_moments(pair.saturated(t))
+            got = bayes._saturated_moments(pair, t)
+            assert [got.mu_present, got.sigma_present, got.mu_absent, got.sigma_absent] == [
+                want.mu_present, want.sigma_present, want.mu_absent, want.sigma_absent
+            ], (pair.present.params, t)
+
+
+def _refusal(score):
+    with pytest.raises(ValueError) as info:
+        score()
+    return type(info.value), str(info.value)
+
+
+def _unchecked(dist, probs):
+    """An unsaturated table at dist's params holding probs, made without
+    its mass check."""
+    table = object.__new__(CountDistribution)
+    for name, value in (("params", dist.params), ("probs", probs), ("tail_mass", 0.0),
+                        ("saturation", None)):
+        object.__setattr__(table, name, value)
+    return table
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_saturated_moments_refuses_what_a_saturated_pair_refuses(protocol):
+    # the same class and message as loglik_moments(pair.saturated(t)) for
+    # thresholds _check_saturation refuses, an already saturated pair and
+    # folded tables whose mass check fails, present or absent
+    pair = HypothesisPair.from_params(replace(LOW_NOISE, protocol=protocol, n_c=6.0))
+    over = 5180 if protocol.detectors == 2 else 10_001
+    heavy = pair.present.probs * 1.5
+    cases = [(pair, t) for t in (0, -2, 1.5, True, over)] + [
+        (pair.saturated(3), 2),
+        (HypothesisPair(present=_unchecked(pair.present, heavy), absent=pair.absent), 2),
+        (HypothesisPair(present=pair.present, absent=_unchecked(pair.absent, heavy)), 4),
+        (HypothesisPair(present=_unchecked(pair.present, heavy * np.nan), absent=pair.absent), 1),
+    ]
+    messages = []
+    for case, t in cases:
+        want = _refusal(lambda: loglik_moments(case.saturated(t)))
+        assert _refusal(lambda: bayes._saturated_moments(case, t)) == want, t
+        messages.append(want[1])
+    assert "integer >= 1" in messages[0]
+    assert ("needs about" if protocol.detectors == 2 else "exceeds the cap") in messages[4]
+    assert messages[5] == "distribution is already saturated"
+    assert all("is not within" in m for m in messages[6:]), messages[6:]
+
+
+def test_saturated_moments_refuses_an_oversize_threshold_before_it_allocates():
+    pair = HypothesisPair.from_params(replace(LOW_NOISE, protocol=Protocol.COHERENT_HOM, n_c=6.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="budget"):
+            bayes._saturated_moments(pair, 5180)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_scoring_an_unsaturated_pair_holds_four_tables():
@@ -686,7 +767,8 @@ def test_newton_window_holds_near_half_and_one(monkeypatch):
 
 def test_n_search_keeps_the_cap_refusal():
     # moments whose crossing lies at or just beside 2^62 trials: a root
-    # the reference finds beyond the cap is refused, any other is equal
+    # the reference finds beyond the cap is refused, any other is equal,
+    # and so is the integer N
     refused = found = 0
     for sigma in (0.01, 1.0, 7.0):
         for target in (0.6, 0.954, 0.999):
@@ -696,12 +778,75 @@ def test_n_search_keeps_the_cap_refusal():
                 expected = _n_real_200_halvings(m, target)
                 if expected > bayes._N_SEARCH_CAP:
                     refused += 1
-                    with pytest.raises(HypothesesIndistinguishableError, match="never reaches"):
-                        _n_real(m, target)
+                    for search in (_n_real, lambda m, c: n_for_confidence(c, m)):
+                        with pytest.raises(HypothesesIndistinguishableError,
+                                           match="never reaches"):
+                            search(m, target)
                 else:
                     found += 1
                     assert _n_real(m, target) == expected
+                    assert n_for_confidence(target, m) == _n_int_reference(m, target, expected)
     assert refused >= 27 and found >= 27
+
+
+def test_n_search_beyond_two_to_the_53_keeps_every_bit(monkeypatch):
+    # where N may pass 2^53 an integer is no longer always a float, so the
+    # search bisects the real root first; N from 2^50 to 2^60 equals the
+    # reference walked from the ceiling of that root
+    bisections = [0]
+    n_real = bayes._n_real
+
+    def counted(m, c_target):
+        bisections[0] += 1
+        return n_real(m, c_target)
+
+    monkeypatch.setattr(bayes, "_n_real", counted)
+    rng = np.random.default_rng(20261021)
+    above = 0
+    for _ in range(300):
+        sigma_p, sigma_a = 10.0 ** rng.uniform(-2.0, 1.0, 2)
+        target = rng.uniform(0.6, 0.999)
+        scale = float(erfinv(2.0 * target - 1.0)) / math.sqrt(2.0 ** rng.uniform(49.0, 59.0))
+        mu_p, mu_a = scale * 10.0 ** rng.uniform(-0.3, 0.3, 2)
+        m = LogLikMoments(-mu_p * sigma_p, sigma_p, mu_a * sigma_a, sigma_a)
+        bisections[0] = 0
+        n = n_for_confidence(target, m)
+        assert n == _n_int_reference(m, target, _n_real_200_halvings(m, target))
+        if n > 2**53:
+            above += 1
+            assert bisections[0] == 1
+    assert 50 <= above <= 250
+
+
+def test_integer_n_search_steps_from_newtons_estimate(monkeypatch):
+    # at ordinary targets the integer N is walked from the ceiling of
+    # Newton's estimate: no bisection, and a crossing confirmed within a
+    # few confidences, where bisecting the real root took about 18
+    calls, bisections = [0], [0]
+    confidences = bayes._confidences
+
+    def counted(n, m):
+        calls[0] += 1
+        return confidences(n, m)
+
+    def no_bisection(m, c_target):
+        bisections[0] += 1
+        return _n_real_200_halvings(m, c_target)
+
+    monkeypatch.setattr(bayes, "_confidences", counted)
+    monkeypatch.setattr(bayes, "_n_real", no_bisection)
+    rng = np.random.default_rng(20261022)
+    counts = []
+    for i in range(2000):
+        m = _seeded_moments(rng, flat=i % 4 == 3)
+        target = rng.uniform(0.6, 0.999)
+        calls[0] = 0
+        n = n_for_confidence(target, m)
+        counts.append(calls[0])
+        assert n == _n_int_reference(m, target, _n_real_200_halvings(m, target))
+    assert bisections[0] == 0
+    assert max(counts) <= 2 + bayes._N_STEPS
+    assert np.mean(counts) <= 2.5
 
 
 def test_identical_hypotheses_are_flagged():

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from homdetect import fock_oracle
 from homdetect.fock_oracle import (
     OracleConfig,
     OracleTruncationError,
@@ -321,6 +322,12 @@ def ref_oracle_table(cfg, j_max, k_max):
     nu = derived_means(cfg.params).n_noise / 2.0
     noise_j = _poisson_vec(np.arange(j_max + 1.0), nu)
     noise_k = _poisson_vec(np.arange(k_max + 1.0), nu)
+    return ref_convolved(traced, noise_j, noise_k)
+
+
+def ref_convolved(traced, noise_j, noise_k):
+    """The background convolution as one shifted slice update per (dj, dk)."""
+    j_max, k_max = traced.shape[0] - 1, traced.shape[1] - 1
     out = np.zeros((j_max + 1, k_max + 1))
     for dj in range(j_max + 1):
         for dk in range(k_max + 1):
@@ -375,6 +382,28 @@ def test_oracle_table_keeps_every_bit_of_the_per_phase_oracle():
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (params, dim, loss)
             tables += 1
     assert tables > 250 and messages > 20
+
+
+@pytest.mark.parametrize("stack_bytes", [fock_oracle.STACK_BYTES, 4096])
+def test_background_convolution_keeps_every_bit_of_the_slice_updates(monkeypatch, stack_bytes):
+    # 300 tables at the default 11 x 11, where one stack holds every term,
+    # then shapes whose stacks hold whole rows of dj or part of one; a
+    # 4 KiB stack holds part of a row of 11 x 11 and one term of 25 x 25.
+    # Each cell has the bits of the slice updates.  Zero cells and
+    # backgrounds of mean 0 (a delta) add +0.0 terms
+    monkeypatch.setattr(fock_oracle, "STACK_BYTES", stack_bytes)
+    rng = np.random.default_rng(20261023)
+    shapes = [(11, 11)] * 300 + [(1, 1), (1, 9), (9, 1), (4, 12), (25, 25), (30, 30),
+                                 (27, 26), (40, 13), (64, 3), (60, 60)]
+    for i, shape in enumerate(shapes):
+        traced = rng.uniform(size=shape) * 10.0 ** rng.uniform(-18.0, 0.0, shape)
+        traced[rng.uniform(size=shape) < 0.1] = 0.0
+        nu = (0.0, float(rng.uniform(0.0, 5.0)), 10.0 ** rng.uniform(-8.0, 1.0))[i % 3]
+        noise_j = _poisson_vec(np.arange(shape[0] + 0.0), nu)
+        noise_k = _poisson_vec(np.arange(shape[1] + 0.0), nu)
+        want = ref_convolved(traced, noise_j, noise_k)
+        got = fock_oracle._convolved(traced, noise_j, noise_k)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (shape, nu)
 
 
 def test_oracle_table_holds_no_mode_tensor_past_its_call():

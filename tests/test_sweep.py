@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from homdetect import sweep as sweep_module
-from homdetect.bayes import HypothesesIndistinguishableError, HypothesisPair
+from homdetect.bayes import HypothesesIndistinguishableError, HypothesisPair, loglik_moments
 from homdetect.photon_stats import (
     DegenerateParameterError,
     ParameterError,
@@ -500,6 +500,45 @@ def test_sweep_builds_each_brightness_once_per_row_group(monkeypatch, saturation
             sweep_module.evaluate_point(spec, point)
         # alone, each row builds every grid candidate and its baseline
         assert len(builds) == 290
+
+
+@pytest.mark.parametrize("name, expected", [("fig2a", 52), ("fig2b", 28)])
+def test_sweep_makes_one_params_per_brightness(monkeypatch, name, expected):
+    # a row group's rows of every saturation share their brightness's
+    # params, and the direct baseline's are made once per background pair:
+    # fig2a has 13 of them times three protocols and the baseline, where
+    # one per row made 208
+    made = []
+    raw = ProtocolParams.__post_init__
+
+    def counted(self):
+        made.append(self)
+        raw(self)
+
+    monkeypatch.setattr(ProtocolParams, "__post_init__", counted)
+    spec = preset(name)
+    made.clear()
+    run_sweep(spec)
+    assert len(made) == expected
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_row_group_scoring_keeps_every_bit(protocol):
+    # a miss scores every saturation ahead from the folded arrays; each
+    # equals loglik_moments of the folded pair exactly
+    rng = np.random.default_rng(20261024)
+    saturations = (None, 7, 4, 2, 1)
+    for i in range(6):
+        params = ProtocolParams(protocol=protocol, xi=rng.uniform(), eta=rng.uniform(0.1, 1.0),
+                                epsilon=rng.uniform(), n_c=10.0 ** rng.uniform(-1.0, 1.0),
+                                n_e=10.0 ** rng.uniform(-2.0, 1.0), n_i=rng.uniform(),
+                                cos_theta=rng.uniform(-1.0, 1.0))
+        group = sweep_module._RowGroup(saturations)
+        group.enter((protocol, i), saturations[i % 2])
+        group.get(params, saturations[i % 2])
+        pair = HypothesisPair.from_params(params)
+        for t in saturations[i % 2:]:
+            assert group.moments[(params, t)] == loglik_moments(pair.saturated(t)), (params, t)
 
 
 @pytest.mark.parametrize("saturations", [(None, 20000), (20000, None)],
