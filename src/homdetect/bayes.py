@@ -308,9 +308,10 @@ def _newton_n(m: LogLikMoments, c_target: float) -> tuple[float, float] | None:
     return None
 
 
-def _bracket(m: LogLikMoments, c_target: float) -> tuple[float, float]:
-    """Trial counts lo < hi whose averaged confidences fall below and reach
-    c_target: Newton's window where ``_confidences`` confirms it, else
+def _bracket(m: LogLikMoments, c_target: float, whole: bool) -> tuple[float, float]:
+    """Trial counts lo < hi, integers when ``whole``, whose averaged
+    confidences fall below and reach c_target: Newton's window, rounded
+    out to integers when ``whole``, where ``_confidences`` confirms it, else
     lo = 0 and hi doubled from 1, which refuses a target not met by
     _N_SEARCH_CAP trials."""
     estimate = _newton_n(m, c_target)
@@ -318,11 +319,14 @@ def _bracket(m: LogLikMoments, c_target: float) -> tuple[float, float]:
         n, slope = estimate
         half = n * _N_WINDOW + _C_ROUNDING * math.ulp(c_target) / slope
         lo, hi = max(0.0, n - half), n + half
-        if hi <= _N_SEARCH_CAP and _confidences(lo, m)[2] < c_target <= _confidences(hi, m)[2]:
-            return lo, hi
-    lo, hi = 0.0, 1.0
+        if hi <= _N_SEARCH_CAP:
+            if whole:
+                lo, hi = math.floor(lo), math.ceil(hi)
+            if _confidences(lo, m)[2] < c_target <= _confidences(hi, m)[2]:
+                return lo, hi
+    lo, hi = (0, 1) if whole else (0.0, 1.0)
     while _confidences(hi, m)[2] < c_target:
-        hi *= 2.0
+        hi *= 2
         if hi > _N_SEARCH_CAP:
             raise HypothesesIndistinguishableError(
                 f"confidence never reaches {c_target} within {_N_SEARCH_CAP} trials"
@@ -349,24 +353,21 @@ def _check_search(moments: LogLikMoments, c_target: float) -> None:
         )
 
 
-def _n_real(moments: LogLikMoments, c_target: float) -> float:
-    """Real-valued trial count where the averaged confidence crosses
-    c_target.
-
-    ``_bracket``'s interval is bisected down to adjacent floats, and the
-    upper one is returned: ``_confidences`` there reaches c_target and at
-    the float below falls short.  Every verdict is a ``_confidences``
-    comparison; Newton only places the window.  So wherever the
-    confidence is monotone over floats the result is the float that plain
-    bisection from (0, 2^k] returns.  A target not met by 2^62 trials
-    raises ``HypothesesIndistinguishableError``."""
-    _check_search(moments, c_target)
-    m = moments
-    lo, hi = _bracket(m, c_target)
+def _crossing(m: LogLikMoments, c_target: float, whole: bool) -> float | int:
+    """The N search on floats or, when ``whole``, on integers:
+    ``_bracket``'s interval halved until its ends are adjacent, and the
+    upper end returned.  ``_confidences`` there reaches c_target and at the
+    lower end falls short (or the lower end is 0); every verdict is a
+    ``_confidences`` comparison, an integer read at its nearest float, and
+    Newton only places the window.  So wherever the confidence is monotone
+    the result is the one crossing on that grid, whatever window it
+    started from."""
+    _check_search(m, c_target)
+    lo, hi = _bracket(m, c_target, whole)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
+        mid = (lo + hi) // 2 if whole else 0.5 * (lo + hi)
         if not lo < mid < hi:
-            # lo and hi are adjacent floats; no further step moves hi
+            # lo and hi are adjacent; no further step moves hi
             break
         if _confidences(mid, m)[2] >= c_target:
             hi = mid
@@ -375,46 +376,22 @@ def _n_real(moments: LogLikMoments, c_target: float) -> float:
     return hi
 
 
-# The integer N search starts at the ceiling of Newton's estimate when that
-# is at most 2^53 - _N_STEPS, so that every integer it visits is a float,
-# and takes that start's answer if its walk ends within _N_STEPS steps.
-_N_EXACT = 2.0**53
-_N_STEPS = 4
-
-
-def _walk(m: LogLikMoments, c_target: float, n: int, steps: float = math.inf) -> int | None:
-    """From n, down while the integer below still meets c_target, then up
-    while n falls short: the integer where the averaged confidence
-    crosses c_target, or None once more than ``steps`` steps are taken."""
-    taken = 0
-    while n > 1 and _confidences(n - 1.0, m)[2] >= c_target:
-        n, taken = n - 1, taken + 1
-        if taken > steps:
-            return None
-    while _confidences(float(n), m)[2] < c_target:
-        n, taken = n + 1, taken + 1
-        if taken > steps:
-            return None
-    return n
+def _n_real(moments: LogLikMoments, c_target: float) -> float:
+    """Real-valued trial count where the averaged confidence crosses
+    c_target: the float where ``_confidences`` first reaches it, which is
+    the float plain bisection from (0, 2^k] returns.  A target not met by
+    2^62 trials raises ``HypothesesIndistinguishableError``."""
+    return _crossing(moments, c_target, whole=False)
 
 
 def n_for_confidence(c_target: float, moments: LogLikMoments) -> int:
     """Smallest integer trial count whose averaged confidence meets
-    c_target, by ``_confidences`` alone: ``_walk`` from the ceiling of
-    Newton's estimate where it ends within a few steps, else from the
-    ceiling of ``_n_real``, which lies within an ulp of the crossing.
-    Wherever the confidence is monotone over the integers walked, both
-    starts give the one crossing.  A NaN or negative spread raises
-    ``DegenerateMomentsError``, as in ``confidence``; a zero spread, or a
-    target not met by 2^62 trials, gives no trial count and raises
+    c_target, by ``_confidences`` alone: the integer N search, which halves
+    Newton's window rounded out to integers.  A NaN or negative spread
+    raises ``DegenerateMomentsError``, as in ``confidence``; a zero spread,
+    or a target not met by 2^62 trials, gives no trial count and raises
     ``HypothesesIndistinguishableError``."""
-    _check_search(moments, c_target)
-    estimate = _newton_n(moments, c_target)
-    if estimate is not None and estimate[0] <= _N_EXACT - _N_STEPS:
-        n = _walk(moments, c_target, max(1, math.ceil(estimate[0])), _N_STEPS)
-        if n is not None:
-            return n
-    return _walk(moments, c_target, max(1, math.ceil(_n_real(moments, c_target))))
+    return _crossing(moments, c_target, whole=True)
 
 
 def mean_posterior(mu_y: float, sigma_y: float) -> float:

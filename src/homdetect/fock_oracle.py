@@ -66,10 +66,6 @@ GROUP_BYTES = 128 * 1024
 # took 1.5 times as long as its slice updates, at 1 MiB half as long.
 STACK_BYTES = 1 << 20
 
-# Amplitude rows up to which the coherent-state recurrence runs on Python
-# floats; numpy's per-call cost only pays from about this many rows.
-SCALAR_ROWS = 8
-
 NORM_DEFICIT_TOL = 1e-10
 LOSS_RESIDUAL_TOL = 1e-10
 
@@ -133,31 +129,20 @@ def _coherent_rows(alphas: list[complex], length: int) -> np.ndarray:
     1 / sqrt(n), which is how numpy's complex division (Smith's method)
     divides by sqrt(n) + 0j.  So each value is that of the recurrence on
     numpy complex scalars; only the sign of a zero may differ, and no later
-    product, square or sum reads it.  A few rows run on Python floats, more
-    on every row at once in numpy.
+    product, square or sum reads it.  Each step runs on every row at once.
     """
     a = np.array(alphas, dtype=complex)
     steps = np.empty((length, 2, a.size))  # (re, im) of c[n] per row
-    if a.size <= SCALAR_ROWS:
-        for row, alpha in enumerate(alphas):
-            ar, ai, re, im = alpha.real, alpha.imag, 1.0, 0.0
-            cells = [(re, im)]
-            for n in range(1, length):
-                scale = 1.0 / math.sqrt(n)
-                re, im = (re * ar - im * ai) * scale, (re * ai + im * ar) * scale
-                cells.append((re, im))
-            steps[:, :, row] = cells
-    else:
-        steps[0, 0], steps[0, 1] = 1.0, 0.0
-        same = np.array([a.real, a.real])  # times (re, im): re ar, im ar
-        swap = np.array([-a.imag, a.imag])  # times (im, re): -im ai, re ai
-        cross = np.empty((2, a.size))
-        for n in range(1, length):
-            prev, step = steps[n - 1], steps[n]
-            np.multiply(prev, same, out=step)
-            np.multiply(prev[::-1], swap, out=cross)
-            step += cross
-            step *= 1.0 / math.sqrt(n)
+    steps[0, 0], steps[0, 1] = 1.0, 0.0
+    same = np.array([a.real, a.real])  # times (re, im): re ar, im ar
+    swap = np.array([-a.imag, a.imag])  # times (im, re): -im ai, re ai
+    cross = np.empty((2, a.size))
+    for n in range(1, length):
+        prev, step = steps[n - 1], steps[n]
+        np.multiply(prev, same, out=step)
+        np.multiply(prev[::-1], swap, out=cross)
+        step += cross
+        step *= 1.0 / math.sqrt(n)
     norm = np.array([math.exp(-abs(alpha) ** 2 / 2.0) for alpha in alphas])
     rows = np.empty((a.size, length), dtype=complex)
     np.multiply(steps[:, 0].T, norm[:, None], out=rows.real)
@@ -314,7 +299,7 @@ def _traced(cfg: OracleConfig, k_hi: int, l_hi: int) -> np.ndarray:
         if over.size:
             raise OracleTruncationError(
                 f"lost-mode sum residual bound {over[0]:.3e} above {LOSS_RESIDUAL_TOL}; "
-                "raise loss_sum_max"
+                "raise fock_dim, or loss_sum_max where it is set below fock_dim"
             )
     return tables[0] if phases == 1 else tables.mean(axis=0)
 

@@ -759,7 +759,7 @@ def test_newton_window_holds_near_half_and_one(monkeypatch):
             calls[0] = 0
             assert _n_real(m, target) == root
             counts.append(calls[0])
-            assert bayes._bracket(m, target)[0] > 0.0  # Newton's window, not (0, 2^k]
+            assert bayes._bracket(m, target, False)[0] > 0.0  # Newton's window, not (0, 2^k]
         assert max(counts) <= bound, target
         if target == 0.954:
             assert np.mean(counts) <= 16
@@ -790,17 +790,20 @@ def test_n_search_keeps_the_cap_refusal():
 
 
 def test_n_search_beyond_two_to_the_53_keeps_every_bit(monkeypatch):
-    # where N may pass 2^53 an integer is no longer always a float, so the
-    # search bisects the real root first; N from 2^50 to 2^60 equals the
-    # reference walked from the ceiling of that root
-    bisections = [0]
-    n_real = bayes._n_real
+    # past 2^53 an integer is no longer always a float: the integer search
+    # halves on the integers, each read at its nearest float, and N from
+    # 2^50 to 2^60 equals the reference walked from the ceiling of the
+    # real root.  Newton's window there is up to 2.3e6 integers wide, so
+    # at most 22 halvings after its two verdicts, where the walk from the
+    # root stepped over every integer that rounds to it (148 confidences)
+    calls = [0]
+    confidences = bayes._confidences
 
-    def counted(m, c_target):
-        bisections[0] += 1
-        return n_real(m, c_target)
+    def counted(n, m):
+        calls[0] += 1
+        return confidences(n, m)
 
-    monkeypatch.setattr(bayes, "_n_real", counted)
+    monkeypatch.setattr(bayes, "_confidences", counted)
     rng = np.random.default_rng(20261021)
     above = 0
     for _ in range(300):
@@ -809,32 +812,28 @@ def test_n_search_beyond_two_to_the_53_keeps_every_bit(monkeypatch):
         scale = float(erfinv(2.0 * target - 1.0)) / math.sqrt(2.0 ** rng.uniform(49.0, 59.0))
         mu_p, mu_a = scale * 10.0 ** rng.uniform(-0.3, 0.3, 2)
         m = LogLikMoments(-mu_p * sigma_p, sigma_p, mu_a * sigma_a, sigma_a)
-        bisections[0] = 0
+        calls[0] = 0
         n = n_for_confidence(target, m)
+        assert calls[0] <= 2 + 22
         assert n == _n_int_reference(m, target, _n_real_200_halvings(m, target))
         if n > 2**53:
             above += 1
-            assert bisections[0] == 1
     assert 50 <= above <= 250
 
 
-def test_integer_n_search_steps_from_newtons_estimate(monkeypatch):
-    # at ordinary targets the integer N is walked from the ceiling of
-    # Newton's estimate: no bisection, and a crossing confirmed within a
-    # few confidences, where bisecting the real root took about 18
-    calls, bisections = [0], [0]
+def test_integer_n_search_halves_newtons_window(monkeypatch):
+    # at ordinary targets Newton's window rounded out to integers is
+    # confirmed and is most often already two adjacent integers: a
+    # crossing found within a few confidences, where bisecting the real
+    # root took about 18
+    calls = [0]
     confidences = bayes._confidences
 
     def counted(n, m):
         calls[0] += 1
         return confidences(n, m)
 
-    def no_bisection(m, c_target):
-        bisections[0] += 1
-        return _n_real_200_halvings(m, c_target)
-
     monkeypatch.setattr(bayes, "_confidences", counted)
-    monkeypatch.setattr(bayes, "_n_real", no_bisection)
     rng = np.random.default_rng(20261022)
     counts = []
     for i in range(2000):
@@ -844,8 +843,7 @@ def test_integer_n_search_steps_from_newtons_estimate(monkeypatch):
         n = n_for_confidence(target, m)
         counts.append(calls[0])
         assert n == _n_int_reference(m, target, _n_real_200_halvings(m, target))
-    assert bisections[0] == 0
-    assert max(counts) <= 2 + bayes._N_STEPS
+    assert max(counts) <= 6
     assert np.mean(counts) <= 2.5
 
 

@@ -573,6 +573,23 @@ def test_validate_oracle_rejects_bright_reference(capsys):
     assert "n_c" in err
 
 
+def test_validate_oracle_residual_refusal_names_the_flag_that_mends_it(capsys):
+    # the loss box defaults to fock_dim, which --fock-dim sets; no flag
+    # sets loss_sum_max, so the refusal must not name it alone
+    code, out, err = run(
+        ["validate-oracle", "--fock-dim", "2", "--nc", "1e-6", "--eta", "0", "--jk-sum-max", "1"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: lost-mode sum residual bound")
+    assert "raise fock_dim" in err
+    code, out, _ = run(
+        ["validate-oracle", "--fock-dim", "12", "--nc", "1e-6", "--eta", "0", "--jk-sum-max", "1"],
+        capsys,
+    )
+    assert (code, out[:4]) == (0, "PASS")
+
+
 # ---------------------------------------------------------------------------
 # config and flag equivalence
 # ---------------------------------------------------------------------------

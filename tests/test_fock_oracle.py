@@ -308,7 +308,8 @@ def ref_traced_table(cfg, cos_theta, k_hi, l_hi):
     ) * tail_xx
     if worst > 1e-10:
         raise OracleTruncationError(
-            f"lost-mode sum residual bound {worst:.3e} above 1e-10; raise loss_sum_max"
+            f"lost-mode sum residual bound {worst:.3e} above 1e-10; raise fock_dim, "
+            "or loss_sum_max where it is set below fock_dim"
         )
     return table
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from homdetect import bayes
 from homdetect import sweep as sweep_module
 from homdetect.bayes import HypothesesIndistinguishableError, HypothesisPair, loglik_moments
 from homdetect.photon_stats import (
@@ -520,6 +521,26 @@ def test_sweep_makes_one_params_per_brightness(monkeypatch, name, expected):
     made.clear()
     run_sweep(spec)
     assert len(made) == expected
+
+
+@pytest.mark.parametrize("name, confidences, estimates",
+                         [("fig2a", 312, 156), ("fig2b", 216, 108)])
+def test_sweep_search_work(monkeypatch, name, confidences, estimates):
+    # each fig2 row's N search makes one Newton estimate and confirms its
+    # window with two confidences, which are already adjacent integers: a
+    # change that adds search work shows here
+    calls = {"confidences": 0, "estimates": 0}
+
+    def counted(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(bayes, "_confidences", counted("confidences", bayes._confidences))
+    monkeypatch.setattr(bayes, "_newton_n", counted("estimates", bayes._newton_n))
+    run_sweep(preset(name))
+    assert (calls["confidences"], calls["estimates"]) == (confidences, estimates)
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))
