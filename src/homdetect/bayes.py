@@ -25,12 +25,12 @@ from .photon_stats import (
     Outcome,
     ParameterError,
     ProtocolParams,
+    _bracketed,
     _checked_tail,
     _folded,
     _is_whole,
     build_distribution,
     apply_saturation,
-    with_emitter,
 )
 
 __all__ = [
@@ -92,10 +92,15 @@ class HypothesisPair:
     @classmethod
     def from_params(cls, params: ProtocolParams) -> "HypothesisPair":
         """Build the absent table, the Poisson envelope, once and the
-        present table from it (``with_emitter``), each with its own tail
-        check and the bits a build of its own gives; both unsaturated."""
+        present table as it times the emitter's bracket, each with its own
+        tail check and the bits a build of its own gives; both unsaturated.
+        At xi = 0 the absent table stands for both."""
         absent = build_distribution(params._with_field("xi", 0.0))
-        return cls(present=with_emitter(absent, params), absent=absent)
+        if params.xi == 0.0:
+            return cls(present=absent, absent=absent)
+        counts = np.arange(absent.k_max + 1.0)
+        present = CountDistribution(params, _bracketed(params, absent.probs, counts, counts))
+        return cls(present=present, absent=absent)
 
     def saturated(self, t: int | None) -> "HypothesisPair":
         """The pair seen by detectors saturating at t: both tables folded

@@ -52,8 +52,8 @@ PHASE_GRID = 64
 
 # Largest per-mode truncation.  A table call holds the pair tensors of one
 # group of phases at a time, a few complex arrays of GROUP_BYTES or of one
-# phase's 16 B * loss_sum_max**2 (640 kB at this cap), and keeps none after
-# it returns; the cap bounds its work, 64 phases of dim**2 cells each.
+# phase's 16 B * fock_dim**2 (640 kB at this cap), and keeps none after it
+# returns; the cap bounds its work, 64 phases of dim**2 cells each.
 FOCK_DIM_MAX = 200
 
 # Largest complex pair tensor of a group of phases, so that a group's
@@ -78,15 +78,14 @@ class OracleTruncationError(RuntimeError):
 class OracleConfig:
     """Truncation settings for the number-basis computation.
 
-    fock_dim bounds the per-mode photon number; loss_sum_max bounds the
-    explicit sum over the two lost modes (defaults to fock_dim).  The
-    reference brightness is capped so the default truncation keeps the
-    retained coherent-state norm within NORM_DEFICIT_TOL of one.
+    fock_dim bounds the per-mode photon number, on the detected and the
+    lost pair alike.  The reference brightness is capped so the default
+    truncation keeps the retained coherent-state norm within
+    NORM_DEFICIT_TOL of one.
     """
 
     params: ProtocolParams
     fock_dim: int = 40
-    loss_sum_max: int | None = None
 
     def __post_init__(self) -> None:
         if self.params.protocol is Protocol.DIRECT:
@@ -95,17 +94,10 @@ class OracleConfig:
             raise ParameterError(
                 f"oracle requires n_c <= 4 so the default truncation is adequate, got {self.params.n_c}"
             )
-        if self.loss_sum_max is None:
-            object.__setattr__(self, "loss_sum_max", self.fock_dim)
-        for name in ("fock_dim", "loss_sum_max"):
-            if not _is_whole(getattr(self, name)):
-                raise ParameterError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not _is_whole(self.fock_dim):
+            raise ParameterError(f"fock_dim must be an integer, got {self.fock_dim!r}")
         if not (2 <= self.fock_dim <= FOCK_DIM_MAX):
             raise ParameterError(f"fock_dim must lie in [2, {FOCK_DIM_MAX}], got {self.fock_dim}")
-        if not (1 <= self.loss_sum_max <= self.fock_dim):
-            raise ParameterError(
-                f"loss_sum_max must lie in [1, fock_dim], got {self.loss_sum_max}"
-            )
         deficit = float(pdtrc(self.fock_dim - 1, self.params.n_c)) if self.params.n_c > 0 else 0.0
         if deficit > NORM_DEFICIT_TOL:
             raise OracleTruncationError(
@@ -166,9 +158,9 @@ def _pair_rows(plus: np.ndarray) -> tuple[np.ndarray, ...]:
     return minus, plus, *raised
 
 
-def _amplitude_rows(cfg: OracleConfig, length: int):
+def _amplitude_rows(cfg: OracleConfig):
     """The rows of ``_pair_rows`` for the detected and the lost pair, one
-    per phase of ``_phases``, for photon numbers below length."""
+    per phase of ``_phases``, over the whole basis."""
     p = cfg.params
     detected, lost = [], []
     for cos_theta in _phases(cfg):
@@ -176,7 +168,7 @@ def _amplitude_rows(cfg: OracleConfig, length: int):
         alpha_c = math.sqrt(p.n_c) * complex(cos_theta, sin_theta)
         detected.append(math.sqrt(p.eta * p.epsilon / 2.0) * alpha_c)
         lost.append(math.sqrt((1.0 - p.eta) * p.epsilon / 2.0) * alpha_c)
-    rows = _coherent_rows(detected + lost, length)
+    rows = _coherent_rows(detected + lost, cfg.fock_dim)
     return _pair_rows(rows[: len(detected)]), _pair_rows(rows[len(detected):])
 
 
@@ -211,11 +203,9 @@ def _check_indices(cfg: OracleConfig, *indices: int) -> None:
             raise ParameterError(f"mode index {idx} outside [0, fock_dim)")
 
 
-@lru_cache(maxsize=2)
-def _joint_rows(cfg: OracleConfig):
-    """``_amplitude_rows`` over the whole basis, kept for the one-cell calls
-    of ``joint_pmf``: a few complex rows of fock_dim per phase."""
-    return _amplitude_rows(cfg, cfg.fock_dim)
+# kept for the one-cell calls of ``joint_pmf`` alone, a few complex rows of
+# fock_dim per phase; a table call holds no rows past its return
+_joint_rows = lru_cache(maxsize=2)(_amplitude_rows)
 
 
 def joint_pmf(cfg: OracleConfig, k: int, l: int, m: int, n: int) -> float:
@@ -239,7 +229,7 @@ def _loss_tails(cfg: OracleConfig) -> tuple[float, float]:
     truncated Poisson sums.  Neither depends on the phase.
     """
     p = cfg.params
-    M = cfg.loss_sum_max
+    M = cfg.fock_dim
     n_l = (1.0 - p.eta) * p.epsilon * p.n_c / 2.0
     counts = np.arange(M, dtype=float)
     pois_row = _poisson_vec(counts, n_l)
@@ -275,11 +265,11 @@ def _traced(cfg: OracleConfig, k_hi: int, l_hi: int) -> np.ndarray:
     ``_loss_tails``, and must stay below LOSS_RESIDUAL_TOL at every phase.
     """
     p = cfg.params
-    M, J, K = cfg.loss_sum_max, k_hi + 1, l_hi + 1
+    M, J, K = cfg.fock_dim, k_hi + 1, l_hi + 1
     tail_ww, tail_xx = _loss_tails(cfg)
-    detected, lost = _amplitude_rows(cfg, max(J, K, M))
+    detected, lost = _amplitude_rows(cfg)
     phases = detected[0].shape[0]
-    group = _group_size(max(J * K, M * M), phases)
+    group = _group_size(M * M, phases)
     tables = np.empty((phases, J, K))
     box, rows, cols = slice(0, M), slice(0, J), slice(0, K)
     for start in range(0, phases, group):
@@ -297,10 +287,8 @@ def _traced(cfg: OracleConfig, k_hi: int, l_hi: int) -> np.ndarray:
         worst = 2.0 * bb.max(axis=(1, 2)) * tail_ww + 2.0 * ee.max(axis=(1, 2)) * tail_xx
         over = worst[worst > LOSS_RESIDUAL_TOL]
         if over.size:
-            raise OracleTruncationError(
-                f"lost-mode sum residual bound {over[0]:.3e} above {LOSS_RESIDUAL_TOL}; "
-                "raise fock_dim, or loss_sum_max where it is set below fock_dim"
-            )
+            raise OracleTruncationError(f"lost-mode sum residual bound {over[0]:.3e} "
+                                        f"above {LOSS_RESIDUAL_TOL}; raise fock_dim")
     return tables[0] if phases == 1 else tables.mean(axis=0)
 
 

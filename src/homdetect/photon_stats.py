@@ -24,7 +24,6 @@ import json
 import math
 import numbers
 import os
-import tempfile
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -47,7 +46,6 @@ __all__ = [
     "direct_pmf",
     "hom_pmf",
     "build_distribution",
-    "with_emitter",
     "apply_saturation",
     "table_csv_text",
 ]
@@ -484,8 +482,8 @@ class CountDistribution:
         return table_csv_text(self.probs, "p")
 
     def to_json_dict(self) -> dict:
-        return _table_document(self.params, self.saturation, self.probs,
-                               "tail_mass", self.tail_mass)
+        return json.loads(_table_json_text(self.params, self.saturation, self.probs,
+                                           "tail_mass", self.tail_mass))
 
 
 def _checked_tail(params: ProtocolParams, probs: np.ndarray, saturation: int | None) -> float:
@@ -534,36 +532,25 @@ def table_csv_text(table: np.ndarray, value_header: str) -> str:
     return _csv_text(columns, "%d," * table.ndim + "%.17g", _cells(table))
 
 
-def _table_head(params: ProtocolParams, saturation: int | None, table: np.ndarray,
-                key: str, value) -> dict:
-    """A count table's document up to its entries: its params, saturation
-    and k_max, then ``key`` (tail_mass, or diff for a difference table)."""
-    return {
-        "params": params.to_dict(),
-        "saturation": saturation,
-        "k_max": table.shape[0] - 1,
-        key: value,
-    }
-
-
-def _table_document(params: ProtocolParams, saturation: int | None, table: np.ndarray,
-                    key: str, value) -> dict:
-    """The JSON document of a count table: ``_table_head``, then the
-    entries [j, k, value] or [j, value] in row-major order."""
-    return {**_table_head(params, saturation, table, key, value),
-            "entries": list(map(list, _cells(table)))}
-
-
 def _table_json_text(params: ProtocolParams, saturation: int | None, table: np.ndarray,
                      key: str, value) -> str:
-    """``_json_text`` of ``_table_document``, byte for byte.
+    """The JSON document of a count table, as ``_json_text`` writes it: its
+    params, saturation and k_max, then ``key`` (tail_mass, or diff for a
+    difference table), then the entries [j, k, value] or [j, value] in
+    row-major order.
 
     json indents through its pure-Python encoder, about three times the
     cost of its C one, so only the head goes through it; each entry is
     written by one %-format, whose ``%r`` is the float repr json writes.
     A non-finite cell is refused with json's own error.
     """
-    head = _json_text({**_table_head(params, saturation, table, key, value), "entries": []})
+    head = _json_text({
+        "params": params.to_dict(),
+        "saturation": saturation,
+        "k_max": table.shape[0] - 1,
+        key: value,
+        "entries": [],
+    })
     flat = table.ravel()
     finite = np.isfinite(flat)
     if not finite.all():
@@ -607,19 +594,6 @@ def build_distribution(params: ProtocolParams) -> CountDistribution:
         raise TruncationError(f"k_max {k} at n_bar = {derived_means(params).n_bar} "
                               f"exceeds the cap of {K_MAX_HARD_CAP} counts per detector")
     return CountDistribution(params=params, probs=_pmf_tables(params, np.arange(k + 1.0)))
-
-
-def with_emitter(absent: CountDistribution, params: ProtocolParams) -> CountDistribution:
-    """The present table at params: ``absent.probs``, the envelope, times
-    the emitter's bracket, with its own tail check and the bits of
-    ``build_distribution(params)``.  ParameterError unless ``absent`` is
-    unsaturated and at params but for xi = 0; at xi = 0 it is returned."""
-    if absent.saturation is not None or params._with_field("xi", 0.0) != absent.params:
-        raise ParameterError("with_emitter takes the unsaturated xi = 0 table of its params")
-    if params.xi == 0.0:
-        return absent
-    counts = np.arange(absent.k_max + 1.0)
-    return CountDistribution(params=params, probs=_bracketed(params, absent.probs, counts, counts))
 
 
 def _check_budget(need: int, work: str, advice: str = "") -> None:
@@ -709,10 +683,12 @@ def apply_saturation(dist: CountDistribution, t: int) -> CountDistribution:
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     """Write text to path via a temp file and rename, so readers never see
-    a half-written file."""
+    a half-written file.  The temp file gets the mode ``open(path, "w")``
+    gives a new file, 0o666 less the umask, and the rename keeps it;
+    ``tempfile.mkstemp`` would give 0o600."""
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(6).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

@@ -394,8 +394,6 @@ class SweepResult:
     spec: SweepSpec
     rows: tuple[SweepRow, ...]
 
-    CSV_HEADER = ",".join(_ROW_FIELDS[:-1])
-
     def csv_text(self) -> str:
         return _csv_text(_ROW_FIELDS[:-1], "%s,%.17g,%.17g,%.17g,%s,%s,%s,%s,%s",
                          map(SweepRow._csv_cells, self.rows))

@@ -34,7 +34,6 @@ from homdetect.photon_stats import (
     ProtocolParams,
     apply_saturation,
     build_distribution,
-    with_emitter,
 )
 
 LOW_NOISE = ProtocolParams(protocol=Protocol.DIRECT, xi=0.1, eta=0.8, n_e=0.02, n_i=0.02)
@@ -85,13 +84,6 @@ def test_pair_rejects_mismatches():
         HypothesisPair(present=present, absent=absent_padded)
     with pytest.raises(ParameterError, match="different saturation"):
         HypothesisPair(present=apply_saturation(present, present.k_max), absent=absent)
-    # with_emitter refuses every absent table the pair would refuse, and a
-    # saturated one, whose boundary bins are no longer the envelope
-    for refused in (apply_saturation(absent, 2), present, absent_wrong):
-        with pytest.raises(ParameterError, match="with_emitter"):
-            with_emitter(refused, LOW_NOISE)
-    with pytest.raises(ParameterError, match="with_emitter"):
-        with_emitter(absent, replace(LOW_NOISE, eta=0.5))
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))

@@ -4,11 +4,15 @@ import hashlib
 import json
 import os
 import re
+import shlex
+import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import homdetect
 from homdetect.bayes import HypothesisPair
 from homdetect import cli
 from homdetect.cli import main
@@ -87,6 +91,23 @@ def test_dist_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("j,p\n")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="file modes and the umask are POSIX")
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=lambda m: f"{m:03o}")
+def test_written_file_takes_the_mode_open_gives(umask, tmp_path, capsys):
+    # the rename of an atomic write keeps its temp file's mode, which must
+    # be the one a plain open(path, "w") gives, not mkstemp's 0o600
+    old = os.umask(umask)
+    try:
+        code, _, _ = run(["dist", "-o", str(tmp_path / "table.csv")] + LOW_FLAGS, capsys)
+        open(tmp_path / "plain.txt", "w").close()
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert sorted(os.listdir(tmp_path)) == ["plain.txt", "table.csv"]
+    modes = {stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in os.listdir(tmp_path)}
+    assert modes == {0o666 & ~umask}
 
 
 def test_dist_rejects_bad_parameter(capsys):
@@ -574,8 +595,7 @@ def test_validate_oracle_rejects_bright_reference(capsys):
 
 
 def test_validate_oracle_residual_refusal_names_the_flag_that_mends_it(capsys):
-    # the loss box defaults to fock_dim, which --fock-dim sets; no flag
-    # sets loss_sum_max, so the refusal must not name it alone
+    # the lost pair's box is the basis, which --fock-dim sets
     code, out, err = run(
         ["validate-oracle", "--fock-dim", "2", "--nc", "1e-6", "--eta", "0", "--jk-sum-max", "1"],
         capsys,
@@ -1032,3 +1052,42 @@ def test_saturation_over_the_memory_budget_is_refused_before_it_allocates():
     assert result.stderr == ("error: scoring saturation threshold 10000 on 2 detectors needs about "
                              "3816 MiB, above the 1024 MiB budget\n")
     assert result.stdout == ""
+
+
+# ---------------------------------------------------------------------------
+# README examples
+# ---------------------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(heading, language):
+    """The first ```language block in the README section under heading."""
+    section = README.read_text().split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def _readme_commands():
+    """The arguments of each homdetect example in the Command line block,
+    continuation lines joined, but for those that read a --config file."""
+    block = _readme_block("Command line", "sh").replace("\\\n", " ")
+    examples = [shlex.split(line) for line in block.splitlines() if line.startswith("homdetect ")]
+    return [argv[1:] for argv in examples if "--config" not in argv]
+
+
+def _run_in(directory, argv):
+    package_root = os.path.dirname(os.path.dirname(homdetect.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], cwd=directory, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path, OMP_NUM_THREADS="1"), timeout=300)
+
+
+def test_readme_library_tour_runs(tmp_path):
+    result = _run_in(tmp_path, ["-c", _readme_block("Library tour", "python")])
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_command_runs(argv, tmp_path):
+    result = _run_in(tmp_path, ["-m", "homdetect.cli", *argv])
+    assert result.returncode == 0, result.stderr

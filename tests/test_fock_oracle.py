@@ -62,16 +62,6 @@ def test_rejects_undersized_basis():
             OracleConfig(params=coherent(n_c=1.0), fock_dim=bad)
 
 
-def test_loss_sum_bounds():
-    cfg = OracleConfig(params=coherent(n_c=1.0), fock_dim=20)
-    assert cfg.loss_sum_max == 20
-    with pytest.raises(ParameterError):
-        OracleConfig(params=coherent(n_c=1.0), fock_dim=20, loss_sum_max=25)
-    for bad in (20.5, 10.0, "10", True):
-        with pytest.raises(ParameterError, match="loss_sum_max must be an integer"):
-            OracleConfig(params=coherent(n_c=1.0), fock_dim=20, loss_sum_max=bad)
-
-
 def test_index_validation():
     cfg = OracleConfig(params=coherent(n_c=0.1), fock_dim=10)
     with pytest.raises(ParameterError):
@@ -118,8 +108,8 @@ def test_traced_equals_explicit_loss_sum(cos_theta):
     for k, l in [(0, 0), (0, 1), (1, 0), (1, 1), (2, 1), (3, 2)]:
         explicit = sum(
             joint_pmf(cfg, k, l, m, n)
-            for m in range(cfg.loss_sum_max)
-            for n in range(cfg.loss_sum_max)
+            for m in range(cfg.fock_dim)
+            for n in range(cfg.fock_dim)
         )
         assert traced_pmf(cfg, k, l) == pytest.approx(explicit, abs=1e-13)
 
@@ -145,10 +135,10 @@ def test_single_outcome_phase_averages_reduce_to_zero_phase():
 
 
 def test_residual_guard_fires_when_loss_box_too_small():
-    cfg = OracleConfig(
-        params=coherent(xi=0.5, eta=0.5, epsilon=1.0, n_c=4.0), fock_dim=40, loss_sum_max=1
-    )
-    with pytest.raises(OracleTruncationError):
+    # the lost pair's box is the basis: two photons per mode hold the faint
+    # reference's norm but cut its lost-pair sums short
+    cfg = OracleConfig(params=coherent(xi=0.5, eta=0.0, epsilon=1.0, n_c=1e-6), fock_dim=2)
+    with pytest.raises(OracleTruncationError, match="raise fock_dim$"):
         traced_pmf(cfg, 0, 0)
 
 
@@ -288,11 +278,10 @@ def ref_amplitude_parts(cfg, cos_theta):
 
 def ref_traced_table(cfg, cos_theta, k_hi, l_hi):
     B, E, W, X = ref_amplitude_parts(cfg, cos_theta)
-    M = cfg.loss_sum_max
-    Wb, Xb = W[:M, :M], X[:M, :M]
-    s_ww = float(np.sum(np.abs(Wb) ** 2))
-    s_xx = float(np.sum(np.abs(Xb) ** 2))
-    s_wx = complex(np.sum(Wb * np.conj(Xb)))
+    M = cfg.fock_dim
+    s_ww = float(np.sum(np.abs(W) ** 2))
+    s_xx = float(np.sum(np.abs(X) ** 2))
+    s_wx = complex(np.sum(W * np.conj(X)))
     Bs, Es = B[: k_hi + 1, : l_hi + 1], E[: k_hi + 1, : l_hi + 1]
     table = np.abs(Bs) ** 2 * s_ww + np.abs(Es) ** 2 * s_xx + 2.0 * np.real(Bs * np.conj(Es) * s_wx)
     p = cfg.params
@@ -308,8 +297,7 @@ def ref_traced_table(cfg, cos_theta, k_hi, l_hi):
     ) * tail_xx
     if worst > 1e-10:
         raise OracleTruncationError(
-            f"lost-mode sum residual bound {worst:.3e} above 1e-10; raise fock_dim, "
-            "or loss_sum_max where it is set below fock_dim"
+            f"lost-mode sum residual bound {worst:.3e} above 1e-10; raise fock_dim"
         )
     return table
 
@@ -345,8 +333,10 @@ def _table_or_message(table, cfg, j_max, k_max):
 
 def test_oracle_table_keeps_every_bit_of_the_per_phase_oracle():
     # the bench compares the argmax cell of 1e-18 to 1e-15 noise, so the
-    # table must keep its bits, not only its values; the loss box, the
-    # detected box and the phase all vary, and a loss box of 1 makes the
+    # table must keep its bits, not only its values; the basis, the
+    # detected box and the phase all vary.  A third of the first 300
+    # points take a basis of 2 photons per mode and a faint reference,
+    # whose lost-pair sums that basis cuts short enough to make the
     # residual guard fire with its message.  The last 100 points sit at
     # xi = 1 with a lit loss pair, where the cross sum of W conj(X) weighs
     # most: summing it in another order moves bits at 4 % of them
@@ -358,29 +348,33 @@ def test_oracle_table_keeps_every_bit_of_the_per_phase_oracle():
     tables = messages = 0
     for i in range(400):
         cross = i >= 300
+        small = not cross and rng.integers(3) == 0
+        if small:
+            n_c = 10.0 ** float(rng.uniform(-8.0, -5.0))
+        else:
+            n_c = float(rng.uniform(0.0, 4.0)) if cross or rng.integers(2) else 0.0
         params = ProtocolParams(
             protocol=(Protocol.COHERENT_HOM, Protocol.INCOHERENT_HOM)[rng.integers(2)],
             xi=1.0 if cross else unit(),
             eta=float(rng.uniform()) if cross else unit(),
             epsilon=float(rng.uniform()) if cross else unit(),
-            n_c=(float(rng.uniform(0.0, 4.0)) if cross or rng.integers(2) else 0.0),
+            n_c=n_c,
             n_e=float(rng.uniform(0.0, 1.0)), n_i=float(rng.uniform(0.0, 1.0)),
             cos_theta=(1.0, -1.0, 0.0, float(rng.uniform(-1.0, 1.0)))[rng.integers(4)],
         )
-        dim = int(rng.integers(12, 41))
-        loss = (dim, dim - 3, 1)[rng.integers(2 if cross else 3)]
+        dim = 2 if small else int(rng.integers(12, 41))
         try:
-            cfg = OracleConfig(params=params, fock_dim=dim, loss_sum_max=loss)
+            cfg = OracleConfig(params=params, fock_dim=dim)
         except OracleTruncationError:
             continue  # the basis is too small for this n_c
-        j_max, k_max = int(rng.integers(0, 12)), int(rng.integers(0, 12))
+        j_max, k_max = (int(rng.integers(0, min(dim, 12))) for _ in range(2))
         want = _table_or_message(ref_oracle_table, cfg, j_max, k_max)
         got = _table_or_message(oracle_table, cfg, j_max, k_max)
         if isinstance(want, str):
-            assert got == want, (params, dim, loss)
+            assert got == want, (params, dim)
             messages += 1
         else:
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (params, dim, loss)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (params, dim)
             tables += 1
     assert tables > 250 and messages > 20
 

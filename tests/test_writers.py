@@ -25,7 +25,7 @@ from homdetect.photon_stats import (
     build_distribution,
     table_csv_text,
 )
-from homdetect.sweep import SweepResult, SweepSpec, run_sweep
+from homdetect.sweep import SweepSpec, run_sweep
 
 # ---------------------------------------------------------------------------
 # reference writers
@@ -223,7 +223,7 @@ def test_table_json_text_refuses_a_non_finite_cell(bad):
     table[1, 2], table[2, 0] = bad, float("nan")
     params = ProtocolParams(Protocol.COHERENT_HOM)
     with pytest.raises(ValueError) as want:
-        photon_stats._json_text(photon_stats._table_document(params, None, table, "diff", True))
+        json.dumps(ref_table_entries(table), indent=1, allow_nan=False)
     with pytest.raises(ValueError) as got:
         photon_stats._table_json_text(params, None, table, "diff", True)
     assert str(got.value) == str(want.value)
@@ -271,7 +271,6 @@ def test_sweep_writers_keep_their_bytes(spec):
     if spec.n_c == "optimize":
         assert any(r.at_bound for r in rows)
     assert result.csv_text() == ref_sweep_csv(result)
-    assert SweepResult.CSV_HEADER == ref_sweep_csv(result).split("\n")[0]
     assert photon_stats._json_text(result.json_dict()) == ref_json_text(ref_sweep_dict(result))
     assert json.dumps(spec.to_dict()) == json.dumps(ref_spec_dict(spec))
 
