@@ -24,6 +24,8 @@ import json
 import math
 import numbers
 import os
+import stat
+import sys
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -165,6 +167,7 @@ class ProtocolParams:
             object.__setattr__(self, name, rule(name, value))
         if self.protocol is Protocol.INCOHERENT_HOM:
             object.__setattr__(self, "cos_theta", 0.0)
+        _check_means(self)
 
     def _with_field(self, name: str, value) -> "ProtocolParams":
         """This parameter set with one numeric field changed, as
@@ -176,7 +179,7 @@ class ProtocolParams:
         varied = object.__new__(type(self))
         varied.__dict__.update(self.__dict__)
         varied.__dict__[name] = value
-        return varied
+        return _check_means(varied)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -216,6 +219,16 @@ def derived_means(params: ProtocolParams) -> DerivedMeans:
         return DerivedMeans(n_bar=n_noise, n_noise=n_noise)
     n_noise = p.eta * (1.0 - p.epsilon) * p.n_c + p.eta * p.n_e + 2.0 * p.n_i
     return DerivedMeans(n_bar=p.eta * p.epsilon * p.n_c + n_noise, n_noise=n_noise)
+
+
+def _check_means(params: ProtocolParams) -> ProtocolParams:
+    """The params, refused if a derived mean count overflows to infinity:
+    each field is finite, but their sum need not be."""
+    n_bar = derived_means(params).n_bar
+    if math.isinf(n_bar):
+        raise ParameterError(f"the mean counts of {params.protocol.value} detection "
+                             f"sum to n_bar = {n_bar}, past the largest float")
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +301,11 @@ def _bracketed(
         # probability eta xi, at either detector alike, with no background
         q = p.eta * p.xi
         return (1.0 - q) * envelope + (q / 2.0) * (np.add.outer(counts, cols) == 1.0)
+    if n_bar > math.sqrt(sys.float_info.max):
+        # the bracket's n_bar**2 would overflow, above about 1.3e154
+        raise DegenerateParameterError(
+            f"two-detector pmf undefined for n_bar = {n_bar} (n_bar**2 overflows) with xi > 0"
+        )
     if n_bar**2 == 0.0:
         # the bracket divides by n_bar**2, which underflows below about 2e-162
         raise DegenerateParameterError(
@@ -591,7 +609,7 @@ def build_distribution(params: ProtocolParams) -> CountDistribution:
     a size above 10000 counts is refused before anything is allocated."""
     k = _table_k_max(params)
     if k > K_MAX_HARD_CAP:
-        raise TruncationError(f"k_max {k} at n_bar = {derived_means(params).n_bar} "
+        raise TruncationError(f"k_max {k:.3g} at n_bar = {derived_means(params).n_bar} "
                               f"exceeds the cap of {K_MAX_HARD_CAP} counts per detector")
     return CountDistribution(params=params, probs=_pmf_tables(params, np.arange(k + 1.0)))
 
@@ -684,13 +702,17 @@ def apply_saturation(dist: CountDistribution, t: int) -> CountDistribution:
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     """Write text to path via a temp file and rename, so readers never see
     a half-written file.  The temp file gets the mode ``open(path, "w")``
-    gives a new file, 0o666 less the umask, and the rename keeps it;
-    ``tempfile.mkstemp`` would give 0o600."""
+    leaves: the existing file's, or for a new file 0o666 less the umask,
+    and the rename keeps it; ``tempfile.mkstemp`` would give 0o600."""
     path = os.fspath(path)
     tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(6).hex()}~")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
+            try:
+                os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
+            except FileNotFoundError:
+                pass
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

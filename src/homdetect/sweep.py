@@ -95,33 +95,29 @@ class NcOptimum(NamedTuple):
 class _RowGroup:
     """The one store of per-brightness work in a sweep.
 
-    ``moments`` holds one (protocol, eta, n_e, n_i) group's moments, keyed
-    by (params, t), and ``params`` the group's ``ProtocolParams`` by n_c,
-    one per brightness; both are cleared when the group changes.  Its rows
-    differ only in t and n_c, and each asks for its own t alone.  A miss
-    builds the unsaturated pair once and scores it at every t still
-    ``ahead``: this row's first, then the later rows', which ask for the
-    same brightness.  A fold is scored from the pair's folded arrays
-    (``_saturated_moments``), with every check and bit of
-    ``apply_saturation`` and no distribution built around them.  No table
-    or exception is kept: a fold keeps the total, so a pair refused at one
-    t is refused at all, and a miss checks this row's t on the protocol's
-    detectors before it builds.  ``direct`` holds the sweep's direct trial
-    counts by (eta, n_e, n_i, t), and ``direct_params`` their params by
-    (eta, n_e, n_i).
+    A sweep keeps one per (eta, n_e, n_i) block, for every protocol's rows
+    there: ``moments`` holds their moments by (params, t), and ``params``
+    their ``ProtocolParams`` by (protocol, n_c).  A protocol's rows differ
+    only in t and n_c, and each asks for its own t alone.  A miss builds the
+    unsaturated pair once and scores it at every t still ``ahead``: this
+    row's first, then the later rows', which ask for the same brightness.
+    A fold is scored from the pair's folded arrays (``_saturated_moments``),
+    with every check and bit of ``apply_saturation`` and no distribution
+    built around them.  No table or exception is kept: a fold keeps the
+    total, so a pair refused at one t is refused at all, and a miss checks
+    this row's t on the protocol's detectors before it builds.  The block
+    fixes xi, eta, n_e and n_i, so the direct baseline has one params,
+    ``baseline``, and ``direct`` holds its trial counts by t.
     """
 
     def __init__(self, saturations: tuple[int | None, ...]) -> None:
         self.saturations = self.ahead = saturations
-        self.group: tuple | None = None
         self.moments: dict[tuple[ProtocolParams, int | None], LogLikMoments] = {}
-        self.params: dict[float, ProtocolParams] = {}
-        self.direct: dict[tuple, int] = {}
-        self.direct_params: dict[tuple, ProtocolParams] = {}
+        self.params: dict[tuple[str, float], ProtocolParams] = {}
+        self.baseline: ProtocolParams | None = None
+        self.direct: dict[int | None, int] = {}
 
-    def enter(self, group: tuple, t: int | None) -> None:
-        if group != self.group:
-            self.group, self.moments, self.params = group, {}, {}
+    def enter(self, t: int | None) -> None:
         self.ahead = self.saturations[self.saturations.index(t):]
 
     def get(self, params: ProtocolParams, t: int | None) -> LogLikMoments:
@@ -138,12 +134,12 @@ class _RowGroup:
         """The params of a point of this group: n_c = 0 where it is to be
         optimized."""
         protocol, eta, ne, ni, _, nc = point
-        n_c = 0.0 if nc == "optimize" else nc
-        if n_c not in self.params:
-            self.params[n_c] = ProtocolParams(protocol=protocol, xi=spec.xi, eta=eta,
-                                              epsilon=spec.epsilon, n_c=n_c, n_e=ne, n_i=ni,
+        key = (protocol, 0.0 if nc == "optimize" else nc)
+        if key not in self.params:
+            self.params[key] = ProtocolParams(protocol=protocol, xi=spec.xi, eta=eta,
+                                              epsilon=spec.epsilon, n_c=key[1], n_e=ne, n_i=ni,
                                               cos_theta=spec.cos_theta)
-        return self.params[n_c]
+        return self.params[key]
 
 
 # The row group of the sweep being run in this context, if any; set only by
@@ -166,16 +162,14 @@ def n_two_sigma(params: ProtocolParams, t: int | None = None, c_target: float = 
 def _direct_n(params: ProtocolParams, t: int | None, c_target: float) -> int:
     """Trial count of direct detection on the same emitter: same xi, eta
     and backgrounds; the reference-beam settings do not apply.  A sweep
-    computes it once per (eta, n_e, n_i, t)."""
+    computes it once per block and t."""
     group = _group(t)
-    key = (params.eta, params.n_e, params.n_i)
-    if key + (t,) not in group.direct:
-        if key not in group.direct_params:
-            group.direct_params[key] = ProtocolParams(
-                protocol=Protocol.DIRECT, xi=params.xi, eta=params.eta,
-                n_e=params.n_e, n_i=params.n_i)
-        group.direct[key + (t,)] = n_two_sigma(group.direct_params[key], t, c_target)
-    return group.direct[key + (t,)]
+    if t not in group.direct:
+        if group.baseline is None:
+            group.baseline = ProtocolParams(protocol=Protocol.DIRECT, xi=params.xi,
+                                            eta=params.eta, n_e=params.n_e, n_i=params.n_i)
+        group.direct[t] = n_two_sigma(group.baseline, t, c_target)
+    return group.direct[t]
 
 
 def speedup(params: ProtocolParams, t: int | None = None, c_target: float = TWO_SIGMA) -> float:
@@ -439,8 +433,8 @@ def evaluate_point(spec: SweepSpec, point: tuple) -> SweepRow:
     own n_c, None where it was to be optimized.  A two-detector point
     whose direct baseline alone fails keeps its N, n_c and at_bound, has
     no speedup, and reads ``direct baseline: <message>`` in ``error``.
-    Under ``run_sweep`` the point reads its row group's params and moments
-    and the sweep's direct baseline instead of rebuilding them.
+    Under ``run_sweep`` the point reads its row group's params, moments
+    and direct baseline instead of rebuilding them.
     """
     protocol, eta, ne, ni, t, nc = point
     optimize = nc == "optimize"
@@ -463,19 +457,25 @@ def evaluate_point(spec: SweepSpec, point: tuple) -> SweepRow:
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """The row of every grid point of the spec, as ``evaluate_point``
-    makes it, in ``grid_points`` order.  The points of one (protocol, eta,
-    n_e, n_i) share a row group, so each brightness is built once for all
-    of its saturations.
+    makes it, in ``grid_points`` order.  The points of one (eta, n_e, n_i)
+    block, of every protocol, are evaluated together in a row group of
+    their own, so each brightness is built once for all of its
+    saturations and the direct baseline once for the block.
     """
-    group = _RowGroup(spec.saturations)
-    token = _ROW_GROUP.set(group)
-    rows = []
-    try:
-        for point in grid_points(spec):
-            group.enter(point[:4], point[4])
-            rows.append(evaluate_point(spec, point))
-    finally:
-        _ROW_GROUP.reset(token)
+    points = grid_points(spec)
+    blocks: dict[tuple, list[int]] = {}
+    for i, point in enumerate(points):
+        blocks.setdefault(point[1:4], []).append(i)
+    rows: list[SweepRow | None] = [None] * len(points)
+    for indices in blocks.values():
+        group = _RowGroup(spec.saturations)
+        token = _ROW_GROUP.set(group)
+        try:
+            for i in indices:
+                group.enter(points[i][4])
+                rows[i] = evaluate_point(spec, points[i])
+        finally:
+            _ROW_GROUP.reset(token)
     return SweepResult(spec=spec, rows=tuple(rows))
 
 

@@ -94,10 +94,18 @@ def test_dist_writes_file(tmp_path, capsys):
 
 
 @pytest.mark.skipif(os.name != "posix", reason="file modes and the umask are POSIX")
-@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=lambda m: f"{m:03o}")
-def test_written_file_takes_the_mode_open_gives(umask, tmp_path, capsys):
+@pytest.mark.parametrize("umask, mode", [(0o022, None), (0o077, None), (0o002, None),
+                                         (0o022, 0o600)],
+                         ids=["022", "077", "002", "022-rewrite-600"])
+def test_written_file_takes_the_mode_open_gives(umask, mode, tmp_path, capsys):
     # the rename of an atomic write keeps its temp file's mode, which must
-    # be the one a plain open(path, "w") gives, not mkstemp's 0o600
+    # be the one a plain open(path, "w") gives: a new file 0o666 less the
+    # umask, not mkstemp's 0o600, and a rewritten file the mode it had
+    names = ["plain.txt", "table.csv"]
+    if mode is not None:
+        for name in names:
+            (tmp_path / name).write_text("old\n")
+            os.chmod(tmp_path / name, mode)
     old = os.umask(umask)
     try:
         code, _, _ = run(["dist", "-o", str(tmp_path / "table.csv")] + LOW_FLAGS, capsys)
@@ -105,9 +113,9 @@ def test_written_file_takes_the_mode_open_gives(umask, tmp_path, capsys):
     finally:
         os.umask(old)
     assert code == 0
-    assert sorted(os.listdir(tmp_path)) == ["plain.txt", "table.csv"]
-    modes = {stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in os.listdir(tmp_path)}
-    assert modes == {0o666 & ~umask}
+    assert sorted(os.listdir(tmp_path)) == names
+    modes = {stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in names}
+    assert modes == {0o666 & ~umask if mode is None else mode}
 
 
 def test_dist_rejects_bad_parameter(capsys):
@@ -124,6 +132,23 @@ def test_table_whose_mass_exceeds_one_exits_two(command, capsys):
                           "--epsilon", "1", "--nc", "0", "--ne", "0", "--ni", "1e-160"], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: table mass 1.00000556647")
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "--protocol", "incoherent", "--ni", "1e308"],
+    ["nmeas", "--protocol", "incoherent", "--ni", "1e308"],
+    ["sweep", "--protocol", "incoherent", "--ni", "1e308"],
+    ["validate-oracle", "--protocol", "coherent", "--ne", "1e300"],
+    ["dist", "--protocol", "coherent", "--ne", "1e300"],
+], ids=["dist-ni", "nmeas-ni", "sweep-ni", "validate-oracle-ne", "dist-ne"])
+def test_huge_finite_means_exit_two(argv, capsys):
+    # 2 n_i overflows n_bar to inf, n_bar = 1e300 overflows n_bar**2 in the
+    # bracket and asks for a table of 5e299 counts: each is refused in one
+    # short line, where an OverflowError traceback exited 1
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 120, err
 
 
 def test_dist_requires_protocol(capsys):
@@ -1069,10 +1094,9 @@ def _readme_block(heading, language):
 
 def _readme_commands():
     """The arguments of each homdetect example in the Command line block,
-    continuation lines joined, but for those that read a --config file."""
+    continuation lines joined."""
     block = _readme_block("Command line", "sh").replace("\\\n", " ")
-    examples = [shlex.split(line) for line in block.splitlines() if line.startswith("homdetect ")]
-    return [argv[1:] for argv in examples if "--config" not in argv]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("homdetect ")]
 
 
 def _run_in(directory, argv):
@@ -1089,5 +1113,7 @@ def test_readme_library_tour_runs(tmp_path):
 
 @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
 def test_readme_command_runs(argv, tmp_path):
+    # the examples name files relative to the repository root
+    (tmp_path / "demos").symlink_to(README.parent / "demos")
     result = _run_in(tmp_path, ["-m", "homdetect.cli", *argv])
     assert result.returncode == 0, result.stderr

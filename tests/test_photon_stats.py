@@ -147,6 +147,31 @@ def test_one_field_variant_matches_replace(protocol):
     assert base._with_field("xi", 0.5) != base and base.xi == 0.2
 
 
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_mean_counts_summing_past_the_largest_float_are_refused(protocol):
+    # each field is finite, but eta n_e + n_i, or 2 n_i on two detectors,
+    # overflows n_bar to inf: made whole or varied, the set is refused
+    base = ProtocolParams(protocol, n_e=1e308)
+    for make in (lambda: ProtocolParams(protocol, n_e=1e308, n_i=1e308),
+                 lambda: replace(base, n_i=1e308),
+                 lambda: base._with_field("n_i", 1e308)):
+        with pytest.raises(ParameterError, match="sum to n_bar = inf, past the largest float"):
+            make()
+
+
+def test_hom_pmf_refuses_a_mean_whose_square_overflows():
+    # the bracket divides by n_bar**2, finite up to sqrt of the largest float
+    top = math.sqrt(sys.float_info.max)
+    assert hom_pmf(hom_params(n_c=0.0, n_e=top), 0, 0) == 0.0
+    for make in (lambda: hom_params(n_c=0.0, n_e=math.nextafter(top, math.inf)),
+                 lambda: hom_params(n_e=1e300),
+                 lambda: hom_params(Protocol.INCOHERENT_HOM, n_i=1e308)):
+        with pytest.raises(ParameterError):
+            hom_pmf(make(), 0, 0)
+    with pytest.raises(DegenerateParameterError, match=r"n_bar\*\*2 overflows"):
+        hom_pmf(hom_params(n_e=1e300), 0, 0)
+
+
 def test_boundary_values_accepted():
     hom_params(xi=0.0)
     hom_params(xi=1.0)
@@ -576,6 +601,10 @@ def test_marginals_of_each_detector_share_the_same_mean():
 def test_truncation_cap_raises():
     with pytest.raises(TruncationError):
         build_distribution(direct_params(xi=0.0, n_e=0.0, n_i=9000.0))
+    # a huge mean's k_max is written in three digits, not three hundred
+    with pytest.raises(TruncationError, match=r"^k_max 5e\+299 at n_bar = 1e\+300 ") as info:
+        build_distribution(hom_params(n_c=0.0, n_e=1e300))
+    assert len(str(info.value)) < 100
 
 
 def test_bright_reference_table_builds_once_within_allowance(monkeypatch):

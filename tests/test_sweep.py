@@ -480,22 +480,34 @@ def _count_builds(monkeypatch) -> list:
     return builds
 
 
-@pytest.mark.parametrize("saturations, expected", [
-    ((None, 4, 2, 1), 104),
-    ((1, 2, 4, None), 104),
-    ((None, 2), 76),
-    ((2, None), 76),
-    ((None,), 62),
-], ids=["inf-4-2-1", "1-2-4-inf", "inf-2", "2-inf", "inf"])
-def test_sweep_builds_each_brightness_once_per_row_group(monkeypatch, saturations, expected):
-    builds = _count_builds(monkeypatch)
-    spec = SweepSpec(protocols=("coherent",), eta=(0.9,), n_e=(1.0,), n_c="optimize",
+def _optimized(saturations, protocols=("coherent",), eta=(0.9,)):
+    return SweepSpec(protocols=protocols, eta=eta, n_e=(1.0,), n_c="optimize",
                      saturations=saturations, nc_bounds=(1e-2, 10.0))
+
+
+# two (eta, n_e, n_i) blocks, each holding a direct row, two optimized
+# protocols and the baseline they share
+_BLOCKS = dict(protocols=("direct", "coherent", "incoherent"), eta=(0.9, 0.5))
+
+
+@pytest.mark.parametrize("spec, expected", [
+    (_optimized((None, 4, 2, 1)), 104),
+    (_optimized((1, 2, 4, None)), 104),
+    (_optimized((None, 2)), 76),
+    (_optimized((2, None)), 76),
+    (_optimized((None,)), 62),
+    (_optimized((None, 2), **_BLOCKS), 308),
+    (_optimized((2, None), **_BLOCKS), 308),
+    (_optimized((None, 4, 2, 1), **_BLOCKS), 364),
+], ids=["inf-4-2-1", "1-2-4-inf", "inf-2", "2-inf", "inf",
+        "blocks-inf-2", "blocks-2-inf", "blocks-inf-4-2-1"])
+def test_sweep_builds_each_brightness_once_per_row_group(monkeypatch, spec, expected):
+    builds = _count_builds(monkeypatch)
     run_sweep(spec)
     # each brightness any row scores is built once, whatever the order of
-    # the saturations, and the direct baseline once
+    # the saturations, and each block's direct baseline once
     assert len(builds) == expected
-    if saturations == (None, 4, 2, 1):
+    if spec == _optimized((None, 4, 2, 1)):
         builds.clear()
         for point in sweep_module.grid_points(spec):
             sweep_module.evaluate_point(spec, point)
@@ -523,12 +535,18 @@ def test_sweep_makes_one_params_per_brightness(monkeypatch, name, expected):
     assert len(made) == expected
 
 
-@pytest.mark.parametrize("name, confidences, estimates",
-                         [("fig2a", 312, 156), ("fig2b", 216, 108)])
+@pytest.mark.parametrize("name, confidences, estimates", [
+    ("fig2a", 312, 156),
+    ("fig2b", 216, 108),
+    pytest.param(_optimized((None, 2), **_BLOCKS), 8667, 568, id="blocks-inf-2"),
+    pytest.param(_optimized((2, None), **_BLOCKS), 8667, 568, id="blocks-2-inf"),
+    pytest.param(_optimized((None, 4, 2, 1), **_BLOCKS), 18285, 1204, id="blocks-inf-4-2-1"),
+])
 def test_sweep_search_work(monkeypatch, name, confidences, estimates):
     # each fig2 row's N search makes one Newton estimate and confirms its
     # window with two confidences, which are already adjacent integers: a
-    # change that adds search work shows here
+    # change that adds search work shows here, as it does in the optimized
+    # rows of several protocols and blocks
     calls = {"confidences": 0, "estimates": 0}
 
     def counted(key, fn):
@@ -539,7 +557,7 @@ def test_sweep_search_work(monkeypatch, name, confidences, estimates):
 
     monkeypatch.setattr(bayes, "_confidences", counted("confidences", bayes._confidences))
     monkeypatch.setattr(bayes, "_newton_n", counted("estimates", bayes._newton_n))
-    run_sweep(preset(name))
+    run_sweep(preset(name) if isinstance(name, str) else name)
     assert (calls["confidences"], calls["estimates"]) == (confidences, estimates)
 
 
@@ -555,7 +573,7 @@ def test_row_group_scoring_keeps_every_bit(protocol):
                                 n_e=10.0 ** rng.uniform(-2.0, 1.0), n_i=rng.uniform(),
                                 cos_theta=rng.uniform(-1.0, 1.0))
         group = sweep_module._RowGroup(saturations)
-        group.enter((protocol, i), saturations[i % 2])
+        group.enter(saturations[i % 2])
         group.get(params, saturations[i % 2])
         pair = HypothesisPair.from_params(params)
         for t in saturations[i % 2:]:
