@@ -597,20 +597,23 @@ def _tail_allowance(params: ProtocolParams, k_max: int) -> float:
 
 def _table_k_max(params: ProtocolParams) -> int:
     """The top count per detector of ``build_distribution``'s table:
-    max(20, mu + 12 sqrt(mu + 1)), mu the mean count per detector."""
-    per_det = derived_means(params).n_bar / params.protocol.detectors
+    max(20, mu + 12 sqrt(mu + 1)), mu the mean count per detector.  A size
+    above K_MAX_HARD_CAP counts is refused here, so every path that sizes
+    a table refuses it alike before anything is allocated."""
+    n_bar = derived_means(params).n_bar
+    per_det = n_bar / params.protocol.detectors
     # the extra photon and the bracket polynomial fit in the floor and margin
-    return max(20, math.ceil(per_det + 12.0 * math.sqrt(per_det + 1.0)))
+    k = max(20, math.ceil(per_det + 12.0 * math.sqrt(per_det + 1.0)))
+    if k > K_MAX_HARD_CAP:
+        raise TruncationError(f"k_max {k:.3g} at n_bar = {n_bar} "
+                              f"exceeds the cap of {K_MAX_HARD_CAP} counts per detector")
+    return k
 
 
 def build_distribution(params: ProtocolParams) -> CountDistribution:
     """Enumerate the count distribution on 0..``_table_k_max(params)`` per
-    detector, where the Poisson mass beyond is below 1e-17 per detector;
-    a size above 10000 counts is refused before anything is allocated."""
+    detector, where the Poisson mass beyond is below 1e-17 per detector."""
     k = _table_k_max(params)
-    if k > K_MAX_HARD_CAP:
-        raise TruncationError(f"k_max {k:.3g} at n_bar = {derived_means(params).n_bar} "
-                              f"exceeds the cap of {K_MAX_HARD_CAP} counts per detector")
     return CountDistribution(params=params, probs=_pmf_tables(params, np.arange(k + 1.0)))
 
 

@@ -32,11 +32,13 @@ from .photon_stats import (
     ParameterError,
     Protocol,
     ProtocolParams,
+    TruncationError,
     _FIELD_RULES,
     _check_saturation,
     _csv_text,
     _number,
     _parse_saturation,
+    _table_k_max,
 )
 
 __all__ = [
@@ -84,7 +86,8 @@ class NcOptimum(NamedTuple):
     """Best reference brightness for one configuration.
 
     at_bound marks an optimum pinned to the upper search bound, where the
-    true objective keeps improving asymptotically.
+    true objective keeps improving asymptotically, or to the brightest
+    grid candidate whose table fits the k_max cap.
     """
 
     n_c_star: float
@@ -97,35 +100,29 @@ class _RowGroup:
 
     A sweep keeps one per (eta, n_e, n_i) block, for every protocol's rows
     there: ``moments`` holds their moments by (params, t), and ``params``
-    their ``ProtocolParams`` by (protocol, n_c).  A protocol's rows differ
-    only in t and n_c, and each asks for its own t alone.  A miss builds the
-    unsaturated pair once and scores it at every t still ``ahead``: this
-    row's first, then the later rows', which ask for the same brightness.
-    A fold is scored from the pair's folded arrays (``_saturated_moments``),
-    with every check and bit of ``apply_saturation`` and no distribution
-    built around them.  No table or exception is kept: a fold keeps the
-    total, so a pair refused at one t is refused at all, and a miss checks
-    this row's t on the protocol's detectors before it builds.  The block
-    fixes xi, eta, n_e and n_i, so the direct baseline has one params,
-    ``baseline``, and ``direct`` holds its trial counts by t.
+    their ``ProtocolParams`` by (protocol, n_c).  A lookup at t that misses
+    builds the unsaturated pair once and folds it from t on, for the later
+    rows at the same brightness, so no call drives the group row by row.
+    A fold is scored from the pair's arrays (``_saturated_moments``) with
+    every check and bit of ``apply_saturation``.  No table or exception is
+    kept: a fold keeps the total, so a pair refused at one t is refused at
+    all, and a miss checks t on the protocol's detectors before it builds.
+    A direct table reads only the block's xi, eta, n_e and n_i, so its
+    direct rows and baseline share one params; ``direct`` holds its N by t.
     """
 
     def __init__(self, saturations: tuple[int | None, ...]) -> None:
-        self.saturations = self.ahead = saturations
+        self.saturations = saturations
         self.moments: dict[tuple[ProtocolParams, int | None], LogLikMoments] = {}
         self.params: dict[tuple[str, float], ProtocolParams] = {}
-        self.baseline: ProtocolParams | None = None
         self.direct: dict[int | None, int] = {}
-
-    def enter(self, t: int | None) -> None:
-        self.ahead = self.saturations[self.saturations.index(t):]
 
     def get(self, params: ProtocolParams, t: int | None) -> LogLikMoments:
         if (params, t) not in self.moments:
             if t is not None:
                 _check_saturation(t, params.protocol.detectors)
             pair = HypothesisPair.from_params(params)
-            for s in self.ahead:
+            for s in self.saturations[self.saturations.index(t):]:
                 self.moments[(params, s)] = (loglik_moments(pair) if s is None
                                              else _saturated_moments(pair, s))
         return self.moments[(params, t)]
@@ -165,10 +162,11 @@ def _direct_n(params: ProtocolParams, t: int | None, c_target: float) -> int:
     computes it once per block and t."""
     group = _group(t)
     if t not in group.direct:
-        if group.baseline is None:
-            group.baseline = ProtocolParams(protocol=Protocol.DIRECT, xi=params.xi,
-                                            eta=params.eta, n_e=params.n_e, n_i=params.n_i)
-        group.direct[t] = n_two_sigma(group.baseline, t, c_target)
+        key = (Protocol.DIRECT.value, 0.0)
+        if key not in group.params:
+            group.params[key] = ProtocolParams(protocol=Protocol.DIRECT, xi=params.xi,
+                                               eta=params.eta, n_e=params.n_e, n_i=params.n_i)
+        group.direct[t] = n_two_sigma(group.params[key], t, c_target)
     return group.direct[t]
 
 
@@ -213,7 +211,9 @@ def optimize_nc(
     tolerance of 1e-3 in n_c.  Ties in the trial count go to the smaller
     brightness; a flat objective reports n_c = 0.  When the best grid
     point is the upper bound, the bound is returned with at_bound set
-    rather than chasing an asymptotic optimum.
+    rather than chasing an asymptotic optimum.  Candidates whose table the
+    k_max cap refuses are dropped from the bright end first, and the
+    brightest one left stands for the bound.
 
     Candidates are scored in the running sweep's row group, or in one of
     the call's own, so no finalist is rebuilt.
@@ -237,7 +237,15 @@ def optimize_nc(
         # an unscorable finalist raises its exception again
         return n_for_confidence(c_target, group.get(params._with_field("n_c", nc), t))
 
+    # n_bar grows with n_c, so the candidates whose table the cap refuses
+    # are the bright end of the grid
     candidates = [0.0] + list(np.geomspace(lo, hi, NC_GRID_POINTS))
+    while len(candidates) > 1:
+        try:
+            _table_k_max(params._with_field("n_c", candidates[-1]))
+            break
+        except TruncationError:
+            candidates.pop()
     values = [f(nc) for nc in candidates]
     finite = [v for v in values if math.isfinite(v)]
     if not finite:
@@ -249,7 +257,8 @@ def optimize_nc(
 
     best = min(range(len(candidates)), key=lambda i: (values[i], candidates[i]))
     if best == len(candidates) - 1:
-        return NcOptimum(n_c_star=hi, n_star=n_int(hi), at_bound=True)
+        return NcOptimum(n_c_star=float(candidates[-1]), n_star=n_int(candidates[-1]),
+                         at_bound=True)
 
     if best <= 1:
         # bracket touches the dark endpoint; refine on the linear interval
@@ -472,7 +481,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         token = _ROW_GROUP.set(group)
         try:
             for i in indices:
-                group.enter(points[i][4])
                 rows[i] = evaluate_point(spec, points[i])
         finally:
             _ROW_GROUP.reset(token)

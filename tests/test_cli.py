@@ -140,15 +140,25 @@ def test_table_whose_mass_exceeds_one_exits_two(command, capsys):
     ["sweep", "--protocol", "incoherent", "--ni", "1e308"],
     ["validate-oracle", "--protocol", "coherent", "--ne", "1e300"],
     ["dist", "--protocol", "coherent", "--ne", "1e300"],
-], ids=["dist-ni", "nmeas-ni", "sweep-ni", "validate-oracle-ne", "dist-ne"])
-def test_huge_finite_means_exit_two(argv, capsys):
+    ["simulate", "--protocol", "incoherent", "--ne", "1e300"],
+    ["simulate", "--protocol", "incoherent", "--ne", "1.35e154"],
+], ids=["dist-ni", "nmeas-ni", "sweep-ni", "validate-oracle-ne", "dist-ne", "simulate-ne",
+        "simulate-ne-budget"])
+def test_huge_finite_means_exit_two(argv, tmp_path, capsys):
     # 2 n_i overflows n_bar to inf, n_bar = 1e300 overflows n_bar**2 in the
     # bracket and asks for a table of 5e299 counts: each is refused in one
-    # short line, where an OverflowError traceback exited 1
+    # short line, where an OverflowError traceback exited 1; simulate
+    # sizes its table for the memory estimate before it builds, and the
+    # cap refuses it there, before any figure of bytes is worked out
+    output = tmp_path / "s.csv"
+    if argv[0] == "simulate":
+        argv = argv + ["--truth", "present", "--n-measurements", "5",
+                       "--n-trajectories", "10", "--seed", "1", "-o", str(output)]
     code, out, err = run(argv, capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert len(err) < 120, err
+    assert not output.exists()
 
 
 def test_dist_requires_protocol(capsys):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from homdetect import bayes
+from homdetect import bayes, photon_stats
 from homdetect import sweep as sweep_module
 from homdetect.bayes import HypothesesIndistinguishableError, HypothesisPair, loglik_moments
 from homdetect.photon_stats import (
@@ -135,6 +135,20 @@ def test_coherent_optimum_saturates_at_the_bound():
     assert opt.at_bound
     assert opt.n_c_star == 1e3
     assert opt.n_star == n_two_sigma(replace(HEADLINE, n_c=1e3))
+
+
+def test_optimum_stops_at_the_brightest_candidate_within_the_cap(monkeypatch):
+    # under a cap of 300 counts the five brightest grid candidates, from
+    # n_c = 392 on, have tables the cap refuses: they are dropped, and the
+    # brightest candidate left is the optimum at the bound
+    monkeypatch.setattr(photon_stats, "K_MAX_HARD_CAP", 300)
+    grid = np.geomspace(1e-3, 1e3, sweep_module.NC_GRID_POINTS)
+    (row,) = run_sweep(SweepSpec(protocols=("coherent",), n_c="optimize")).rows
+    assert row.error is None and row.at_bound
+    assert (row.n_c, row.n_2sigma) == (float(grid[-6]), 36)
+    assert row.n_2sigma == n_two_sigma(replace(HEADLINE, n_c=row.n_c))
+    with pytest.raises(photon_stats.TruncationError, match="exceeds the cap of 300"):
+        n_two_sigma(replace(HEADLINE, n_c=float(grid[-5])))
 
 
 def test_incoherent_low_noise_prefers_dark_reference():
@@ -515,12 +529,12 @@ def test_sweep_builds_each_brightness_once_per_row_group(monkeypatch, spec, expe
         assert len(builds) == 290
 
 
-@pytest.mark.parametrize("name, expected", [("fig2a", 52), ("fig2b", 28)])
+@pytest.mark.parametrize("name, expected", [("fig2a", 39), ("fig2b", 27)])
 def test_sweep_makes_one_params_per_brightness(monkeypatch, name, expected):
     # a row group's rows of every saturation share their brightness's
-    # params, and the direct baseline's are made once per background pair:
-    # fig2a has 13 of them times three protocols and the baseline, where
-    # one per row made 208
+    # params, and a block's direct rows share theirs with its baseline:
+    # fig2a has 13 background pairs times three protocols, where one per
+    # row made 208
     made = []
     raw = ProtocolParams.__post_init__
 
@@ -561,10 +575,39 @@ def test_sweep_search_work(monkeypatch, name, confidences, estimates):
     assert (calls["confidences"], calls["estimates"]) == (confidences, estimates)
 
 
+def test_figs4_work(monkeypatch):
+    # figS4's pair builds, fold scorings, N searches, Newton estimates and
+    # params made: a change that adds work to the largest preset shows
+    # here.  Its _confidences calls are left out: like its bytes, their
+    # count rests on the SIMD loops numpy dispatches on the CPU (103 481,
+    # 103 507, 103 519 and 103 527 have been seen, with AVX-512 on and off),
+    # where these five have matched on every host and with AVX-512 off
+    builds = _count_builds(monkeypatch)
+    calls = {"folds": 0, "searches": 0, "estimates": 0, "params": 0}
+
+    def counted(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(sweep_module, "_saturated_moments",
+                        counted("folds", sweep_module._saturated_moments))
+    monkeypatch.setattr(bayes, "_crossing", counted("searches", bayes._crossing))
+    monkeypatch.setattr(bayes, "_newton_n", counted("estimates", bayes._newton_n))
+    monkeypatch.setattr(ProtocolParams, "__post_init__",
+                        counted("params", ProtocolParams.__post_init__))
+    spec = preset("figS4")
+    calls["params"] = 0
+    run_sweep(spec)
+    assert (len(builds), *calls.values()) == (3875, 3875, 7305, 6780, 75)
+
+
 @pytest.mark.parametrize("protocol", list(Protocol))
 def test_row_group_scoring_keeps_every_bit(protocol):
-    # a miss scores every saturation ahead from the folded arrays; each
-    # equals loglik_moments of the folded pair exactly
+    # a miss at t scores t and every later saturation, and no earlier one,
+    # from the folded arrays; each equals loglik_moments of the folded
+    # pair exactly
     rng = np.random.default_rng(20261024)
     saturations = (None, 7, 4, 2, 1)
     for i in range(6):
@@ -573,8 +616,8 @@ def test_row_group_scoring_keeps_every_bit(protocol):
                                 n_e=10.0 ** rng.uniform(-2.0, 1.0), n_i=rng.uniform(),
                                 cos_theta=rng.uniform(-1.0, 1.0))
         group = sweep_module._RowGroup(saturations)
-        group.enter(saturations[i % 2])
         group.get(params, saturations[i % 2])
+        assert list(group.moments) == [(params, t) for t in saturations[i % 2:]]
         pair = HypothesisPair.from_params(params)
         for t in saturations[i % 2:]:
             assert group.moments[(params, t)] == loglik_moments(pair.saturated(t)), (params, t)
