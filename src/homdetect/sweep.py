@@ -22,6 +22,7 @@ from .bayes import (
     HypothesesIndistinguishableError,
     LogLikMoments,
     _check_c_target,
+    _lattice_moments,
     _n_real,
     _saturated_moments,
     loglik_moments,
@@ -104,9 +105,13 @@ class _RowGroup:
     builds the unsaturated pair once and folds it from t on, for the later
     rows at the same brightness, so no call drives the group row by row.
     A fold is scored from the pair's arrays (``_saturated_moments``) with
-    every check and bit of ``apply_saturation``.  No table or exception is
-    kept: a fold keeps the total, so a pair refused at one t is refused at
-    all, and a miss checks t on the protocol's detectors before it builds.
+    every check and bit of ``apply_saturation``.  At t = None a bright
+    two-detector pair's moments are taken over every second count where
+    they agree with every third's within 1e-12 (``_lattice_moments``), and
+    any other pair's by ``loglik_moments`` over the whole tables.  No
+    table or exception is kept: a fold keeps the total, so a pair refused
+    at one t is refused at all, and a miss checks t on the protocol's
+    detectors before it builds.
     A direct table reads only the block's xi, eta, n_e and n_i, so its
     direct rows and baseline share one params; ``direct`` holds its N by t.
     """
@@ -118,14 +123,17 @@ class _RowGroup:
         self.direct: dict[int | None, int] = {}
 
     def get(self, params: ProtocolParams, t: int | None) -> LogLikMoments:
-        if (params, t) not in self.moments:
+        moments = self.moments.get((params, t))
+        if moments is None:
             if t is not None:
                 _check_saturation(t, params.protocol.detectors)
             pair = HypothesisPair.from_params(params)
             for s in self.saturations[self.saturations.index(t):]:
-                self.moments[(params, s)] = (loglik_moments(pair) if s is None
-                                             else _saturated_moments(pair, s))
-        return self.moments[(params, t)]
+                self.moments[(params, s)] = (
+                    _lattice_moments(pair) or loglik_moments(pair) if s is None
+                    else _saturated_moments(pair, s))
+            moments = self.moments[(params, t)]
+        return moments
 
     def row_params(self, spec: SweepSpec, point: tuple) -> ProtocolParams:
         """The params of a point of this group: n_c = 0 where it is to be

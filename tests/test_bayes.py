@@ -35,6 +35,7 @@ from homdetect.photon_stats import (
     apply_saturation,
     build_distribution,
 )
+from mp_reference import reference_moments, within
 
 LOW_NOISE = ProtocolParams(protocol=Protocol.DIRECT, xi=0.1, eta=0.8, n_e=0.02, n_i=0.02)
 HIGH_NOISE = ProtocolParams(protocol=Protocol.DIRECT, xi=0.1, eta=0.8, n_e=1.0, n_i=1.0)
@@ -454,6 +455,39 @@ def _check_moments_by_summation(pair):
     assert m.sigma_present == pytest.approx(s_p, rel=1e-12)
     assert m.mu_absent == pytest.approx(mu_a, rel=1e-12)
     assert m.sigma_absent == pytest.approx(s_a, rel=1e-12)
+
+
+def test_moments_within_the_40_digit_referee():
+    # the whole-table moments and every sub-lattice result the check accepts
+    # lie within bayes._LATTICE_TOL (means in units of their spread, spreads
+    # relative) of the same sums taken to 40 digits, on pairs of k_max
+    # 64-130: coherent at cos_theta = 1, eta 0.99 and epsilon 0.9, where the
+    # bracket nearly vanishes, incoherent, and seeded random ones
+    rng = np.random.default_rng(20261021)
+    cases = [
+        ProtocolParams(protocol=Protocol.COHERENT_HOM, xi=0.1, eta=0.99, epsilon=0.9, n_c=60.0,
+                       n_e=1.0, n_i=1.0),
+        ProtocolParams(protocol=Protocol.INCOHERENT_HOM, xi=0.1, eta=0.9, epsilon=0.9,
+                       n_c=80.0, n_e=1.0, n_i=1.0, cos_theta=0.0),
+    ]
+    for protocol in (Protocol.COHERENT_HOM, Protocol.INCOHERENT_HOM, Protocol.COHERENT_HOM):
+        eta, n_e, n_i = rng.uniform(0.5, 1.0), 10.0 ** rng.uniform(-2.0, 1.0), rng.uniform()
+        cases.append(ProtocolParams(
+            protocol=protocol, xi=rng.uniform(0.05, 0.5), eta=eta, epsilon=rng.uniform(0.5, 1.0),
+            n_c=rng.uniform(30.0, 110.0) / eta, n_e=n_e, n_i=n_i,
+            cos_theta=rng.uniform(-1.0, 1.0) if protocol is Protocol.COHERENT_HOM else 0.0))
+    accepted = 0
+    for params in cases:
+        pair = HypothesisPair.from_params(params)
+        assert 64 <= pair.present.k_max <= 130, params
+        reference = reference_moments(params, pair.present.k_max)
+        whole = loglik_moments(pair)
+        assert within(whole, reference, bayes._LATTICE_TOL), (params, whole, reference)
+        lattice = bayes._lattice_moments(pair)
+        if lattice is not None:
+            accepted += 1
+            assert within(lattice, reference, bayes._LATTICE_TOL), (params, lattice, reference)
+    assert accepted == 3
 
 
 def _masked_moments(pair):

@@ -27,6 +27,7 @@ from homdetect.sweep import (
     run_sweep,
     speedup,
 )
+from mp_reference import within
 
 LOW_DIRECT = ProtocolParams(protocol=Protocol.DIRECT, xi=0.1, eta=0.8, n_e=0.02, n_i=0.02)
 HIGH_DIRECT = ProtocolParams(protocol=Protocol.DIRECT, xi=0.1, eta=0.8, n_e=1.0, n_i=1.0)
@@ -577,13 +578,16 @@ def test_sweep_search_work(monkeypatch, name, confidences, estimates):
 
 def test_figs4_work(monkeypatch):
     # figS4's pair builds, fold scorings, N searches, Newton estimates and
-    # params made: a change that adds work to the largest preset shows
-    # here.  Its _confidences calls are left out: like its bytes, their
-    # count rests on the SIMD loops numpy dispatches on the CPU (103 481,
-    # 103 507, 103 519 and 103 527 have been seen, with AVX-512 on and off),
-    # where these five have matched on every host and with AVX-512 off
+    # params made, and its t = None scorings with those taken on the
+    # sub-lattice (the rest fall back to whole tables): a change that adds
+    # work to the largest preset shows here.  Its _confidences calls are
+    # left out: like its bytes, their count rests on the SIMD loops numpy
+    # dispatches on the CPU (103 481, 103 507, 103 519 and 103 527 have
+    # been seen, with AVX-512 on and off), where the first five have
+    # matched on every host, and all seven with AVX-512 on and off
     builds = _count_builds(monkeypatch)
-    calls = {"folds": 0, "searches": 0, "estimates": 0, "params": 0}
+    calls = {"folds": 0, "searches": 0, "estimates": 0, "params": 0, "unsaturated": 0,
+             "whole": 0}
 
     def counted(key, fn):
         def wrapped(*args, **kwargs):
@@ -597,10 +601,16 @@ def test_figs4_work(monkeypatch):
     monkeypatch.setattr(bayes, "_newton_n", counted("estimates", bayes._newton_n))
     monkeypatch.setattr(ProtocolParams, "__post_init__",
                         counted("params", ProtocolParams.__post_init__))
+    monkeypatch.setattr(sweep_module, "_lattice_moments",
+                        counted("unsaturated", sweep_module._lattice_moments))
+    monkeypatch.setattr(sweep_module, "loglik_moments",
+                        counted("whole", sweep_module.loglik_moments))
     spec = preset("figS4")
     calls["params"] = 0
     run_sweep(spec)
-    assert (len(builds), *calls.values()) == (3875, 3875, 7305, 6780, 75)
+    work = [calls[key] for key in ("folds", "searches", "estimates", "params")]
+    assert (len(builds), *work) == (3875, 3875, 7305, 6780, 75)
+    assert (calls["unsaturated"], calls["unsaturated"] - calls["whole"]) == (3245, 483)
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))
@@ -621,6 +631,65 @@ def test_row_group_scoring_keeps_every_bit(protocol):
         pair = HypothesisPair.from_params(params)
         for t in saturations[i % 2:]:
             assert group.moments[(params, t)] == loglik_moments(pair.saturated(t)), (params, t)
+
+
+def _params_at_k_max(rng, k_max: int) -> ProtocolParams:
+    """Random two-detector params whose table spans about 0..k_max counts:
+    n_c is solved for the mean count per detector mu, where
+    mu + 12 sqrt(mu + 1) = k_max."""
+    root = (-12.0 + math.sqrt(144.0 + 4.0 * (k_max + 1))) / 2.0
+    mu, eta = root * root - 1.0, rng.uniform(0.5, 1.0)
+    n_e, n_i = 10.0 ** rng.uniform(-2.0, 1.0, size=2)
+    coherent = rng.uniform() < 0.5
+    return ProtocolParams(protocol="coherent" if coherent else "incoherent",
+                          xi=rng.uniform(0.05, 0.5), eta=eta, epsilon=rng.uniform(0.5, 1.0),
+                          n_c=(2.0 * mu - eta * n_e - 2.0 * n_i) / eta, n_e=n_e, n_i=n_i,
+                          cos_theta=rng.choice([1.0, rng.uniform(-1.0, 1.0)]) if coherent else 0.0)
+
+
+def test_row_group_scores_bright_pairs_on_a_checked_sub_lattice(monkeypatch):
+    # a two-detector pair of k_max >= bayes._LATTICE_K_MAX has its t = None
+    # moments taken over every second count where they agree with every
+    # third's: an accepted result is within bayes._LATTICE_TOL of the
+    # whole-table moments, and a refused one, as every smaller pair, is
+    # them exactly; every fold keeps every bit
+    fallbacks = []
+    whole = sweep_module.loglik_moments
+    monkeypatch.setattr(sweep_module, "loglik_moments",
+                        lambda pair: fallbacks.append(pair) or whole(pair))
+    rng = np.random.default_rng(20261020)
+    cases = [(_params_at_k_max(rng, k), None) for k in rng.integers(20, 401, size=10)]
+    cases += [
+        # coherent at cos_theta = 1, mu 29.7: every second count misses by 3e-6
+        (ProtocolParams(protocol="coherent", xi=0.1, eta=0.99, epsilon=0.9, n_c=60.0,
+                        n_e=0.01, n_i=0.01), "refused"),
+        # incoherent at mu 496.5, k_max 765
+        (ProtocolParams(protocol="incoherent", xi=0.1, eta=0.99, epsilon=0.9, n_c=1000.0,
+                        n_e=1.0, n_i=1.0, cos_theta=0.0), "accepted"),
+    ]
+    saturations = (None, 4, 2, 1)
+    verdicts = []
+    for params, expected in cases:
+        group = sweep_module._RowGroup(saturations)
+        fallbacks.clear()
+        moments = group.get(params, None)
+        pair = HypothesisPair.from_params(params)
+        verdict = "refused" if fallbacks else "accepted"
+        if verdict == "refused":
+            assert moments == whole(pair), params
+        else:
+            assert within(moments, whole(pair), bayes._LATTICE_TOL), params
+        if pair.present.k_max < bayes._LATTICE_K_MAX:
+            assert verdict == "refused", params
+        assert expected in (None, verdict), params
+        for t in saturations[1:]:
+            assert group.moments[(params, t)] == whole(pair.saturated(t)), (params, t)
+        verdicts.append((pair.present.k_max, verdict))
+    # the seeded pairs span small tables, and bright ones both refused and
+    # accepted by the check
+    seeded = verdicts[:-2]
+    assert min(seeded)[0] < 64 and max(seeded)[0] > 300
+    assert {"accepted", "refused"} <= {v for k, v in seeded if k >= bayes._LATTICE_K_MAX}
 
 
 @pytest.mark.parametrize("saturations", [(None, 20000), (20000, None)],
