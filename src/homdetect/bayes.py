@@ -18,7 +18,7 @@ from dataclasses import astuple, dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import erfinv, expit
 
 from .photon_stats import (
     CountDistribution,
@@ -322,12 +322,14 @@ def confidence(n: int, moments: LogLikMoments) -> ConfidenceReport:
 _N_SEARCH_CAP = 2.0**62
 
 # The N search places a window by Newton's method on r = sqrt(n/2), from
-# r = 0: the averaged confidence is concave in r, so the iterates rise to
-# the crossing.  They stop once a step moves r by _NEWTON_TOL or less
-# (relative), and give up after _NEWTON_STEPS steps.  The window reaches
-# _N_WINDOW (relative) plus _C_ROUNDING ulps of c_target over the slope in n
-# to either side of the estimate: near c = 0.5 and 1 the computed confidence
-# is flat over far wider runs of floats (an ulp from erf, one from the mean).
+# the r where 1/2 + erf(r max(b, -a))/2, a bound of the averaged confidence
+# from above, reaches c_target: that r lies below the crossing, and the
+# confidence is concave in r, so the iterates rise to the crossing.  They
+# stop once a step moves r by _NEWTON_TOL or less (relative), and give up
+# after _NEWTON_STEPS steps.  The window reaches _N_WINDOW (relative) plus
+# _C_ROUNDING ulps of c_target over the slope in n to either side of the
+# estimate: near c = 0.5 and 1 the computed confidence is flat over far
+# wider runs of floats (an ulp from erf, one from the mean).
 _NEWTON_TOL = 1e-14
 _NEWTON_STEPS = 100
 _N_WINDOW = 1e-12
@@ -350,7 +352,7 @@ def _newton_n(m: LogLikMoments, c_target: float) -> tuple[float, float] | None:
     a = m.mu_present / m.sigma_present
     b = m.mu_absent / m.sigma_absent
     gap, two_sqrt_pi = c_target - 0.5, 2.0 * math.sqrt(math.pi)
-    r = 0.0
+    r = float(erfinv(2.0 * gap)) / max(b, -a)
     for _ in range(_NEWTON_STEPS):
         slope = (b * math.exp(-(r * b) ** 2) - a * math.exp(-(r * a) ** 2)) / two_sqrt_pi
         step = (gap - 0.25 * (math.erf(r * b) - math.erf(r * a))) / slope

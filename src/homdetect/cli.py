@@ -9,6 +9,12 @@ Subcommands:
     sweep            evaluate a parameter grid (named preset or config file)
     validate-oracle  cross-check the closed form against the number basis
 
+A call whose first word names a subcommand is parsed once, by that
+subcommand's parser alone.  The top-level parser answers only calls that
+name no subcommand first (none, an unknown one, a top-level --help), and
+reports any arguments the subcommand's parser leaves over, so every
+message and exit status is the one it would give.
+
 Every option of a subcommand, -o, --diff and --optimize-nc included, can
 also come from a JSON config document passed with --config, keyed by its
 destination name (n_c for --nc, c_target for --c-target).  The document
@@ -270,8 +276,8 @@ def cmd_validate_oracle(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
-    """The parser, and per subcommand its options but --help and --config."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser, and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="homdetect",
         description="Photon-count statistics and Bayesian emitter detection",
@@ -326,23 +332,39 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argpar
     p_oracle.add_argument("--jk-sum-max", dest="jk_sum_max", type=int, default=10)
     p_oracle.set_defaults(func=cmd_validate_oracle)
 
-    return parser, {command: {a.dest: a for a in sub._actions if a.dest not in ("config", "help")}
-                    for command, sub in subparsers.choices.items()}
+    return parser, subparsers.choices
 
 
 # built once per process: parsing leaves no state in the parser
-_PARSER, _OPTIONS = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
+# per subcommand, its options but --help and --config
+_OPTIONS = {command: {a.dest: a for a in sub._actions if a.dest not in ("config", "help")}
+            for command, sub in _COMMANDS.items()}
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)``, parsed once: a call whose first word
+    names a command goes to that command's parser alone, which is all the
+    top-level parser would hand it.  The top-level parser answers the rest,
+    and any argument the command's parser leaves over."""
+    sub = _COMMANDS.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _PARSER.parse_args(argv)
+    args = _parse(argv)
     try:
         if args.config is not None and args.command != "sweep":
             # the document's flags go first, so a flag on the command line wins
             at = argv.index(args.command) + 1
             flags = _config_flags(args.command, args.config)
-            args = _PARSER.parse_args(argv[:at] + flags + argv[at:])
+            args = _parse(argv[:at] + flags + argv[at:])
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -876,13 +876,75 @@ def test_missing_config_file_exits_two(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_calls_reuse_the_parser_built_at_import(monkeypatch, capsys):
+def test_calls_reuse_the_parser_built_at_import(monkeypatch, tmp_path, capsys):
     def rebuild():
         raise AssertionError("the parser is built once, at import")
 
+    def top_level(*args):
+        raise AssertionError("a valid command call is parsed by its command's parser alone")
+
     monkeypatch.setattr(cli, "_build_parser", rebuild)
+    monkeypatch.setattr(cli._PARSER, "parse_args", top_level)
     code, out, _ = run(["nmeas"] + HEADLINE_FLAGS, capsys)
     assert code == 0 and out.split("\n")[1].split(",")[6] == "57"
+    doc = config_file(tmp_path, {"c_target": 0.99})
+    assert run(["nmeas", "--config", doc] + HEADLINE_FLAGS, capsys)[:2] == run(
+        ["nmeas", "--c-target", "0.99"] + HEADLINE_FLAGS, capsys)[:2]
+
+
+# a cheap valid call of each command; simulate writes into the run's directory
+VALID_CALLS = {
+    "dist": LOW_FLAGS,
+    "simulate": ["-o", "run.csv"] + LOW_FLAGS + SIM_FLAGS,
+    "nmeas": HEADLINE_FLAGS,
+    "speedup": HEADLINE_FLAGS,
+    "sweep": HEADLINE_FLAGS,
+    "validate-oracle": ["--nc", "1", "--jk-sum-max", "4"],
+}
+# each case from a command's valid call; a sweep document stands alone, as
+# it is the whole spec
+COMMAND_CASES = {
+    "valid": lambda valid, beside: valid,
+    "help": lambda valid, beside: ["-h"],
+    "unknown-flag": lambda valid, beside: valid + ["--bogus"],
+    "extra-word": lambda valid, beside: valid + ["extra"],
+    "bad-protocol": lambda valid, beside: valid + ["--protocol", "bogus"],
+    "missing-value": lambda valid, beside: valid + ["--xi"],
+    "config-unknown-key": lambda valid, beside: beside + ["--config", {"bogus": 1}],
+    "config-bad-choice": lambda valid, beside: beside + ["--config", {"protocol": "bogus"}],
+    "config-known-key": lambda valid, beside: beside + ["--config", {"xi": 0.2}],
+}
+TOP_LEVEL_CASES = {
+    "no-arguments": [],
+    "unknown-command": ["bogus"] + HEADLINE_FLAGS,
+    "help": ["--help"],
+    "help-before-command": ["-h", "nmeas"],
+    "flag-before-command": ["--bogus", "nmeas"] + HEADLINE_FLAGS,
+    "double-dash-before-command": ["--", "nmeas"] + HEADLINE_FLAGS,
+}
+
+
+@pytest.mark.parametrize("argv", [
+    *(pytest.param([command] + case(valid, [] if command == "sweep" else valid),
+                   id=f"{command}-{name}")
+      for command, valid in VALID_CALLS.items() for name, case in COMMAND_CASES.items()),
+    *(pytest.param(argv, id=name) for name, argv in TOP_LEVEL_CASES.items()),
+])
+def test_command_dispatch_answers_as_the_top_level_parser(argv, monkeypatch, tmp_path, capsys):
+    # a call naming a command is parsed by that command's parser alone;
+    # with the command map emptied every call takes the top-level parser,
+    # and each answer, files included, must be the same either way
+    argv = [config_file(tmp_path, a) if isinstance(a, dict) else a for a in argv]
+    results = []
+    for side, commands in (("dispatch", cli._COMMANDS), ("top-level", {})):
+        monkeypatch.setattr(cli, "_COMMANDS", commands)
+        side_dir = tmp_path / side
+        side_dir.mkdir()
+        monkeypatch.chdir(side_dir)
+        code = exit_code(argv)
+        out, err = capsys.readouterr()
+        results.append((code, out, err, {p.name: p.read_bytes() for p in side_dir.iterdir()}))
+    assert results[0] == results[1]
 
 
 def test_calls_in_one_process_leak_no_state(tmp_path, capsys):
