@@ -21,14 +21,17 @@ import numpy as np
 from scipy.special import erfinv, expit
 
 from .photon_stats import (
+    MEMORY_BUDGET_BYTES,
     CountDistribution,
     Outcome,
     ParameterError,
     ProtocolParams,
     _bracketed,
+    _check_saturation,
     _checked_tail,
-    _folded,
+    _fold_into,
     _is_whole,
+    _scoring_bytes,
     build_distribution,
     apply_saturation,
 )
@@ -122,16 +125,18 @@ class HypothesisPair:
         return table
 
 
+def _floored_log(table: np.ndarray) -> np.ndarray:
+    """ln(max(table, PROB_FLOOR)) as a new array, taken in place."""
+    out = np.maximum(table, PROB_FLOOR)
+    return np.log(out, out=out)
+
+
 def _log_ratios(present: np.ndarray, absent: np.ndarray) -> np.ndarray:
     """ln(max(pa, F)) - ln(max(pe, F)) of two aligned tables, F =
-    PROB_FLOOR, written in place: the new table and one temporary for the
-    present side are its only allocations."""
-    table = np.maximum(absent, PROB_FLOOR)
-    np.log(table, out=table)
-    present = np.maximum(present, PROB_FLOOR)
-    np.log(present, out=present)
-    table -= present
-    return table
+    PROB_FLOOR, written into the present side's logs: the new table and
+    one temporary for the absent side are its only allocations."""
+    log_a, table = _floored_log(absent), _floored_log(present)
+    return np.subtract(log_a, table, out=table)
 
 
 @dataclass(frozen=True)
@@ -199,17 +204,18 @@ def loglik_moments(pair: HypothesisPair) -> LogLikMoments:
     return _moments(pair.log_ratio, pair.present.probs, pair.absent.probs)
 
 
-def _moments(log_ratio: np.ndarray, *tables: np.ndarray, scale: float = 1.0) -> LogLikMoments:
-    """The mean and spread of ``log_ratio`` weighted by each of the present
-    and the absent table, aligned with it, each sum times ``scale``."""
-    log_ratio = log_ratio.ravel()
-    squared = log_ratio * log_ratio
-    moments = []
-    for table in tables:
-        w = table.ravel()
-        mu, second = scale * float(np.dot(w, log_ratio)), scale * float(np.dot(w, squared))
-        moments += [mu, math.sqrt(max(0.0, second - mu * mu))]
-    return LogLikMoments(*moments)
+def _moments(log_ratio: np.ndarray, present: np.ndarray, absent: np.ndarray,
+             scale: float = 1.0, in_place: bool = False) -> LogLikMoments:
+    """The mean and spread of ``log_ratio`` weighted by the present and the
+    absent table, aligned with it, each sum times ``scale``.  The squares
+    go into a new table, or with ``in_place`` into ``log_ratio`` itself
+    once the means are taken."""
+    x, w_p, w_a = log_ratio.ravel(), present.ravel(), absent.ravel()
+    mu_p, mu_a = scale * float(np.dot(w_p, x)), scale * float(np.dot(w_a, x))
+    squared = np.multiply(x, x, out=x) if in_place else x * x
+    second_p, second_a = scale * float(np.dot(w_p, squared)), scale * float(np.dot(w_a, squared))
+    return LogLikMoments(mu_p, math.sqrt(max(0.0, second_p - mu_p * mu_p)),
+                         mu_a, math.sqrt(max(0.0, second_a - mu_a * mu_a)))
 
 
 # Two-detector pairs of at least _LATTICE_K_MAX counts per detector are
@@ -224,54 +230,197 @@ _LATTICE_TOL = 1e-12
 
 
 def _lattice_moments(pair: HypothesisPair) -> LogLikMoments | None:
-    """The t = None moments of a two-detector pair of k_max >=
-    _LATTICE_K_MAX from its four sums over every second count in each
-    detector times 4, where they agree with the sums over every third count
-    times 9 within _LATTICE_TOL; None for a smaller pair or one the check
-    refuses, which ``loglik_moments`` scores over the whole tables.  An
-    accepted result is within _LATTICE_TOL, and the sums' rounding, of the
-    exact sums.
+    """The t = None moments of a pair on its checked sub-lattice
+    (``_AbsentLogs.lattice``), or None where it does not take them."""
+    return _AbsentLogs(pair.absent.probs).lattice(pair.present.probs)
 
-    By Poisson summation, h^2 times the sum of a smooth summand over the
-    h-spaced sub-lattice misses the whole sum by its Fourier transform at
-    the dual lattice's nonzero points, (m1, m2) / h.  The envelope's
-    Gaussian width sqrt(mu) makes that term fall like exp(-2 pi^2 mu / h^2),
-    a complex zero of the bracket at distance a from the real axis like
-    exp(-2 pi a / h), and the table's edge at count 0 like exp(-2 mu) at
-    h = 2 and 2 exp(-1.5 mu) at h = 3.  Each shrinks from h = 3 to h = 2:
-    over the 818 pairs of k_max >= 73 in figS4, fig3a and fig3b whose
-    h = 3 error exceeds 1e-13, the h = 2 error is at most 0.37 of it.  With
-    e2 <= e3 / 2, sums that agree within _LATTICE_TOL give e3 <= 2
-    (_LATTICE_TOL + r) and e2 <= _LATTICE_TOL + r, r the rounding of the
-    sums (about 1e-14, as in the whole-table ones).  Every table is still
-    built whole and mass-checked; only these four sums read a sub-lattice.
+
+class _AbsentLogs:
+    """An absent table's floored logs, over the whole table or every h-th
+    count in each detector, each made when a present first needs it and
+    kept for the presents after it, whose log ratios are taken against it.
+
+    A present scored as the ``last`` frees each of these logs as it reads
+    it, and so allocates what ``loglik_moments`` of its pair, or
+    ``_lattice_moments``, would: its own logs, which take the ratio, and
+    their squares.  A present before it squares its ratios in place, so
+    that no more tables are live than there.
     """
-    if pair.present.probs.ndim != 2 or pair.present.k_max < _LATTICE_K_MAX:
+
+    def __init__(self, absent: np.ndarray) -> None:
+        self.absent = absent
+        self._logs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def moments(self, present: np.ndarray, last: bool = True) -> LogLikMoments:
+        """The t = None moments: on the sub-lattice where ``lattice`` takes
+        them, else over the whole tables, bit for bit as
+        ``loglik_moments``."""
+        return self.lattice(present, last) or self.score(present, 1, last)
+
+    def lattice(self, present: np.ndarray, last: bool = True) -> LogLikMoments | None:
+        """The t = None moments of a two-detector present of k_max >=
+        _LATTICE_K_MAX from its four sums over every second count in each
+        detector times 4, where they agree with the sums over every third
+        count times 9 within _LATTICE_TOL; None for a smaller present or
+        one the check refuses, which is scored over the whole tables.  An
+        accepted result is within _LATTICE_TOL, and the sums' rounding, of
+        the exact sums.
+
+        By Poisson summation, h^2 times the sum of a smooth summand over
+        the h-spaced sub-lattice misses the whole sum by its Fourier
+        transform at the dual lattice's nonzero points, (m1, m2) / h.  The
+        envelope's Gaussian width sqrt(mu) makes that term fall like
+        exp(-2 pi^2 mu / h^2), a complex zero of the bracket at distance a
+        from the real axis like exp(-2 pi a / h), and the table's edge at
+        count 0 like exp(-2 mu) at h = 2 and 2 exp(-1.5 mu) at h = 3.  Each
+        shrinks from h = 3 to h = 2: over the 818 pairs of k_max >= 73 in
+        figS4, fig3a and fig3b whose h = 3 error exceeds 1e-13, the h = 2
+        error is at most 0.37 of it.  With e2 <= e3 / 2, sums that agree
+        within _LATTICE_TOL give e3 <= 2 (_LATTICE_TOL + r) and e2 <=
+        _LATTICE_TOL + r, r the rounding of the sums (about 1e-14, as in
+        the whole-table ones).  Every table is still built whole and
+        mass-checked; only these four sums read a sub-lattice.
+        """
+        if present.ndim != 2 or present.shape[0] - 1 < _LATTICE_K_MAX:
+            return None
+        fine, coarse = self.score(present, 2, last), self.score(present, 3, last)
+        # each moment in units of its own truth's spread
+        spreads = (fine.sigma_present,) * 2 + (fine.sigma_absent,) * 2
+        if all(abs(x - y) <= _LATTICE_TOL * s
+               for x, y, s in zip(astuple(fine), astuple(coarse), spreads)):
+            return fine
         return None
-    sums = []
-    for h in (2, 3):
-        p, a = (np.ascontiguousarray(d.probs[::h, ::h]) for d in (pair.present, pair.absent))
-        sums.append(_moments(_log_ratios(p, a), p, a, scale=h * h))
-    fine, coarse = sums
-    # each moment in units of its own truth's spread
-    spreads = (fine.sigma_present,) * 2 + (fine.sigma_absent,) * 2
-    if all(abs(x - y) <= _LATTICE_TOL * s
-           for x, y, s in zip(astuple(fine), astuple(coarse), spreads)):
-        return fine
-    return None
+
+    def score(self, present: np.ndarray, h: int, last: bool) -> LogLikMoments:
+        """The moments of present against this absent table over every
+        h-th count in each detector, each sum times h^2; h = 1 reads the
+        whole tables."""
+        p = present if h == 1 else np.ascontiguousarray(present[::h, ::h])
+        if h not in self._logs:
+            a = self.absent if h == 1 else np.ascontiguousarray(self.absent[::h, ::h])
+            self._logs[h] = a, _floored_log(a)
+        a, log_a = self._logs.pop(h) if last else self._logs[h]
+        ratio = _floored_log(p)
+        np.subtract(log_a, ratio, out=ratio)
+        del log_a
+        return _moments(ratio, p, a, scale=h * h, in_place=not last)
 
 
 def _saturated_moments(pair: HypothesisPair, t: int) -> LogLikMoments:
     """``loglik_moments(pair.saturated(t))`` of an unsaturated pair, bit for
-    bit, scored from the folded arrays: each table folded and its mass
-    checked, present first, as ``apply_saturation`` does, with no
-    distribution or pair built around them."""
-    folds = []
-    for dist in (pair.present, pair.absent):
-        table = _folded(dist, t)
-        _checked_tail(dist.params, table, t)
-        folds.append(table)
-    return _moments(_log_ratios(*folds), *folds)
+    bit, and with its refusals, scored from the folded arrays as a sweep
+    scores them (``_stacked_moments``), with no distribution or pair built
+    around them."""
+    if pair.present.saturation is not None:
+        raise ParameterError("distribution is already saturated")
+    _check_saturation(t, pair.present.probs.ndim)
+    stack = _fold_stack(pair.absent, t, 1)
+    _fold_into(stack[1], pair.present.probs, pair.present.tail_mass, t)
+    return _stacked_moments(stack, [pair.absent.params, pair.present.params], t)[0]
+
+
+def _fold_stack(absent: CountDistribution, t: int, presents: int) -> np.ndarray:
+    """A zeroed stack of 1 + ``presents`` tables of t + 1 counts per
+    detector, the absent table folded at t into the first; the presents'
+    folds go into the rest, in order (``photon_stats._fold_into``)."""
+    stack = np.zeros((1 + presents,) + (t + 1,) * absent.probs.ndim)
+    _fold_into(stack[0], absent.probs, absent.tail_mass, t)
+    return stack
+
+
+def _stacked_moments(stack: np.ndarray, params: list[ProtocolParams | None],
+                     t: int) -> list[LogLikMoments | None]:
+    """The moments of each present fold in ``stack[1:]`` against the absent
+    fold ``stack[0]``, each as ``loglik_moments`` gives its folded pair, bit
+    for bit.  ``params`` holds each fold's params, absent first, or None
+    for a slot left empty, which gets None.
+
+    Every fold's mass is checked, as ``apply_saturation`` checks it, from
+    one sum over the stack: the first present's, then the absent's, which
+    raise, then the others', each of which gets None where it fails.  The
+    stack is then logged with one ``np.log``, and each present's log ratio
+    and its squares are taken in its own logs."""
+    totals = stack.reshape(len(stack), -1).sum(axis=1).tolist()
+    passed = [False] * len(stack)
+    for i in (1, 0, *range(2, len(stack))):
+        if params[i] is None:
+            continue
+        try:
+            _checked_tail(params[i], stack[i], t, totals[i])
+        except (ValueError, RuntimeError):
+            if i < 2:
+                raise
+            continue
+        passed[i] = True
+    logs = _floored_log(stack)
+    moments = []
+    for i in range(1, len(stack)):
+        if passed[i]:
+            np.subtract(logs[0], logs[i], out=logs[i])
+            moments.append(_moments(logs[i], stack[i], stack[0], in_place=True))
+        else:
+            moments.append(None)
+    return moments
+
+
+def _brightness_moments(params: list[ProtocolParams], saturations: tuple[int | None, ...]
+                        ) -> list[dict[int | None, LogLikMoments] | None]:
+    """The moments at each saturation of each params, which differ in
+    protocol and cos_theta alone, so that one absent table serves them all:
+    each equal to a build of its own, ``loglik_moments(pair.saturated(t))``
+    of ``HypothesisPair.from_params``, or at t = None ``_lattice_moments(pair)
+    or loglik_moments(pair)``, bit for bit.
+
+    The absent table is built once, through ``build_distribution``.  Each
+    present is then built, mass-checked and scored at t = None against the
+    absent table's shared logs (``_AbsentLogs``), one at a time.  The folds
+    at each t lie in one stack, absent first, scored at once
+    (``_stacked_moments``): each present but the last is folded into every
+    stack before the next is built, and the last, still live, into each
+    stack as it is scored, so that params scored alone fold and score one t
+    at a time, as a pair of their own does.  What the first params' own
+    tables raise is raised, and nothing is returned; any other params whose
+    own table raises gets None.  Where the stacks of all would pass the
+    memory budget together, the first params alone are scored, and the list
+    is theirs alone."""
+    absent = build_distribution(params[0]._with_field("xi", 0.0))
+    folds = [t for t in saturations if t is not None]
+    if sum(_scoring_bytes(t, absent.probs.ndim, len(params)) for t in folds) > MEMORY_BUDGET_BYTES:
+        params = params[:1]
+    last = len(params) - 1
+    stacks = {t: _fold_stack(absent, t, len(params)) for t in folds} if last else {}
+    logs = _AbsentLogs(absent.probs) if None in saturations else None
+    counts = np.arange(absent.k_max + 1.0)
+    checks = [absent.params, *params]
+    scored: list[dict | None] = []
+    for i, p in enumerate(params):
+        try:
+            if p.xi == 0.0:
+                present, tail = absent.probs, absent.tail_mass
+            else:
+                present = _bracketed(p, absent.probs, counts, counts)
+                tail = _checked_tail(p, present, None)
+        except (ValueError, RuntimeError):
+            if i == 0:
+                raise
+            scored.append(None)
+            checks[i + 1] = None
+            continue
+        scored.append({} if logs is None else {None: logs.moments(present, i == last)})
+        if i < last:
+            for t, stack in stacks.items():
+                _fold_into(stack[i + 1], present, tail, t)
+    for t in folds:
+        stack = stacks.pop(t) if last else _fold_stack(absent, t, 1)
+        if checks[-1] is not None:
+            _fold_into(stack[-1], present, tail, t)
+        for i, moments in enumerate(_stacked_moments(stack, checks, t)):
+            if moments is None:
+                scored[i] = checks[i + 1] = None
+            else:
+                scored[i][t] = moments
+        del stack
+    return scored
 
 
 def lognormal_pdf(lam: float, mu_y: float, sigma_y: float) -> float:

@@ -23,6 +23,7 @@ import itertools
 import json
 import math
 import numbers
+import operator
 import os
 import stat
 import sys
@@ -132,6 +133,7 @@ _FIELD_RULES = {
     "n_c": _mean_count, "n_e": _mean_count, "n_i": _mean_count,
     "cos_theta": _cosine,
 }
+_numeric_fields = operator.itemgetter(*_FIELD_RULES)
 
 
 @dataclass(frozen=True)
@@ -169,6 +171,16 @@ class ProtocolParams:
             object.__setattr__(self, "cos_theta", 0.0)
         _check_means(self)
 
+    def __hash__(self) -> int:
+        """Worked out on first use and kept: a sweep looks its params up
+        once a row.  Equal params have equal numeric fields, so those alone
+        are hashed; a float's hash, unlike a string's, is the same in every
+        process, so a kept hash stays right in a copy or a pickle."""
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = hash(_numeric_fields(self.__dict__))
+        return cached
+
     def _with_field(self, name: str, value) -> "ProtocolParams":
         """This parameter set with one numeric field changed, as
         ``dataclasses.replace`` gives it; only the new value is checked,
@@ -179,6 +191,7 @@ class ProtocolParams:
         varied = object.__new__(type(self))
         varied.__dict__.update(self.__dict__)
         varied.__dict__[name] = value
+        varied.__dict__.pop("_hash", None)
         return _check_means(varied)
 
     def to_dict(self) -> dict:
@@ -504,10 +517,13 @@ class CountDistribution:
                                            "tail_mass", self.tail_mass))
 
 
-def _checked_tail(params: ProtocolParams, probs: np.ndarray, saturation: int | None) -> float:
+def _checked_tail(params: ProtocolParams, probs: np.ndarray, saturation: int | None,
+                  total: float | None = None) -> float:
     """The ``tail_mass`` of a table at params, saturated at ``saturation``
-    or not, once its shape and mass pass ``CountDistribution``'s checks."""
-    t, total = saturation, float(probs.sum())
+    or not, once its shape and mass pass ``CountDistribution``'s checks;
+    ``total`` is ``probs.sum()`` where the caller has it."""
+    t = saturation
+    total = float(probs.sum()) if total is None else total
     if t is not None and probs.shape != (t + 1,) * probs.ndim:
         raise ParameterError(f"a table saturated at {t} spans 0..{t}, got {probs.shape}")
     tail = 0.0 if t is not None else max(0.0, 1.0 - total)
@@ -624,14 +640,16 @@ def _check_budget(need: int, work: str, advice: str = "") -> None:
                              f"{MEMORY_BUDGET_BYTES >> 20} MiB budget{advice}")
 
 
-def _scoring_bytes(t: int, detectors: int) -> int:
-    """Peak bytes of scoring a pair folded at t, as a folded pair or from
-    its folded arrays (``bayes._saturated_moments``): five float64
-    tables of (t + 1)^d cells, a fold's edge row and 4 KiB of objects.
-    Four tables are live at the peak: the two folds, the log ratios and
-    either their build's one temporary or their squares; the fifth is
+def _scoring_bytes(t: int, detectors: int, presents: int = 1) -> int:
+    """Peak bytes of scoring a pair folded at t, as a folded pair, or of
+    scoring ``presents`` present folds against one absent fold in a stack
+    (``bayes._stacked_moments``): 2 presents + 3 float64 tables of
+    (t + 1)^d cells, a fold's edge row and 4 KiB of objects.  A folded
+    pair holds four tables at the peak: the two folds, the log ratios and
+    either their build's one temporary or their squares.  A stack holds
+    its folds and their logs, squared in place; the last table is
     margin."""
-    return 8 * (5 * (t + 1) ** detectors + t + 1) + 4096
+    return 8 * ((2 * presents + 3) * (t + 1) ** detectors + t + 1) + 4096
 
 
 def _check_saturation(t: int, detectors: int) -> int:
@@ -676,17 +694,21 @@ def _folded(dist: CountDistribution, t: int) -> np.ndarray:
     if dist.saturation is not None:
         raise ParameterError("distribution is already saturated")
     _check_saturation(t, dist.probs.ndim)
-    p, edge = dist.probs, min(t, dist.k_max + 1)
+    return _fold_into(np.zeros((t + 1,) * dist.probs.ndim), dist.probs, dist.tail_mass, t)
+
+
+def _fold_into(out: np.ndarray, probs: np.ndarray, tail_mass: float, t: int) -> np.ndarray:
+    """Fold an unsaturated table of ``tail_mass`` at t into the zeroed
+    array ``out`` of t + 1 counts per detector, and return it."""
+    p, edge = probs, min(t, probs.shape[0])
     if p.ndim == 2:
-        out = np.zeros((t + 1, t + 1))
         out[:edge, :edge] = p[:edge, :edge]
         out[t, :edge] += p[edge:, :edge].sum(axis=0)
         out[:edge, t] += p[:edge, edge:].sum(axis=1)
-        out[t, t] += p[edge:, edge:].sum() + dist.tail_mass
+        out[t, t] += p[edge:, edge:].sum() + tail_mass
     else:
-        out = np.zeros(t + 1)
         out[:edge] = p[:edge]
-        out[t] += p[edge:].sum() + dist.tail_mass
+        out[t] += p[edge:].sum() + tail_mass
     return out
 
 

@@ -9,6 +9,7 @@ and backgrounds, and optimizes the reference brightness per grid point.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from contextvars import ContextVar
@@ -18,14 +19,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bayes import (
-    HypothesisPair,
     HypothesesIndistinguishableError,
     LogLikMoments,
+    _brightness_moments,
     _check_c_target,
-    _lattice_moments,
     _n_real,
-    _saturated_moments,
-    loglik_moments,
+    loglik_moments,  # noqa: F401  unused here; bench/spans.py wraps this binding
     n_for_confidence,
 )
 from .photon_stats import (
@@ -101,17 +100,18 @@ class _RowGroup:
 
     A sweep keeps one per (eta, n_e, n_i) block, for every protocol's rows
     there: ``moments`` holds their moments by (params, t), and ``params``
-    their ``ProtocolParams`` by (protocol, n_c).  A lookup at t that misses
-    builds the unsaturated pair once and folds it from t on, for the later
-    rows at the same brightness, so no call drives the group row by row.
-    A fold is scored from the pair's arrays (``_saturated_moments``) with
-    every check and bit of ``apply_saturation``.  At t = None a bright
-    two-detector pair's moments are taken over every second count where
-    they agree with every third's within 1e-12 (``_lattice_moments``), and
-    any other pair's by ``loglik_moments`` over the whole tables.  No
-    table or exception is kept: a fold keeps the total, so a pair refused
-    at one t is refused at all, and a miss checks t on the protocol's
-    detectors before it builds.
+    their ``ProtocolParams`` by (protocol, n_c), each row's made before any
+    row is evaluated.  A lookup at t that misses scores its params from t
+    on, for the later rows at the same brightness, so no call drives the
+    group row by row.  It scores with them every other two-detector
+    protocol's params the group holds at that n_c, which read the same
+    absent table (``_brightness_moments``): the coherent and incoherent
+    rows of a brightness, or both protocols' dark endpoint n_c = 0 where
+    they are optimized.  Each gets the bits of a build of its own.  No
+    table or exception is kept: a fold keeps the total, so params refused
+    at one t are refused at all, and a miss checks t on the protocol's
+    detectors before it builds.  Other params whose own table is refused
+    are not stored, and are scored again, alone, where a row asks for them.
     A direct table reads only the block's xi, eta, n_e and n_i, so its
     direct rows and baseline share one params; ``direct`` holds its N by t.
     """
@@ -127,13 +127,21 @@ class _RowGroup:
         if moments is None:
             if t is not None:
                 _check_saturation(t, params.protocol.detectors)
-            pair = HypothesisPair.from_params(params)
-            for s in self.saturations[self.saturations.index(t):]:
-                self.moments[(params, s)] = (
-                    _lattice_moments(pair) or loglik_moments(pair) if s is None
-                    else _saturated_moments(pair, s))
+            saturations = self.saturations[self.saturations.index(t):]
+            scored = [params] + [q for q in self._siblings(params) if (q, t) not in self.moments]
+            for q, by_t in zip(scored, _brightness_moments(scored, saturations)):
+                if by_t is not None:
+                    for s in saturations:
+                        self.moments[(q, s)] = by_t[s]
             moments = self.moments[(params, t)]
         return moments
+
+    def _siblings(self, params: ProtocolParams) -> list[ProtocolParams]:
+        """The other two-detector protocols' params held at params' n_c."""
+        if params.protocol is Protocol.DIRECT or not self.params:
+            return []
+        return [q for p in (Protocol.COHERENT_HOM, Protocol.INCOHERENT_HOM)
+                if p is not params.protocol and (q := self.params.get((p.value, params.n_c)))]
 
     def row_params(self, spec: SweepSpec, point: tuple) -> ProtocolParams:
         """The params of a point of this group: n_c = 0 where it is to be
@@ -476,8 +484,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """The row of every grid point of the spec, as ``evaluate_point``
     makes it, in ``grid_points`` order.  The points of one (eta, n_e, n_i)
     block, of every protocol, are evaluated together in a row group of
-    their own, so each brightness is built once for all of its
-    saturations and the direct baseline once for the block.
+    their own, which holds every row's params first: so each brightness is
+    built once for all of its saturations, its absent table once for
+    every two-detector protocol there, and the direct baseline once for
+    the block.
     """
     points = grid_points(spec)
     blocks: dict[tuple, list[int]] = {}
@@ -486,6 +496,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     rows: list[SweepRow | None] = [None] * len(points)
     for indices in blocks.values():
         group = _RowGroup(spec.saturations)
+        for i in indices:
+            # a row whose params are refused is an error row, made below
+            with contextlib.suppress(ParameterError):
+                group.row_params(spec, points[i])
         token = _ROW_GROUP.set(group)
         try:
             for i in indices:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import astuple, replace
@@ -145,6 +146,39 @@ def test_one_field_variant_matches_replace(protocol):
             else:
                 assert isinstance(made, str) and name in made
     assert base._with_field("xi", 0.5) != base and base.xi == 0.2
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_equal_params_hash_alike_however_made(protocol):
+    # a set keeps its hash once worked out, and a variant made from a
+    # hashed set must not carry that hash: made by the constructor,
+    # _with_field or replace, equal sets hash alike and find each other
+    base = ProtocolParams(protocol, xi=0.2, eta=0.8, epsilon=0.9, n_c=3.0, n_e=0.4, n_i=0.1,
+                          cos_theta=0.7)
+    hash(base)
+    for name, accepted in _VARIANT_VALUES.items():
+        for value in accepted:
+            made = (ProtocolParams(**{**base.to_dict(), name: value}),
+                    base._with_field(name, value), replace(base, **{name: value}))
+            assert made[0] == made[1] == made[2], (name, value)
+            assert len({hash(p) for p in made}) == 1, (name, value)
+            assert {made[0]: name}[made[1]] == {made[2]: name}[made[0]] == name
+    assert hash(ProtocolParams(protocol, n_c=-0.0)) == hash(ProtocolParams(protocol, n_c=0.0))
+
+
+def test_a_kept_hash_holds_in_another_process():
+    # only the numeric fields are hashed, and a float's hash does not
+    # depend on the process's string-hash seed, as a protocol name's does
+    params = hom_params(xi=0.3, n_c=2.5)
+    hash(params)
+    code = ("import pickle, sys; from homdetect.photon_stats import ProtocolParams as P; "
+            "p = pickle.load(sys.stdin.buffer); "
+            "print({p: 'found'}.get(P('coherent', xi=0.3, eta=p.eta, epsilon=p.epsilon, "
+            "n_c=2.5, n_e=p.n_e, n_i=p.n_i, cos_theta=p.cos_theta)))")
+    out = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(params),
+                         env=dict(os.environ, PYTHONHASHSEED="12345"), capture_output=True,
+                         check=True)
+    assert out.stdout.decode().strip() == "found"
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))

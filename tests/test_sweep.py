@@ -90,14 +90,15 @@ BRIGHT = ProtocolParams(protocol=Protocol.COHERENT_HOM, xi=0.1, eta=0.99, epsilo
                          ids=["n_two_sigma", "speedup", "optimize_nc"])
 def test_over_budget_saturation_is_refused_before_a_two_detector_build(query, monkeypatch):
     # each bright table is 5812^2 cells; t = 6000 on two detectors is
-    # refused first, and only speedup's direct baseline is built
-    raw = HypothesisPair.__dict__["from_params"].__func__
+    # refused first, and only speedup's direct baseline is built: every
+    # scoring starts from its absent table
+    raw = bayes.build_distribution
 
-    def direct_only(cls, params):
-        assert params.protocol is Protocol.DIRECT, "a two-detector pair was built"
-        return raw(cls, params)
+    def direct_only(params):
+        assert params.protocol is Protocol.DIRECT, "a two-detector table was built"
+        return raw(params)
 
-    monkeypatch.setattr(HypothesisPair, "from_params", classmethod(direct_only))
+    monkeypatch.setattr(bayes, "build_distribution", direct_only)
     with pytest.raises(ParameterError, match="^scoring saturation threshold 6000 on 2 detectors "
                                              "needs about 1374 MiB, above the 1024 MiB budget$"):
         query(BRIGHT, 6000)
@@ -186,14 +187,14 @@ def test_optimize_flags_indistinguishable_grid():
 def test_flat_optimum_at_unscorable_dark_reference_is_an_error_row(monkeypatch):
     # every brightness scores alike except the dark reference, which cannot
     # be built; the flat optimum n_c = 0 must report that failure
-    raw = HypothesisPair.__dict__["from_params"].__func__
+    raw = sweep_module._brightness_moments
 
-    def from_params(cls, params):
-        if params.n_c == 0.0:
+    def scored(params, saturations):
+        if params[0].n_c == 0.0:
             raise DegenerateParameterError("dark reference undefined")
-        return raw(cls, replace(params, n_c=1.0))
+        return raw([p._with_field("n_c", 1.0) for p in params], saturations)
 
-    monkeypatch.setattr(HypothesisPair, "from_params", classmethod(from_params))
+    monkeypatch.setattr(sweep_module, "_brightness_moments", scored)
     with pytest.raises(DegenerateParameterError, match="dark reference"):
         optimize_nc(HEADLINE)
     (row,) = run_sweep(tiny_spec(protocols=("coherent",), eta=(0.9,), n_e=(1.0,),
@@ -483,16 +484,20 @@ def test_rows_keep_their_n_when_only_the_direct_baseline_fails(t, n_c):
         assert [r.n_2sigma for r in rows] == [34, 563]
 
 
-def _count_builds(monkeypatch) -> list:
-    builds = []
-    raw = HypothesisPair.__dict__["from_params"].__func__
+def _count_tables(monkeypatch) -> dict:
+    """The params of every absent table built (``build_distribution``)
+    and every present table (its bracket), as scoring builds them."""
+    tables = {"absent": [], "present": []}
 
-    def counted(cls, params):
-        builds.append(params)
-        return raw(cls, params)
+    def counted(key, raw):
+        def wrapped(params, *args):
+            tables[key].append(params)
+            return raw(params, *args)
+        return wrapped
 
-    monkeypatch.setattr(HypothesisPair, "from_params", classmethod(counted))
-    return builds
+    monkeypatch.setattr(bayes, "build_distribution", counted("absent", bayes.build_distribution))
+    monkeypatch.setattr(bayes, "_bracketed", counted("present", bayes._bracketed))
+    return tables
 
 
 def _optimized(saturations, protocols=("coherent",), eta=(0.9,)):
@@ -505,29 +510,34 @@ def _optimized(saturations, protocols=("coherent",), eta=(0.9,)):
 _BLOCKS = dict(protocols=("direct", "coherent", "incoherent"), eta=(0.9, 0.5))
 
 
-@pytest.mark.parametrize("spec, expected", [
-    (_optimized((None, 4, 2, 1)), 104),
-    (_optimized((1, 2, 4, None)), 104),
-    (_optimized((None, 2)), 76),
-    (_optimized((2, None)), 76),
-    (_optimized((None,)), 62),
-    (_optimized((None, 2), **_BLOCKS), 308),
-    (_optimized((2, None), **_BLOCKS), 308),
-    (_optimized((None, 4, 2, 1), **_BLOCKS), 364),
+@pytest.mark.parametrize("spec, absent, present", [
+    (_optimized((None, 4, 2, 1)), 104, 104),
+    (_optimized((1, 2, 4, None)), 104, 104),
+    (_optimized((None, 2)), 76, 76),
+    (_optimized((2, None)), 76, 76),
+    (_optimized((None,)), 62, 62),
+    (_optimized((None, 2), **_BLOCKS), 306, 308),
+    (_optimized((2, None), **_BLOCKS), 306, 308),
+    (_optimized((None, 4, 2, 1), **_BLOCKS), 362, 364),
+    (preset("fig2a"), 26, 39),
+    (preset("fig2b"), 14, 27),
 ], ids=["inf-4-2-1", "1-2-4-inf", "inf-2", "2-inf", "inf",
-        "blocks-inf-2", "blocks-2-inf", "blocks-inf-4-2-1"])
-def test_sweep_builds_each_brightness_once_per_row_group(monkeypatch, spec, expected):
-    builds = _count_builds(monkeypatch)
+        "blocks-inf-2", "blocks-2-inf", "blocks-inf-4-2-1", "fig2a", "fig2b"])
+def test_sweep_builds_each_brightness_once_per_row_group(monkeypatch, spec, absent, present):
+    tables = _count_tables(monkeypatch)
     run_sweep(spec)
     # each brightness any row scores is built once, whatever the order of
-    # the saturations, and each block's direct baseline once
-    assert len(builds) == expected
+    # the saturations, and each block's direct baseline once; the coherent
+    # and incoherent rows at a brightness share its absent table, and
+    # optimized rows share only the dark endpoint n_c = 0 of their block
+    assert (len(tables["absent"]), len(tables["present"])) == (absent, present)
     if spec == _optimized((None, 4, 2, 1)):
-        builds.clear()
+        tables["absent"].clear()
+        tables["present"].clear()
         for point in sweep_module.grid_points(spec):
             sweep_module.evaluate_point(spec, point)
         # alone, each row builds every grid candidate and its baseline
-        assert len(builds) == 290
+        assert (len(tables["absent"]), len(tables["present"])) == (290, 290)
 
 
 @pytest.mark.parametrize("name, expected", [("fig2a", 39), ("fig2b", 27)])
@@ -550,44 +560,24 @@ def test_sweep_makes_one_params_per_brightness(monkeypatch, name, expected):
     assert len(made) == expected
 
 
-@pytest.mark.parametrize("name, confidences, estimates", [
-    ("fig2a", 312, 156),
-    ("fig2b", 216, 108),
-    pytest.param(_optimized((None, 2), **_BLOCKS), 8674, 568, id="blocks-inf-2"),
-    pytest.param(_optimized((2, None), **_BLOCKS), 8674, 568, id="blocks-2-inf"),
-    pytest.param(_optimized((None, 4, 2, 1), **_BLOCKS), 18298, 1204, id="blocks-inf-4-2-1"),
+@pytest.mark.parametrize("name, confidences, searches, estimates", [
+    ("fig2a", 312, 156, 156),
+    ("fig2b", 216, 108, 108),
+    pytest.param(_optimized((None, 2), **_BLOCKS), None, 568, 568, id="blocks-inf-2"),
+    pytest.param(_optimized((2, None), **_BLOCKS), None, 568, 568, id="blocks-2-inf"),
+    pytest.param(_optimized((None, 4, 2, 1), **_BLOCKS), None, 1204, 1204,
+                 id="blocks-inf-4-2-1"),
 ])
-def test_sweep_search_work(monkeypatch, name, confidences, estimates):
+def test_sweep_search_work(monkeypatch, name, confidences, searches, estimates):
     # each fig2 row's N search makes one Newton estimate and confirms its
     # window with two confidences, which are already adjacent integers: a
     # change that adds search work shows here, as it does in the optimized
-    # rows of several protocols and blocks
-    calls = {"confidences": 0, "estimates": 0}
-
-    def counted(key, fn):
-        def wrapped(*args):
-            calls[key] += 1
-            return fn(*args)
-        return wrapped
-
-    monkeypatch.setattr(bayes, "_confidences", counted("confidences", bayes._confidences))
-    monkeypatch.setattr(bayes, "_newton_n", counted("estimates", bayes._newton_n))
-    run_sweep(preset(name) if isinstance(name, str) else name)
-    assert (calls["confidences"], calls["estimates"]) == (confidences, estimates)
-
-
-def test_figs4_work(monkeypatch):
-    # figS4's pair builds, fold scorings, N searches, Newton estimates and
-    # params made, and its t = None scorings with those taken on the
-    # sub-lattice (the rest fall back to whole tables): a change that adds
-    # work to the largest preset shows here.  Its _confidences calls are
-    # left out: like its bytes, their count rests on the SIMD loops numpy
-    # dispatches on the CPU (103 481, 103 507, 103 519 and 103 527 have
-    # been seen, with AVX-512 on and off), where the first five have
-    # matched on every host, and all seven with AVX-512 on and off
-    builds = _count_builds(monkeypatch)
-    calls = {"folds": 0, "searches": 0, "estimates": 0, "params": 0, "unsaturated": 0,
-             "whole": 0}
+    # rows of several protocols and blocks.  Those rows' _confidences calls
+    # are left out: like figS4's (test_figs4_work), their count rests on
+    # the SIMD loops numpy dispatches on the CPU (8 674 / 8 674 / 18 298
+    # with AVX-512, 8 673 / 8 673 / 18 294 without it on the same host),
+    # where their searches and Newton estimates hold either way
+    calls = {"confidences": 0, "searches": 0, "estimates": 0}
 
     def counted(key, fn):
         def wrapped(*args, **kwargs):
@@ -595,21 +585,51 @@ def test_figs4_work(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(sweep_module, "_saturated_moments",
-                        counted("folds", sweep_module._saturated_moments))
+    monkeypatch.setattr(bayes, "_confidences", counted("confidences", bayes._confidences))
+    monkeypatch.setattr(bayes, "_crossing", counted("searches", bayes._crossing))
+    monkeypatch.setattr(bayes, "_newton_n", counted("estimates", bayes._newton_n))
+    run_sweep(preset(name) if isinstance(name, str) else name)
+    assert (calls["searches"], calls["estimates"]) == (searches, estimates)
+    if confidences is not None:
+        assert calls["confidences"] == confidences
+
+
+def test_figs4_work(monkeypatch):
+    # figS4's absent and present tables, fold stacks, N searches, Newton
+    # estimates and params made, and its t = None scorings with those
+    # taken over the whole tables (the rest are taken on the sub-lattice):
+    # a change that adds work to the largest preset shows here.  Each
+    # block's coherent and incoherent rows share the absent table of their
+    # dark endpoint n_c = 0 alone, so 25 of 3 875 pairs build none.  Its
+    # _confidences calls are left out: like its bytes, their count rests
+    # on the SIMD loops numpy dispatches on the CPU (103 481, 103 507,
+    # 103 519 and 103 527 have been seen, with AVX-512 on and off), where
+    # the others have matched on every host, with AVX-512 on and off
+    tables = _count_tables(monkeypatch)
+    calls = {"stacks": 0, "searches": 0, "estimates": 0, "params": 0, "unsaturated": 0,
+             "whole": 0}
+
+    def counted(key, fn, when=lambda *args: True):
+        def wrapped(*args, **kwargs):
+            calls[key] += when(*args)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(bayes, "_stacked_moments", counted("stacks", bayes._stacked_moments))
     monkeypatch.setattr(bayes, "_crossing", counted("searches", bayes._crossing))
     monkeypatch.setattr(bayes, "_newton_n", counted("estimates", bayes._newton_n))
     monkeypatch.setattr(ProtocolParams, "__post_init__",
                         counted("params", ProtocolParams.__post_init__))
-    monkeypatch.setattr(sweep_module, "_lattice_moments",
-                        counted("unsaturated", sweep_module._lattice_moments))
-    monkeypatch.setattr(sweep_module, "loglik_moments",
-                        counted("whole", sweep_module.loglik_moments))
+    monkeypatch.setattr(bayes._AbsentLogs, "moments",
+                        counted("unsaturated", bayes._AbsentLogs.moments))
+    monkeypatch.setattr(bayes._AbsentLogs, "score",
+                        counted("whole", bayes._AbsentLogs.score, lambda logs, p, h, last: h == 1))
     spec = preset("figS4")
     calls["params"] = 0
     run_sweep(spec)
-    work = [calls[key] for key in ("folds", "searches", "estimates", "params")]
-    assert (len(builds), *work) == (3875, 3875, 7305, 6780, 75)
+    work = [calls[key] for key in ("stacks", "searches", "estimates", "params")]
+    assert (len(tables["absent"]), len(tables["present"]), *work) == (3850, 3875, 3850, 7305,
+                                                                       6780, 75)
     assert (calls["unsaturated"], calls["unsaturated"] - calls["whole"]) == (3245, 483)
 
 
@@ -654,9 +674,10 @@ def test_row_group_scores_bright_pairs_on_a_checked_sub_lattice(monkeypatch):
     # whole-table moments, and a refused one, as every smaller pair, is
     # them exactly; every fold keeps every bit
     fallbacks = []
-    whole = sweep_module.loglik_moments
-    monkeypatch.setattr(sweep_module, "loglik_moments",
-                        lambda pair: fallbacks.append(pair) or whole(pair))
+    score = bayes._AbsentLogs.score
+    monkeypatch.setattr(bayes._AbsentLogs, "score", lambda logs, present, h, last: (
+        h == 1 and fallbacks.append(present)) or score(logs, present, h, last))
+    whole = loglik_moments
     rng = np.random.default_rng(20261020)
     cases = [(_params_at_k_max(rng, k), None) for k in rng.integers(20, 401, size=10)]
     cases += [
@@ -692,15 +713,106 @@ def test_row_group_scores_bright_pairs_on_a_checked_sub_lattice(monkeypatch):
     assert {"accepted", "refused"} <= {v for k, v in seeded if k >= bayes._LATTICE_K_MAX}
 
 
+def _own_moments(params: ProtocolParams, t: int | None):
+    """A protocol's moments at t from a pair of its own, as the sweep took
+    them before the row group scored protocols together."""
+    pair = HypothesisPair.from_params(params)
+    if t is None:
+        return bayes._lattice_moments(pair) or loglik_moments(pair)
+    return loglik_moments(pair.saturated(t))
+
+
+def _shared_block(rng, k_max: int | None = None) -> tuple[ProtocolParams, ProtocolParams]:
+    """Seeded coherent and incoherent params of one sweep block at one
+    brightness: a small one, or one whose tables span about 0..k_max
+    counts."""
+    if k_max is None:
+        base = ProtocolParams(protocol="incoherent", xi=rng.uniform(), eta=rng.uniform(0.1, 1.0),
+                              epsilon=rng.uniform(), n_c=10.0 ** rng.uniform(-1.0, 1.0),
+                              n_e=10.0 ** rng.uniform(-2.0, 1.0), n_i=rng.uniform())
+    else:
+        base = _params_at_k_max(rng, k_max)
+    return (replace(base, protocol="coherent", cos_theta=rng.choice([1.0, rng.uniform(-1.0, 1.0)])),
+            replace(base, protocol="incoherent"))
+
+
+def _holding(saturations, *params) -> "sweep_module._RowGroup":
+    group = sweep_module._RowGroup(saturations)
+    for p in params:
+        group.params[(p.protocol.value, p.n_c)] = p
+    return group
+
+
+def test_shared_brightness_keeps_every_bit(monkeypatch):
+    # a row group scores every two-detector protocol it holds at a
+    # brightness from one absent table, from the t of the lookup that
+    # misses on: each protocol's moments at each saturation equal a build
+    # of its own, bit for bit, whichever protocol asks and from whichever t
+    rng = np.random.default_rng(20261021)
+    saturations = (None, 7, 4, 2, 1)
+    k_maxes = []
+    for i, k_max in enumerate([None] * 5 + [int(k) for k in rng.integers(73, 260, size=5)]):
+        block = _shared_block(rng, k_max)
+        first, other = block if i % 2 else block[::-1]
+        group = _holding(saturations, *block)
+        later = saturations[i % 3:]
+        group.get(first, later[0])
+        assert list(group.moments) == [(p, t) for p in (first, other) for t in later]
+        for p in block:
+            for t in later:
+                assert group.moments[(p, t)] == _own_moments(p, t), (p, t)
+        k_maxes.append(HypothesisPair.from_params(first).present.k_max)
+    assert min(k_maxes) < 64 and max(k_maxes) > 200
+    assert sum(k >= bayes._LATTICE_K_MAX for k in k_maxes) == 5
+
+    # a protocol whose own table is refused gets nothing stored; the one
+    # that asked keeps its moments, and asked for alone, the refused one
+    # raises its own exception and message, as a group of one call does
+    coherent, incoherent = _shared_block(rng)
+    bracketed, checked = bayes._bracketed, bayes._checked_tail
+
+    def refused_present(params, *args):
+        if params.protocol is Protocol.INCOHERENT_HOM:
+            raise DegenerateParameterError("incoherent bracket refused")
+        return bracketed(params, *args)
+
+    def refused_fold(params, probs, saturation, *args):
+        if params.protocol is Protocol.INCOHERENT_HOM and saturation == 4:
+            raise ParameterError("incoherent fold at 4 refused")
+        return checked(params, probs, saturation, *args)
+
+    budget = photon_stats._scoring_bytes(7, 2)  # one present's stack at t = 7, not two
+    for name, patched in (("_bracketed", refused_present), ("_checked_tail", refused_fold),
+                          ("MEMORY_BUDGET_BYTES", budget)):
+        with monkeypatch.context() as m:
+            m.setattr(bayes, name, patched)
+            group = _holding(saturations, coherent, incoherent)
+            group.get(coherent, None)
+            assert list(group.moments) == [(coherent, t) for t in saturations], name
+            for t in saturations:
+                assert group.moments[(coherent, t)] == _own_moments(coherent, t), (name, t)
+            if name == "MEMORY_BUDGET_BYTES":
+                assert group.get(incoherent, None) == _own_moments(incoherent, None)
+                continue
+            for asked in (group, _holding(saturations, incoherent),
+                          sweep_module._RowGroup(saturations)):
+                with pytest.raises(ValueError) as info:
+                    asked.get(incoherent, None)
+                assert (type(info.value), str(info.value)) == (
+                    (DegenerateParameterError, "incoherent bracket refused")
+                    if name == "_bracketed" else (ParameterError, "incoherent fold at 4 refused"))
+                assert all(p != incoherent for p, _ in asked.moments), name
+
+
 @pytest.mark.parametrize("saturations", [(None, 20000), (20000, None)],
                          ids=["inf-20000", "20000-inf"])
 def test_spec_refuses_a_saturation_every_fold_would_refuse(monkeypatch, saturations):
     # every fold would refuse t = 20000, so the spec refuses it before any build
-    builds = _count_builds(monkeypatch)
+    tables = _count_tables(monkeypatch)
     with pytest.raises(ParameterError, match="20000 exceeds the cap of 10000"):
         SweepSpec(protocols=("coherent",), eta=(0.9,), n_e=(1.0,), n_c="optimize",
                   saturations=saturations, nc_bounds=(1e-2, 10.0))
-    assert builds == []
+    assert tables == {"absent": [], "present": []}
 
 
 # ---------------------------------------------------------------------------
