@@ -27,7 +27,6 @@ from .photon_stats import (
     ParameterError,
     ProtocolParams,
     _bracketed,
-    _check_saturation,
     _checked_tail,
     _fold_into,
     _is_whole,
@@ -229,94 +228,70 @@ _LATTICE_K_MAX = 73
 _LATTICE_TOL = 1e-12
 
 
-def _lattice_moments(pair: HypothesisPair) -> LogLikMoments | None:
-    """The t = None moments of a pair on its checked sub-lattice
-    (``_AbsentLogs.lattice``), or None where it does not take them."""
-    return _AbsentLogs(pair.absent.probs).lattice(pair.present.probs)
+def _lattice_moments(present: np.ndarray, absent: np.ndarray) -> LogLikMoments | None:
+    """The t = None moments of a two-detector pair's tables of k_max >=
+    _LATTICE_K_MAX from its four sums over every second count in each
+    detector times 4, where they agree with the sums over every third count
+    times 9 within _LATTICE_TOL; None for a smaller pair or one the check
+    refuses, which ``loglik_moments`` scores over the whole tables.  An
+    accepted result is within _LATTICE_TOL, and the sums' rounding, of the
+    exact sums.
+
+    By Poisson summation, h^2 times the sum of a smooth summand over the
+    h-spaced sub-lattice misses the whole sum by its Fourier transform at
+    the dual lattice's nonzero points, (m1, m2) / h.  The envelope's
+    Gaussian width sqrt(mu) makes that term fall like exp(-2 pi^2 mu / h^2),
+    a complex zero of the bracket at distance a from the real axis like
+    exp(-2 pi a / h), and the table's edge at count 0 like exp(-2 mu) at
+    h = 2 and 2 exp(-1.5 mu) at h = 3.  Each shrinks from h = 3 to h = 2:
+    over the 818 pairs of k_max >= 73 in figS4, fig3a and fig3b whose
+    h = 3 error exceeds 1e-13, the h = 2 error is at most 0.37 of it.  With
+    e2 <= e3 / 2, sums that agree within _LATTICE_TOL give e3 <= 2
+    (_LATTICE_TOL + r) and e2 <= _LATTICE_TOL + r, r the rounding of the
+    sums (about 1e-14, as in the whole-table ones).  Every table is still
+    built whole and mass-checked; only these four sums read a sub-lattice.
+    """
+    if present.ndim != 2 or present.shape[0] - 1 < _LATTICE_K_MAX:
+        return None
+    sums = []
+    for h in (2, 3):
+        p, a = (np.ascontiguousarray(table[::h, ::h]) for table in (present, absent))
+        sums.append(_moments(_log_ratios(p, a), p, a, scale=h * h))
+    fine, coarse = sums
+    # each moment in units of its own truth's spread
+    spreads = (fine.sigma_present,) * 2 + (fine.sigma_absent,) * 2
+    if all(abs(x - y) <= _LATTICE_TOL * s
+           for x, y, s in zip(astuple(fine), astuple(coarse), spreads)):
+        return fine
+    return None
 
 
 class _AbsentLogs:
-    """An absent table's floored logs, over the whole table or every h-th
-    count in each detector, each made when a present first needs it and
-    kept for the presents after it, whose log ratios are taken against it.
-
-    A present scored as the ``last`` frees each of these logs as it reads
-    it, and so allocates what ``loglik_moments`` of its pair, or
-    ``_lattice_moments``, would: its own logs, which take the ratio, and
-    their squares.  A present before it squares its ratios in place, so
-    that no more tables are live than there.
-    """
+    """An absent table's floored logs, made when a present first needs
+    them and kept for the presents after it, whose t = None log ratios are
+    taken against them."""
 
     def __init__(self, absent: np.ndarray) -> None:
         self.absent = absent
-        self._logs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._log: np.ndarray | None = None
 
     def moments(self, present: np.ndarray, last: bool = True) -> LogLikMoments:
-        """The t = None moments: on the sub-lattice where ``lattice`` takes
-        them, else over the whole tables, bit for bit as
-        ``loglik_moments``."""
-        return self.lattice(present, last) or self.score(present, 1, last)
-
-    def lattice(self, present: np.ndarray, last: bool = True) -> LogLikMoments | None:
-        """The t = None moments of a two-detector present of k_max >=
-        _LATTICE_K_MAX from its four sums over every second count in each
-        detector times 4, where they agree with the sums over every third
-        count times 9 within _LATTICE_TOL; None for a smaller present or
-        one the check refuses, which is scored over the whole tables.  An
-        accepted result is within _LATTICE_TOL, and the sums' rounding, of
-        the exact sums.
-
-        By Poisson summation, h^2 times the sum of a smooth summand over
-        the h-spaced sub-lattice misses the whole sum by its Fourier
-        transform at the dual lattice's nonzero points, (m1, m2) / h.  The
-        envelope's Gaussian width sqrt(mu) makes that term fall like
-        exp(-2 pi^2 mu / h^2), a complex zero of the bracket at distance a
-        from the real axis like exp(-2 pi a / h), and the table's edge at
-        count 0 like exp(-2 mu) at h = 2 and 2 exp(-1.5 mu) at h = 3.  Each
-        shrinks from h = 3 to h = 2: over the 818 pairs of k_max >= 73 in
-        figS4, fig3a and fig3b whose h = 3 error exceeds 1e-13, the h = 2
-        error is at most 0.37 of it.  With e2 <= e3 / 2, sums that agree
-        within _LATTICE_TOL give e3 <= 2 (_LATTICE_TOL + r) and e2 <=
-        _LATTICE_TOL + r, r the rounding of the sums (about 1e-14, as in
-        the whole-table ones).  Every table is still built whole and
-        mass-checked; only these four sums read a sub-lattice.
-        """
-        if present.ndim != 2 or present.shape[0] - 1 < _LATTICE_K_MAX:
-            return None
-        fine, coarse = self.score(present, 2, last), self.score(present, 3, last)
-        # each moment in units of its own truth's spread
-        spreads = (fine.sigma_present,) * 2 + (fine.sigma_absent,) * 2
-        if all(abs(x - y) <= _LATTICE_TOL * s
-               for x, y, s in zip(astuple(fine), astuple(coarse), spreads)):
-            return fine
-        return None
-
-    def score(self, present: np.ndarray, h: int, last: bool) -> LogLikMoments:
-        """The moments of present against this absent table over every
-        h-th count in each detector, each sum times h^2; h = 1 reads the
-        whole tables."""
-        p = present if h == 1 else np.ascontiguousarray(present[::h, ::h])
-        if h not in self._logs:
-            a = self.absent if h == 1 else np.ascontiguousarray(self.absent[::h, ::h])
-            self._logs[h] = a, _floored_log(a)
-        a, log_a = self._logs.pop(h) if last else self._logs[h]
-        ratio = _floored_log(p)
+        """The t = None moments of present, bit for bit as
+        ``_lattice_moments(present, absent) or loglik_moments(pair)``.  A
+        present scored as the ``last`` drops the logs before it squares its
+        ratios, and so allocates what ``loglik_moments`` would: the logs,
+        its own logs, which take the ratio, and their squares.  A present
+        before it squares its ratios in place, so that no more whole tables
+        are live than there."""
+        lattice = _lattice_moments(present, self.absent)
+        if lattice is not None:
+            return lattice
+        log_a = _floored_log(self.absent) if self._log is None else self._log
+        self._log = None if last else log_a
+        ratio = _floored_log(present)
         np.subtract(log_a, ratio, out=ratio)
         del log_a
-        return _moments(ratio, p, a, scale=h * h, in_place=not last)
-
-
-def _saturated_moments(pair: HypothesisPair, t: int) -> LogLikMoments:
-    """``loglik_moments(pair.saturated(t))`` of an unsaturated pair, bit for
-    bit, and with its refusals, scored from the folded arrays as a sweep
-    scores them (``_stacked_moments``), with no distribution or pair built
-    around them."""
-    if pair.present.saturation is not None:
-        raise ParameterError("distribution is already saturated")
-    _check_saturation(t, pair.present.probs.ndim)
-    stack = _fold_stack(pair.absent, t, 1)
-    _fold_into(stack[1], pair.present.probs, pair.present.tail_mass, t)
-    return _stacked_moments(stack, [pair.absent.params, pair.present.params], t)[0]
+        return _moments(ratio, present, self.absent, in_place=not last)
 
 
 def _fold_stack(absent: CountDistribution, t: int, presents: int) -> np.ndarray:
@@ -328,18 +303,22 @@ def _fold_stack(absent: CountDistribution, t: int, presents: int) -> np.ndarray:
     return stack
 
 
-def _stacked_moments(stack: np.ndarray, params: list[ProtocolParams | None],
-                     t: int) -> list[LogLikMoments | None]:
+def _stacked_moments(stack: np.ndarray, params: list[ProtocolParams | None], t: int,
+                     present: np.ndarray | None = None, tail: float = 0.0
+                     ) -> list[LogLikMoments | None]:
     """The moments of each present fold in ``stack[1:]`` against the absent
     fold ``stack[0]``, each as ``loglik_moments`` gives its folded pair, bit
     for bit.  ``params`` holds each fold's params, absent first, or None
-    for a slot left empty, which gets None.
+    for a slot left empty, which gets None.  ``present``, an unsaturated
+    table of ``tail`` mass, is first folded into the last slot.
 
     Every fold's mass is checked, as ``apply_saturation`` checks it, from
     one sum over the stack: the first present's, then the absent's, which
     raise, then the others', each of which gets None where it fails.  The
     stack is then logged with one ``np.log``, and each present's log ratio
     and its squares are taken in its own logs."""
+    if present is not None:
+        _fold_into(stack[-1], present, tail, t)
     totals = stack.reshape(len(stack), -1).sum(axis=1).tolist()
     passed = [False] * len(stack)
     for i in (1, 0, *range(2, len(stack))):
@@ -368,21 +347,21 @@ def _brightness_moments(params: list[ProtocolParams], saturations: tuple[int | N
     """The moments at each saturation of each params, which differ in
     protocol and cos_theta alone, so that one absent table serves them all:
     each equal to a build of its own, ``loglik_moments(pair.saturated(t))``
-    of ``HypothesisPair.from_params``, or at t = None ``_lattice_moments(pair)
-    or loglik_moments(pair)``, bit for bit.
+    of ``HypothesisPair.from_params``, or at t = None ``_lattice_moments`` of
+    its tables or ``loglik_moments(pair)``, bit for bit.
 
     The absent table is built once, through ``build_distribution``.  Each
     present is then built, mass-checked and scored at t = None against the
     absent table's shared logs (``_AbsentLogs``), one at a time.  The folds
     at each t lie in one stack, absent first, scored at once
     (``_stacked_moments``): each present but the last is folded into every
-    stack before the next is built, and the last, still live, into each
-    stack as it is scored, so that params scored alone fold and score one t
-    at a time, as a pair of their own does.  What the first params' own
-    tables raise is raised, and nothing is returned; any other params whose
-    own table raises gets None.  Where the stacks of all would pass the
-    memory budget together, the first params alone are scored, and the list
-    is theirs alone."""
+    stack and dropped before the next is built, and the last, still live,
+    into each stack as it is scored, once the absent logs are dropped, so
+    that params scored alone fold and score one t at a time, as a pair of
+    their own does.  What the first params' own tables raise is raised, and
+    nothing is returned; any other params whose own table raises gets None.
+    Where the stacks of all would pass the memory budget together, the
+    first params alone are scored, and the list is theirs alone."""
     absent = build_distribution(params[0]._with_field("xi", 0.0))
     folds = [t for t in saturations if t is not None]
     if sum(_scoring_bytes(t, absent.probs.ndim, len(params)) for t in folds) > MEMORY_BUDGET_BYTES:
@@ -393,6 +372,7 @@ def _brightness_moments(params: list[ProtocolParams], saturations: tuple[int | N
     counts = np.arange(absent.k_max + 1.0)
     checks = [absent.params, *params]
     scored: list[dict | None] = []
+    present, tail = None, 0.0
     for i, p in enumerate(params):
         try:
             if p.xi == 0.0:
@@ -404,17 +384,19 @@ def _brightness_moments(params: list[ProtocolParams], saturations: tuple[int | N
             if i == 0:
                 raise
             scored.append(None)
-            checks[i + 1] = None
+            checks[i + 1] = present = None
             continue
         scored.append({} if logs is None else {None: logs.moments(present, i == last)})
         if i < last:
             for t, stack in stacks.items():
                 _fold_into(stack[i + 1], present, tail, t)
+            present = None
+    logs = None
     for t in folds:
+        if t in scored[0]:
+            continue  # a saturation the spec repeats
         stack = stacks.pop(t) if last else _fold_stack(absent, t, 1)
-        if checks[-1] is not None:
-            _fold_into(stack[-1], present, tail, t)
-        for i, moments in enumerate(_stacked_moments(stack, checks, t)):
+        for i, moments in enumerate(_stacked_moments(stack, checks, t, present, tail)):
             if moments is None:
                 scored[i] = checks[i + 1] = None
             else:

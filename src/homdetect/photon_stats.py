@@ -174,12 +174,18 @@ class ProtocolParams:
     def __hash__(self) -> int:
         """Worked out on first use and kept: a sweep looks its params up
         once a row.  Equal params have equal numeric fields, so those alone
-        are hashed; a float's hash, unlike a string's, is the same in every
-        process, so a kept hash stays right in a copy or a pickle."""
+        are hashed."""
         cached = self.__dict__.get("_hash")
         if cached is None:
             cached = self.__dict__["_hash"] = hash(_numeric_fields(self.__dict__))
         return cached
+
+    def __getstate__(self) -> dict:
+        """The fields without the kept hash, which a copy or a pickle works
+        out again: a float's hash differs between 32- and 64-bit builds."""
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     def _with_field(self, name: str, value) -> "ProtocolParams":
         """This parameter set with one numeric field changed, as

@@ -139,6 +139,19 @@ def test_pair_tables_equal_standalone_builds(protocol, saturation):
             assert got.tail_mass == alone.tail_mass
 
 
+def _saturated_moments(pair: HypothesisPair, t: int) -> LogLikMoments:
+    """A fold of an unsaturated pair at t scored as a sweep scores the fold
+    of one protocol, from a stack of its absent and present folds (the
+    kernel of bayes._brightness_moments), with apply_saturation's refusals
+    of the pair and of t."""
+    if pair.present.saturation is not None:
+        raise ParameterError("distribution is already saturated")
+    photon_stats._check_saturation(t, pair.present.probs.ndim)
+    stack = bayes._fold_stack(pair.absent, t, 1)
+    return bayes._stacked_moments(stack, [pair.absent.params, pair.present.params], t,
+                                  pair.present.probs, pair.present.tail_mass)[0]
+
+
 @pytest.mark.parametrize("protocol, thresholds", [
     (Protocol.COHERENT_HOM, (200, 500, 1000)),
     (Protocol.DIRECT, (2000, 10_000)),
@@ -150,7 +163,7 @@ def test_scoring_a_folded_pair_stays_within_the_estimate(protocol, thresholds):
     params = replace(LOW_NOISE, protocol=protocol, epsilon=0.9, n_c=6.0)
     for t in thresholds:
         for score in (lambda pair: loglik_moments(pair.saturated(t)),
-                      lambda pair: bayes._saturated_moments(pair, t)):
+                      lambda pair: _saturated_moments(pair, t)):
             pair = HypothesisPair.from_params(params)
             tracemalloc.start()
             try:
@@ -181,7 +194,7 @@ def test_saturated_moments_keeps_every_bit(protocol):
         k_max = pair.present.k_max
         for t in (1, 2, 4, 7, k_max, k_max + 1, k_max + 9):
             want = loglik_moments(pair.saturated(t))
-            got = bayes._saturated_moments(pair, t)
+            got = _saturated_moments(pair, t)
             assert [got.mu_present, got.sigma_present, got.mu_absent, got.sigma_absent] == [
                 want.mu_present, want.sigma_present, want.mu_absent, want.sigma_absent
             ], (pair.present.params, t)
@@ -220,7 +233,7 @@ def test_saturated_moments_refuses_what_a_saturated_pair_refuses(protocol):
     messages = []
     for case, t in cases:
         want = _refusal(lambda: loglik_moments(case.saturated(t)))
-        assert _refusal(lambda: bayes._saturated_moments(case, t)) == want, t
+        assert _refusal(lambda: _saturated_moments(case, t)) == want, t
         messages.append(want[1])
     assert "integer >= 1" in messages[0]
     assert ("needs about" if protocol.detectors == 2 else "exceeds the cap") in messages[4]
@@ -233,7 +246,7 @@ def test_saturated_moments_refuses_an_oversize_threshold_before_it_allocates():
     tracemalloc.start()
     try:
         with pytest.raises(ParameterError, match="budget"):
-            bayes._saturated_moments(pair, 5180)
+            _saturated_moments(pair, 5180)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -483,7 +496,7 @@ def test_moments_within_the_40_digit_referee():
         reference = reference_moments(params, pair.present.k_max)
         whole = loglik_moments(pair)
         assert within(whole, reference, bayes._LATTICE_TOL), (params, whole, reference)
-        lattice = bayes._lattice_moments(pair)
+        lattice = bayes._lattice_moments(pair.present.probs, pair.absent.probs)
         if lattice is not None:
             accepted += 1
             assert within(lattice, reference, bayes._LATTICE_TOL), (params, lattice, reference)

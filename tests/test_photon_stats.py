@@ -1,5 +1,6 @@
 """Tests for count-distribution construction and evaluation."""
 
+import copy
 import json
 import math
 import os
@@ -168,9 +169,15 @@ def test_equal_params_hash_alike_however_made(protocol):
 
 def test_a_kept_hash_holds_in_another_process():
     # only the numeric fields are hashed, and a float's hash does not
-    # depend on the process's string-hash seed, as a protocol name's does
+    # depend on the process's string-hash seed, as a protocol name's does;
+    # a copy or a pickle leaves the kept hash out, as another build's
+    # float hash may differ, and works it out again
     params = hom_params(xi=0.3, n_c=2.5)
     hash(params)
+    for made in (pickle.loads(pickle.dumps(params)), copy.copy(params), copy.deepcopy(params)):
+        assert "_hash" not in made.__dict__ and made == params
+        assert hash(made) == hash(params) and "_hash" in made.__dict__
+    assert "_hash" in params.__dict__
     code = ("import pickle, sys; from homdetect.photon_stats import ProtocolParams as P; "
             "p = pickle.load(sys.stdin.buffer); "
             "print({p: 'found'}.get(P('coherent', xi=0.3, eta=p.eta, epsilon=p.epsilon, "

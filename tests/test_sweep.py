@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -607,7 +608,7 @@ def test_figs4_work(monkeypatch):
     # the others have matched on every host, with AVX-512 on and off
     tables = _count_tables(monkeypatch)
     calls = {"stacks": 0, "searches": 0, "estimates": 0, "params": 0, "unsaturated": 0,
-             "whole": 0}
+             "sub_lattice": 0}
 
     def counted(key, fn, when=lambda *args: True):
         def wrapped(*args, **kwargs):
@@ -622,15 +623,21 @@ def test_figs4_work(monkeypatch):
                         counted("params", ProtocolParams.__post_init__))
     monkeypatch.setattr(bayes._AbsentLogs, "moments",
                         counted("unsaturated", bayes._AbsentLogs.moments))
-    monkeypatch.setattr(bayes._AbsentLogs, "score",
-                        counted("whole", bayes._AbsentLogs.score, lambda logs, p, h, last: h == 1))
+    lattice = bayes._lattice_moments
+
+    def sub_lattice(present, absent):
+        moments = lattice(present, absent)
+        calls["sub_lattice"] += moments is not None
+        return moments
+
+    monkeypatch.setattr(bayes, "_lattice_moments", sub_lattice)
     spec = preset("figS4")
     calls["params"] = 0
     run_sweep(spec)
     work = [calls[key] for key in ("stacks", "searches", "estimates", "params")]
     assert (len(tables["absent"]), len(tables["present"]), *work) == (3850, 3875, 3850, 7305,
                                                                        6780, 75)
-    assert (calls["unsaturated"], calls["unsaturated"] - calls["whole"]) == (3245, 483)
+    assert (calls["unsaturated"], calls["sub_lattice"]) == (3245, 483)
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))
@@ -674,9 +681,15 @@ def test_row_group_scores_bright_pairs_on_a_checked_sub_lattice(monkeypatch):
     # whole-table moments, and a refused one, as every smaller pair, is
     # them exactly; every fold keeps every bit
     fallbacks = []
-    score = bayes._AbsentLogs.score
-    monkeypatch.setattr(bayes._AbsentLogs, "score", lambda logs, present, h, last: (
-        h == 1 and fallbacks.append(present)) or score(logs, present, h, last))
+    lattice = bayes._lattice_moments
+
+    def checked(present, absent):
+        moments = lattice(present, absent)
+        if moments is None:
+            fallbacks.append(present)
+        return moments
+
+    monkeypatch.setattr(bayes, "_lattice_moments", checked)
     whole = loglik_moments
     rng = np.random.default_rng(20261020)
     cases = [(_params_at_k_max(rng, k), None) for k in rng.integers(20, 401, size=10)]
@@ -718,7 +731,7 @@ def _own_moments(params: ProtocolParams, t: int | None):
     them before the row group scored protocols together."""
     pair = HypothesisPair.from_params(params)
     if t is None:
-        return bayes._lattice_moments(pair) or loglik_moments(pair)
+        return bayes._lattice_moments(pair.present.probs, pair.absent.probs) or loglik_moments(pair)
     return loglik_moments(pair.saturated(t))
 
 
@@ -802,6 +815,66 @@ def test_shared_brightness_keeps_every_bit(monkeypatch):
                     (DegenerateParameterError, "incoherent bracket refused")
                     if name == "_bracketed" else (ParameterError, "incoherent fold at 4 refused"))
                 assert all(p != incoherent for p, _ in asked.moments), name
+
+
+@pytest.mark.parametrize("n_c", [(1.0, 6.0), "optimize"])
+def test_a_repeated_saturation_shares_its_brightness_as_once(n_c):
+    # a spec may list a saturation twice; the coherent and incoherent rows
+    # of a brightness still share it, and every row is the row evaluated
+    # alone, at both repeats
+    spec = tiny_spec(protocols=("coherent", "incoherent"), eta=(0.9,), n_e=(1.0,), n_c=n_c,
+                     saturations=(None, 2, 2), nc_bounds=(1e-2, 10.0))
+    rows = list(run_sweep(spec).rows)
+    assert rows == [sweep_module.evaluate_point(spec, p) for p in sweep_module.grid_points(spec)]
+    assert len(rows) == (6 if n_c == "optimize" else 12)
+    assert all(row.error is None for row in rows)
+
+
+def _peak_bytes(work) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        work()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _own_pair_miss(params: ProtocolParams, saturations) -> None:
+    """A brightness scored at every saturation from a pair of its own, held
+    throughout, as a row group scored one protocol before they shared."""
+    pair = HypothesisPair.from_params(params)
+    for t in saturations:
+        if t is None:
+            bayes._lattice_moments(pair.present.probs, pair.absent.probs) or loglik_moments(pair)
+        else:
+            loglik_moments(pair.saturated(t))
+
+
+@pytest.mark.parametrize("n_c, saturations", [
+    (300.0, (None, 7, 4, 2, 1)),
+    (300.0, (None, 300, 2)),
+    (1000.0, (None, 4, 2)),
+])
+def test_shared_brightness_holds_no_more_whole_tables_than_a_pair(n_c, saturations):
+    # scoring coherent and incoherent from one absent table keeps no more
+    # whole tables live than the larger of their own pairs: each present is
+    # dropped once folded, and the absent logs before the folds are scored.
+    # The fold stacks are the only extra, two (t + 1)^2 tables a t beyond a
+    # pair's fold scoring, which the memory budget counts (_scoring_bytes);
+    # 64 KiB covers objects and numpy's 8 192-element ufunc buffers.  At
+    # n_c 300 (k_max 296) the coherent pair is refused the sub-lattice and
+    # the incoherent one takes it; at n_c 1000 (k_max 765) both take it
+    base = dict(xi=0.1, eta=0.99, epsilon=0.9, n_c=n_c, n_e=1.0, n_i=0.01)
+    block = (ProtocolParams(protocol="coherent", cos_theta=1.0, **base),
+             ProtocolParams(protocol="incoherent", **base))
+    own = max(_peak_bytes(lambda: _own_pair_miss(p, saturations)) for p in block)
+    stacks = sum(16 * (t + 1) ** 2 for t in saturations if t is not None)
+    for first, other in (block, block[::-1]):
+        group = _holding(saturations, first, other)
+        shared = _peak_bytes(lambda: group.get(first, None))
+        assert len(group.moments) == 2 * len(saturations)
+        assert shared <= own + stacks + (64 << 10), (first.protocol, shared, own)
 
 
 @pytest.mark.parametrize("saturations", [(None, 20000), (20000, None)],
