@@ -21,12 +21,12 @@ import numpy as np
 from scipy.special import erfinv, expit
 
 from .photon_stats import (
-    MEMORY_BUDGET_BYTES,
     CountDistribution,
     Outcome,
     ParameterError,
     ProtocolParams,
     _bracketed,
+    _check_budget,
     _checked_tail,
     _fold_into,
     _is_whole,
@@ -266,34 +266,6 @@ def _lattice_moments(present: np.ndarray, absent: np.ndarray) -> LogLikMoments |
     return None
 
 
-class _AbsentLogs:
-    """An absent table's floored logs, made when a present first needs
-    them and kept for the presents after it, whose t = None log ratios are
-    taken against them."""
-
-    def __init__(self, absent: np.ndarray) -> None:
-        self.absent = absent
-        self._log: np.ndarray | None = None
-
-    def moments(self, present: np.ndarray, last: bool = True) -> LogLikMoments:
-        """The t = None moments of present, bit for bit as
-        ``_lattice_moments(present, absent) or loglik_moments(pair)``.  A
-        present scored as the ``last`` drops the logs before it squares its
-        ratios, and so allocates what ``loglik_moments`` would: the logs,
-        its own logs, which take the ratio, and their squares.  A present
-        before it squares its ratios in place, so that no more whole tables
-        are live than there."""
-        lattice = _lattice_moments(present, self.absent)
-        if lattice is not None:
-            return lattice
-        log_a = _floored_log(self.absent) if self._log is None else self._log
-        self._log = None if last else log_a
-        ratio = _floored_log(present)
-        np.subtract(log_a, ratio, out=ratio)
-        del log_a
-        return _moments(ratio, present, self.absent, in_place=not last)
-
-
 def _fold_stack(absent: CountDistribution, t: int, presents: int) -> np.ndarray:
     """A zeroed stack of 1 + ``presents`` tables of t + 1 counts per
     detector, the absent table folded at t into the first; the presents'
@@ -303,104 +275,89 @@ def _fold_stack(absent: CountDistribution, t: int, presents: int) -> np.ndarray:
     return stack
 
 
-def _stacked_moments(stack: np.ndarray, params: list[ProtocolParams | None], t: int,
-                     present: np.ndarray | None = None, tail: float = 0.0
-                     ) -> list[LogLikMoments | None]:
+def _stacked_moments(stack: np.ndarray, params: list[ProtocolParams], t: int
+                     ) -> list[LogLikMoments]:
     """The moments of each present fold in ``stack[1:]`` against the absent
     fold ``stack[0]``, each as ``loglik_moments`` gives its folded pair, bit
-    for bit.  ``params`` holds each fold's params, absent first, or None
-    for a slot left empty, which gets None.  ``present``, an unsaturated
-    table of ``tail`` mass, is first folded into the last slot.
+    for bit; ``params`` holds each fold's params, absent first.
 
     Every fold's mass is checked, as ``apply_saturation`` checks it, from
-    one sum over the stack: the first present's, then the absent's, which
-    raise, then the others', each of which gets None where it fails.  The
-    stack is then logged with one ``np.log``, and each present's log ratio
-    and its squares are taken in its own logs."""
-    if present is not None:
-        _fold_into(stack[-1], present, tail, t)
+    one sum over the stack: the first present's, then the absent's, then
+    the others', and the first that fails raises.  The stack is then logged
+    with one ``np.log``, and each present's log ratio and its squares are
+    taken in its own logs."""
     totals = stack.reshape(len(stack), -1).sum(axis=1).tolist()
-    passed = [False] * len(stack)
     for i in (1, 0, *range(2, len(stack))):
-        if params[i] is None:
-            continue
-        try:
-            _checked_tail(params[i], stack[i], t, totals[i])
-        except (ValueError, RuntimeError):
-            if i < 2:
-                raise
-            continue
-        passed[i] = True
+        _checked_tail(params[i], stack[i], t, totals[i])
     logs = _floored_log(stack)
     moments = []
     for i in range(1, len(stack)):
-        if passed[i]:
-            np.subtract(logs[0], logs[i], out=logs[i])
-            moments.append(_moments(logs[i], stack[i], stack[0], in_place=True))
-        else:
-            moments.append(None)
+        np.subtract(logs[0], logs[i], out=logs[i])
+        moments.append(_moments(logs[i], stack[i], stack[0], in_place=True))
     return moments
 
 
 def _brightness_moments(params: list[ProtocolParams], saturations: tuple[int | None, ...]
-                        ) -> list[dict[int | None, LogLikMoments] | None]:
-    """The moments at each saturation of each params, which differ in
-    protocol and cos_theta alone, so that one absent table serves them all:
-    each equal to a build of its own, ``loglik_moments(pair.saturated(t))``
-    of ``HypothesisPair.from_params``, or at t = None ``_lattice_moments`` of
-    its tables or ``loglik_moments(pair)``, bit for bit.
+                        ) -> list[dict[int | None, LogLikMoments]]:
+    """The moments by saturation of each params, which differ in protocol
+    and cos_theta alone, so that one absent table serves them all: each
+    equal to a build of its own, ``loglik_moments(pair.saturated(t))`` of
+    ``HypothesisPair.from_params``, or at t = None ``_lattice_moments`` of
+    its tables or ``loglik_moments(pair)``, bit for bit.  One rule for a
+    failure: whatever stops any params' tables, or the memory budget of
+    their stacks together, raises, and nothing is returned
+    (``sweep._RowGroup.get`` then scores the params that asked alone).
 
-    The absent table is built once, through ``build_distribution``.  Each
-    present is then built, mass-checked and scored at t = None against the
-    absent table's shared logs (``_AbsentLogs``), one at a time.  The folds
-    at each t lie in one stack, absent first, scored at once
-    (``_stacked_moments``): each present but the last is folded into every
-    stack and dropped before the next is built, and the last, still live,
-    into each stack as it is scored, once the absent logs are dropped, so
-    that params scored alone fold and score one t at a time, as a pair of
-    their own does.  What the first params' own tables raise is raised, and
-    nothing is returned; any other params whose own table raises gets None.
-    Where the stacks of all would pass the memory budget together, the
-    first params alone are scored, and the list is theirs alone."""
-    absent = build_distribution(params[0]._with_field("xi", 0.0))
+    Where two or more params share, the budget is checked before anything
+    is built.  The absent table is built once, through
+    ``build_distribution``.  Each present is then built, mass-checked and
+    scored at t = None, one at a time: on its sub-lattice, or against the
+    absent table's floored logs, made for the first present the sub-lattice
+    refuses, kept for the presents after it and dropped before the last
+    squares its ratios.  The folds at each t lie in one stack, absent
+    first, scored at once (``_stacked_moments``): each present but the last
+    is folded into every stack and dropped before the next is built, and
+    the last, still live, into each stack as it is scored, so that params
+    scored alone fold and score one t at a time, as a pair of their own
+    does.  So no more whole tables are live than for a pair of its own."""
     folds = [t for t in saturations if t is not None]
-    if sum(_scoring_bytes(t, absent.probs.ndim, len(params)) for t in folds) > MEMORY_BUDGET_BYTES:
-        params = params[:1]
     last = len(params) - 1
+    if last:
+        _check_budget(sum(_scoring_bytes(t, params[0].protocol.detectors, len(params))
+                          for t in folds), f"scoring {len(params)} protocols at one brightness")
+    absent = build_distribution(params[0]._with_field("xi", 0.0))
     stacks = {t: _fold_stack(absent, t, len(params)) for t in folds} if last else {}
-    logs = _AbsentLogs(absent.probs) if None in saturations else None
     counts = np.arange(absent.k_max + 1.0)
-    checks = [absent.params, *params]
-    scored: list[dict | None] = []
-    present, tail = None, 0.0
+    scored: list[dict[int | None, LogLikMoments]] = [{} for _ in params]
+    log_a = None
     for i, p in enumerate(params):
-        try:
-            if p.xi == 0.0:
-                present, tail = absent.probs, absent.tail_mass
-            else:
-                present = _bracketed(p, absent.probs, counts, counts)
-                tail = _checked_tail(p, present, None)
-        except (ValueError, RuntimeError):
-            if i == 0:
-                raise
-            scored.append(None)
-            checks[i + 1] = present = None
-            continue
-        scored.append({} if logs is None else {None: logs.moments(present, i == last)})
+        if p.xi == 0.0:
+            present, tail = absent.probs, absent.tail_mass
+        else:
+            present = _bracketed(p, absent.probs, counts, counts)
+            tail = _checked_tail(p, present, None)
+        if None in saturations:
+            moments = _lattice_moments(present, absent.probs)
+            if moments is None:
+                if log_a is None:
+                    log_a = _floored_log(absent.probs)
+                ratio = _floored_log(present)
+                np.subtract(log_a, ratio, out=ratio)
+                if i == last:
+                    log_a = None
+                moments = _moments(ratio, present, absent.probs, in_place=i < last)
+                del ratio
+            scored[i][None] = moments
         if i < last:
             for t, stack in stacks.items():
                 _fold_into(stack[i + 1], present, tail, t)
             present = None
-    logs = None
+    log_a = None
     for t in folds:
-        if t in scored[0]:
-            continue  # a saturation the spec repeats
         stack = stacks.pop(t) if last else _fold_stack(absent, t, 1)
-        for i, moments in enumerate(_stacked_moments(stack, checks, t, present, tail)):
-            if moments is None:
-                scored[i] = checks[i + 1] = None
-            else:
-                scored[i][t] = moments
+        _fold_into(stack[-1], present, tail, t)
+        for by_t, moments in zip(scored, _stacked_moments(stack, [absent.params, *params], t)):
+            by_t[t] = moments
         del stack
     return scored
 

@@ -103,17 +103,20 @@ class _RowGroup:
     their ``ProtocolParams`` by (protocol, n_c), each row's made before any
     row is evaluated.  A lookup at t that misses scores its params from t
     on, for the later rows at the same brightness, so no call drives the
-    group row by row.  It scores with them every other two-detector
-    protocol's params the group holds at that n_c, which read the same
-    absent table (``_brightness_moments``): the coherent and incoherent
-    rows of a brightness, or both protocols' dark endpoint n_c = 0 where
-    they are optimized.  Each gets the bits of a build of its own.  No
-    table or exception is kept: a fold keeps the total, so params refused
-    at one t are refused at all, and a miss checks t on the protocol's
-    detectors before it builds.  Other params whose own table is refused
-    are not stored, and are scored again, alone, where a row asks for them.
-    A direct table reads only the block's xi, eta, n_e and n_i, so its
-    direct rows and baseline share one params; ``direct`` holds its N by t.
+    group row by row.  It scores with them its siblings, every other
+    two-detector protocol's params the group holds at that n_c, which read
+    the same absent table (``_brightness_moments``): the coherent and
+    incoherent rows of a brightness, or both protocols' dark endpoint
+    n_c = 0 where they are optimized.  Each gets the bits of a build of its
+    own.  One rule for a failure: whatever stops that shared call stops it
+    whole, and the params that asked are scored again alone, by the same
+    kernel with one present, so they raise what a build of their own
+    raises; nothing is stored for the siblings, which are scored where a
+    row asks for them.  No table or exception is kept: a fold keeps the
+    total, so params refused at one t are refused at all, and a miss checks
+    t on the protocol's detectors before it builds.  A direct table reads
+    only the block's xi, eta, n_e and n_i, so its direct rows and baseline
+    share one params; ``direct`` holds its N by t.
     """
 
     def __init__(self, saturations: tuple[int | None, ...]) -> None:
@@ -129,10 +132,16 @@ class _RowGroup:
                 _check_saturation(t, params.protocol.detectors)
             saturations = self.saturations[self.saturations.index(t):]
             scored = [params] + [q for q in self._siblings(params) if (q, t) not in self.moments]
-            for q, by_t in zip(scored, _brightness_moments(scored, saturations)):
-                if by_t is not None:
-                    for s in saturations:
-                        self.moments[(q, s)] = by_t[s]
+            try:
+                by_params = _brightness_moments(scored, saturations)
+            except (ValueError, RuntimeError):
+                if len(scored) == 1:
+                    raise
+                scored = [params]
+                by_params = _brightness_moments(scored, saturations)
+            for q, by_t in zip(scored, by_params):
+                for s in saturations:
+                    self.moments[(q, s)] = by_t[s]
             moments = self.moments[(params, t)]
         return moments
 
@@ -303,7 +312,8 @@ class SweepSpec:
     reference brightness, and saturation.
 
     n_i = None ties the dark counts to n_e point by point.  n_c may be an
-    explicit grid or the string "optimize"; direct rows ignore it.
+    explicit grid or the string "optimize"; direct rows ignore it.  No
+    grid axis may list a value twice ("inf" and None are one saturation).
     """
 
     protocols: tuple[str, ...] = ("direct", "coherent", "incoherent")
@@ -341,6 +351,12 @@ class SweepSpec:
             if isinstance(getattr(self, name), tuple):
                 for value in getattr(self, name):
                     _FIELD_RULES[name](name, value)
+        # a repeated value would write its rows twice
+        for name in ("protocols", "eta", "n_e", "n_i", "n_c", "saturations"):
+            values = getattr(self, name)
+            if isinstance(values, tuple) and len(set(values)) < len(values):
+                shown = list(map(_cutoff_text, values) if name == "saturations" else values)
+                raise ParameterError(f"sweep spec {name} must not repeat a value, got {shown}")
 
     def _normalize(self, name: str, convert: Callable | None = None) -> None:
         """Store a nonempty list field as a tuple of entries converted by

@@ -148,8 +148,8 @@ def _saturated_moments(pair: HypothesisPair, t: int) -> LogLikMoments:
         raise ParameterError("distribution is already saturated")
     photon_stats._check_saturation(t, pair.present.probs.ndim)
     stack = bayes._fold_stack(pair.absent, t, 1)
-    return bayes._stacked_moments(stack, [pair.absent.params, pair.present.params], t,
-                                  pair.present.probs, pair.present.tail_mass)[0]
+    photon_stats._fold_into(stack[1], pair.present.probs, pair.present.tail_mass, t)
+    return bayes._stacked_moments(stack, [pair.absent.params, pair.present.params], t)[0]
 
 
 @pytest.mark.parametrize("protocol, thresholds", [

@@ -445,6 +445,19 @@ def test_sweep_config_with_short_nc_bounds_exits_two(tmp_path, capsys):
     assert err.startswith("error:") and "nc_bounds" in err
 
 
+def test_sweep_config_with_a_repeated_saturation_exits_two(tmp_path, capsys):
+    # the shipped spec with t = 2 listed twice used to exit 0 and write
+    # every t = 2 row twice
+    doc = json.loads((Path(__file__).resolve().parents[1] / "demos" / "sweep-spec.json").read_text())
+    target = tmp_path / "rows.csv"
+    cfg = config_file(tmp_path, dict(doc, saturations=[None, 2, 2]))
+    code, out, err = run(["sweep", "--config", cfg, "-o", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: sweep spec saturations must not repeat a value, got ['inf', 2, 2]\n"
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["sweep", "--config", {"protocols": ["direct"], "saturations": [20000, 0]}],
      "saturation threshold 20000 exceeds the cap of 10000 counts per detector"),

@@ -220,9 +220,10 @@ def test_spec_normalizes_saturations_and_protocols():
 
 
 def test_spec_saturations_are_integers_or_inf():
-    spec = SweepSpec(saturations=[None, "inf", 2, "3", 4.0, np.int64(5)])
-    assert spec.saturations == (None, None, 2, 3, 4, 5)
-    assert all(type(t) is int for t in spec.saturations[2:])
+    for unbounded in (None, "inf"):
+        spec = SweepSpec(saturations=[unbounded, 2, "3", 4.0, np.int64(5)])
+        assert spec.saturations == (None, 2, 3, 4, 5)
+        assert all(type(t) is int for t in spec.saturations[1:])
     # refused, never truncated: 2.7 used to run at t = 2 and true at t = 1
     for bad in (2.7, True, "Inf", "2.5", float("inf"), [2]):
         with pytest.raises(ParameterError, match="saturation must be"):
@@ -597,8 +598,8 @@ def test_sweep_search_work(monkeypatch, name, confidences, searches, estimates):
 
 def test_figs4_work(monkeypatch):
     # figS4's absent and present tables, fold stacks, N searches, Newton
-    # estimates and params made, and its t = None scorings with those
-    # taken over the whole tables (the rest are taken on the sub-lattice):
+    # estimates and params made, and its t = None scorings, each a
+    # _lattice_moments call, with those it takes on the sub-lattice:
     # a change that adds work to the largest preset shows here.  Each
     # block's coherent and incoherent rows share the absent table of their
     # dark endpoint n_c = 0 alone, so 25 of 3 875 pairs build none.  Its
@@ -621,12 +622,11 @@ def test_figs4_work(monkeypatch):
     monkeypatch.setattr(bayes, "_newton_n", counted("estimates", bayes._newton_n))
     monkeypatch.setattr(ProtocolParams, "__post_init__",
                         counted("params", ProtocolParams.__post_init__))
-    monkeypatch.setattr(bayes._AbsentLogs, "moments",
-                        counted("unsaturated", bayes._AbsentLogs.moments))
     lattice = bayes._lattice_moments
 
     def sub_lattice(present, absent):
         moments = lattice(present, absent)
+        calls["unsaturated"] += 1
         calls["sub_lattice"] += moments is not None
         return moments
 
@@ -760,7 +760,16 @@ def test_shared_brightness_keeps_every_bit(monkeypatch):
     # a row group scores every two-detector protocol it holds at a
     # brightness from one absent table, from the t of the lookup that
     # misses on: each protocol's moments at each saturation equal a build
-    # of its own, bit for bit, whichever protocol asks and from whichever t
+    # of its own, bit for bit, whichever protocol asks and from whichever t,
+    # from one shared call
+    calls = []
+    shared = sweep_module._brightness_moments
+
+    def counted(params, saturations):
+        calls.append(len(params))
+        return shared(params, saturations)
+
+    monkeypatch.setattr(sweep_module, "_brightness_moments", counted)
     rng = np.random.default_rng(20261021)
     saturations = (None, 7, 4, 2, 1)
     k_maxes = []
@@ -769,7 +778,9 @@ def test_shared_brightness_keeps_every_bit(monkeypatch):
         first, other = block if i % 2 else block[::-1]
         group = _holding(saturations, *block)
         later = saturations[i % 3:]
+        calls.clear()
         group.get(first, later[0])
+        assert calls == [2]
         assert list(group.moments) == [(p, t) for p in (first, other) for t in later]
         for p in block:
             for t in later:
@@ -778,9 +789,12 @@ def test_shared_brightness_keeps_every_bit(monkeypatch):
     assert min(k_maxes) < 64 and max(k_maxes) > 200
     assert sum(k >= bayes._LATTICE_K_MAX for k in k_maxes) == 5
 
-    # a protocol whose own table is refused gets nothing stored; the one
-    # that asked keeps its moments, and asked for alone, the refused one
-    # raises its own exception and message, as a group of one call does
+    # a protocol whose own table is refused, or a budget that refuses both
+    # protocols' stacks together, stops the shared call whole, and the one
+    # that asked is scored alone: one shared call and one alone.  The
+    # refused protocol gets nothing stored, and asked for, it raises its
+    # own exception and message from a call of its own, as a group of one
+    # call does
     coherent, incoherent = _shared_block(rng)
     bracketed, checked = bayes._bracketed, bayes._checked_tail
 
@@ -798,36 +812,55 @@ def test_shared_brightness_keeps_every_bit(monkeypatch):
     for name, patched in (("_bracketed", refused_present), ("_checked_tail", refused_fold),
                           ("MEMORY_BUDGET_BYTES", budget)):
         with monkeypatch.context() as m:
-            m.setattr(bayes, name, patched)
+            # the budget is read where photon_stats._check_budget reads it
+            m.setattr(photon_stats if name == "MEMORY_BUDGET_BYTES" else bayes, name, patched)
             group = _holding(saturations, coherent, incoherent)
+            calls.clear()
             group.get(coherent, None)
+            assert calls == [2, 1], name
             assert list(group.moments) == [(coherent, t) for t in saturations], name
             for t in saturations:
                 assert group.moments[(coherent, t)] == _own_moments(coherent, t), (name, t)
             if name == "MEMORY_BUDGET_BYTES":
+                calls.clear()
                 assert group.get(incoherent, None) == _own_moments(incoherent, None)
+                assert calls == [1]
                 continue
             for asked in (group, _holding(saturations, incoherent),
                           sweep_module._RowGroup(saturations)):
+                calls.clear()
                 with pytest.raises(ValueError) as info:
                     asked.get(incoherent, None)
+                assert calls == [1], name
                 assert (type(info.value), str(info.value)) == (
                     (DegenerateParameterError, "incoherent bracket refused")
                     if name == "_bracketed" else (ParameterError, "incoherent fold at 4 refused"))
                 assert all(p != incoherent for p, _ in asked.moments), name
 
 
-@pytest.mark.parametrize("n_c", [(1.0, 6.0), "optimize"])
-def test_a_repeated_saturation_shares_its_brightness_as_once(n_c):
-    # a spec may list a saturation twice; the coherent and incoherent rows
-    # of a brightness still share it, and every row is the row evaluated
-    # alone, at both repeats
-    spec = tiny_spec(protocols=("coherent", "incoherent"), eta=(0.9,), n_e=(1.0,), n_c=n_c,
-                     saturations=(None, 2, 2), nc_bounds=(1e-2, 10.0))
-    rows = list(run_sweep(spec).rows)
-    assert rows == [sweep_module.evaluate_point(spec, p) for p in sweep_module.grid_points(spec)]
-    assert len(rows) == (6 if n_c == "optimize" else 12)
-    assert all(row.error is None for row in rows)
+@pytest.mark.parametrize("name, values, shown", [
+    ("saturations", [None, 2, 2], "['inf', 2, 2]"),
+    ("saturations", ["inf", None], "['inf', 'inf']"),
+    ("saturations", [2, "2", 2.0], "[2, 2, 2]"),
+    ("protocols", ["coherent", "direct", "coherent"], "['coherent', 'direct', 'coherent']"),
+    ("eta", [0.9, 0.5, 0.9], "[0.9, 0.5, 0.9]"),
+    ("n_e", [1.0, "1"], "[1.0, 1.0]"),
+    ("n_i", [0.5, 0.5], "[0.5, 0.5]"),
+    ("n_c", [6.0, 6], "[6.0, 6.0]"),
+])
+def test_spec_refuses_a_repeated_value_on_any_grid_axis(name, values, shown):
+    # a repeated value would write its rows twice: a repeated saturation
+    # once gave 12 rows for 2 protocols, 2 brightnesses and 2 saturations
+    # (the command line's refusal is in test_cli.py)
+    with pytest.raises(ParameterError) as info:
+        SweepSpec(**{name: values})
+    assert str(info.value) == f"sweep spec {name} must not repeat a value, got {shown}"
+
+
+def test_spec_bounds_keep_their_own_message():
+    # nc_bounds is no grid axis: equal bounds fail its 0 < lo < hi rule
+    with pytest.raises(ParameterError, match="nc_bounds must be two finite numbers with 0 < lo"):
+        SweepSpec(nc_bounds=(1.0, 1.0))
 
 
 def _peak_bytes(work) -> int:
