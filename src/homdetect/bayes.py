@@ -29,6 +29,7 @@ from .photon_stats import (
     _check_budget,
     _checked_tail,
     _fold_into,
+    _fold_stack,
     _is_whole,
     _scoring_bytes,
     build_distribution,
@@ -94,15 +95,10 @@ class HypothesisPair:
     @classmethod
     def from_params(cls, params: ProtocolParams) -> "HypothesisPair":
         """Build the absent table, the Poisson envelope, once and the
-        present table as it times the emitter's bracket, each with its own
-        tail check and the bits a build of its own gives; both unsaturated.
-        At xi = 0 the absent table stands for both."""
+        present table from it (``_present``), each with its own tail check
+        and the bits a build of its own gives; both unsaturated."""
         absent = build_distribution(params._with_field("xi", 0.0))
-        if params.xi == 0.0:
-            return cls(present=absent, absent=absent)
-        counts = np.arange(absent.k_max + 1.0)
-        present = CountDistribution(params, _bracketed(params, absent.probs, counts, counts))
-        return cls(present=present, absent=absent)
+        return cls(present=_present(params, absent), absent=absent)
 
     def saturated(self, t: int | None) -> "HypothesisPair":
         """The pair seen by detectors saturating at t: both tables folded
@@ -119,9 +115,20 @@ class HypothesisPair:
         """ln(lambda) for every tabulated outcome, read-only, floored so
         conclusive outcomes stay finite; an outcome dead under both
         hypotheses floors both logs alike, so it gets exactly +0.0."""
-        table = _log_ratios(self.present.probs, self.absent.probs)
+        table = _log_ratios(self.present.probs, _floored_log(self.absent.probs))
         table.setflags(write=False)
         return table
+
+
+def _present(params: ProtocolParams, absent: CountDistribution) -> CountDistribution:
+    """The present table of params made from ``absent``, the unsaturated
+    Poisson envelope at their brightness and xi = 0: the envelope times the
+    emitter's bracket, mass-checked by ``CountDistribution``, with the bits
+    of a build of its own; at xi = 0, ``absent`` itself."""
+    if params.xi == 0.0:
+        return absent
+    counts = np.arange(absent.k_max + 1.0)
+    return CountDistribution(params, _bracketed(params, absent.probs, counts, counts))
 
 
 def _floored_log(table: np.ndarray) -> np.ndarray:
@@ -130,12 +137,13 @@ def _floored_log(table: np.ndarray) -> np.ndarray:
     return np.log(out, out=out)
 
 
-def _log_ratios(present: np.ndarray, absent: np.ndarray) -> np.ndarray:
+def _log_ratios(present: np.ndarray, log_absent: np.ndarray) -> np.ndarray:
     """ln(max(pa, F)) - ln(max(pe, F)) of two aligned tables, F =
-    PROB_FLOOR, written into the present side's logs: the new table and
-    one temporary for the absent side are its only allocations."""
-    log_a, table = _floored_log(absent), _floored_log(present)
-    return np.subtract(log_a, table, out=table)
+    PROB_FLOOR, from the absent side's floored logs ``log_absent``
+    (``_floored_log``), written into the present side's logs: the new
+    table is its only allocation."""
+    table = _floored_log(present)
+    return np.subtract(log_absent, table, out=table)
 
 
 @dataclass(frozen=True)
@@ -256,7 +264,7 @@ def _lattice_moments(present: np.ndarray, absent: np.ndarray) -> LogLikMoments |
     sums = []
     for h in (2, 3):
         p, a = (np.ascontiguousarray(table[::h, ::h]) for table in (present, absent))
-        sums.append(_moments(_log_ratios(p, a), p, a, scale=h * h))
+        sums.append(_moments(_log_ratios(p, _floored_log(a)), p, a, scale=h * h))
     fine, coarse = sums
     # each moment in units of its own truth's spread
     spreads = (fine.sigma_present,) * 2 + (fine.sigma_absent,) * 2
@@ -264,15 +272,6 @@ def _lattice_moments(present: np.ndarray, absent: np.ndarray) -> LogLikMoments |
            for x, y, s in zip(astuple(fine), astuple(coarse), spreads)):
         return fine
     return None
-
-
-def _fold_stack(absent: CountDistribution, t: int, presents: int) -> np.ndarray:
-    """A zeroed stack of 1 + ``presents`` tables of t + 1 counts per
-    detector, the absent table folded at t into the first; the presents'
-    folds go into the rest, in order (``photon_stats._fold_into``)."""
-    stack = np.zeros((1 + presents,) + (t + 1,) * absent.probs.ndim)
-    _fold_into(stack[0], absent.probs, absent.tail_mass, t)
-    return stack
 
 
 def _stacked_moments(stack: np.ndarray, params: list[ProtocolParams], t: int
@@ -310,11 +309,12 @@ def _brightness_moments(params: list[ProtocolParams], saturations: tuple[int | N
 
     Where two or more params share, the budget is checked before anything
     is built.  The absent table is built once, through
-    ``build_distribution``.  Each present is then built, mass-checked and
-    scored at t = None, one at a time: on its sub-lattice, or against the
-    absent table's floored logs, made for the first present the sub-lattice
-    refuses, kept for the presents after it and dropped before the last
-    squares its ratios.  The folds at each t lie in one stack, absent
+    ``build_distribution``, and each present from it by ``_present``, one
+    at a time.  One rule scores every present at t = None: on its
+    sub-lattice, or by ``_log_ratios`` against the absent table's floored
+    logs, made for the first present the sub-lattice refuses and dropped
+    when the loop ends, each present squaring its ratios in place.  The
+    folds at each t lie in one stack (``photon_stats._fold_stack``), absent
     first, scored at once (``_stacked_moments``): each present but the last
     is folded into every stack and dropped before the next is built, and
     the last, still live, into each stack as it is scored, so that params
@@ -327,35 +327,26 @@ def _brightness_moments(params: list[ProtocolParams], saturations: tuple[int | N
                           for t in folds), f"scoring {len(params)} protocols at one brightness")
     absent = build_distribution(params[0]._with_field("xi", 0.0))
     stacks = {t: _fold_stack(absent, t, len(params)) for t in folds} if last else {}
-    counts = np.arange(absent.k_max + 1.0)
     scored: list[dict[int | None, LogLikMoments]] = [{} for _ in params]
     log_a = None
     for i, p in enumerate(params):
-        if p.xi == 0.0:
-            present, tail = absent.probs, absent.tail_mass
-        else:
-            present = _bracketed(p, absent.probs, counts, counts)
-            tail = _checked_tail(p, present, None)
+        present = _present(p, absent)
         if None in saturations:
-            moments = _lattice_moments(present, absent.probs)
+            moments = _lattice_moments(present.probs, absent.probs)
             if moments is None:
                 if log_a is None:
                     log_a = _floored_log(absent.probs)
-                ratio = _floored_log(present)
-                np.subtract(log_a, ratio, out=ratio)
-                if i == last:
-                    log_a = None
-                moments = _moments(ratio, present, absent.probs, in_place=i < last)
-                del ratio
+                moments = _moments(_log_ratios(present.probs, log_a), present.probs, absent.probs,
+                                   in_place=True)
             scored[i][None] = moments
         if i < last:
             for t, stack in stacks.items():
-                _fold_into(stack[i + 1], present, tail, t)
+                _fold_into(stack[i + 1], present.probs, present.tail_mass, t)
             present = None
     log_a = None
     for t in folds:
         stack = stacks.pop(t) if last else _fold_stack(absent, t, 1)
-        _fold_into(stack[-1], present, tail, t)
+        _fold_into(stack[-1], present.probs, present.tail_mass, t)
         for by_t, moments in zip(scored, _stacked_moments(stack, [absent.params, *params], t)):
             by_t[t] = moments
         del stack

@@ -693,14 +693,15 @@ def _parse_saturation(raw, detectors: int) -> int | None:
     return _check_saturation(t, detectors)
 
 
-def _folded(dist: CountDistribution, t: int) -> np.ndarray:
-    """``apply_saturation``'s table as a new array, before its mass check:
-    refused, before anything is allocated, for a saturated ``dist`` or a
-    threshold that ``_check_saturation`` refuses."""
-    if dist.saturation is not None:
-        raise ParameterError("distribution is already saturated")
-    _check_saturation(t, dist.probs.ndim)
-    return _fold_into(np.zeros((t + 1,) * dist.probs.ndim), dist.probs, dist.tail_mass, t)
+def _fold_stack(dist: CountDistribution, t: int, presents: int = 0) -> np.ndarray:
+    """A zeroed stack of 1 + ``presents`` tables of t + 1 counts per
+    detector, the unsaturated ``dist`` folded at t into the first, before
+    any mass check; the presents' folds go into the rest (``_fold_into``).
+    ``apply_saturation`` takes the first alone, and ``bayes`` scores every
+    present of one brightness against one absent fold this way."""
+    stack = np.zeros((1 + presents,) + (t + 1,) * dist.probs.ndim)
+    _fold_into(stack[0], dist.probs, dist.tail_mass, t)
+    return stack
 
 
 def _fold_into(out: np.ndarray, probs: np.ndarray, tail_mass: float, t: int) -> np.ndarray:
@@ -725,9 +726,13 @@ def apply_saturation(dist: CountDistribution, t: int) -> CountDistribution:
     j >= t collapses onto j = t (per detector for joint tables).  The
     distribution tail joins the top corner bin, making the result exactly
     normalized.  Saturation is applied at most once, and a threshold that
-    ``_check_saturation`` refuses raises before anything is allocated.
+    ``_check_saturation`` refuses raises before anything is allocated; the
+    fold is the one ``_fold_stack`` makes, mass-checked here.
     """
-    return CountDistribution(params=dist.params, probs=_folded(dist, t), saturation=t)
+    if dist.saturation is not None:
+        raise ParameterError("distribution is already saturated")
+    _check_saturation(t, dist.probs.ndim)
+    return CountDistribution(params=dist.params, probs=_fold_stack(dist, t)[0], saturation=t)
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:

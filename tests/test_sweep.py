@@ -10,7 +10,12 @@ import pytest
 
 from homdetect import bayes, photon_stats
 from homdetect import sweep as sweep_module
-from homdetect.bayes import HypothesesIndistinguishableError, HypothesisPair, loglik_moments
+from homdetect.bayes import (
+    HypothesesIndistinguishableError,
+    HypothesisPair,
+    loglik_moments,
+    n_for_confidence,
+)
 from homdetect.photon_stats import (
     DegenerateParameterError,
     ParameterError,
@@ -28,7 +33,7 @@ from homdetect.sweep import (
     run_sweep,
     speedup,
 )
-from mp_reference import within
+from mp_reference import reference_moments, within
 
 LOW_DIRECT = ProtocolParams(protocol=Protocol.DIRECT, xi=0.1, eta=0.8, n_e=0.02, n_i=0.02)
 HIGH_DIRECT = ProtocolParams(protocol=Protocol.DIRECT, xi=0.1, eta=0.8, n_e=1.0, n_i=1.0)
@@ -81,6 +86,62 @@ def test_saturation_reduces_information():
     # one detector scores a cutoff above two detectors' budget (t = 5179),
     # and one beyond the whole table leaves the count as it is
     assert n_two_sigma(LOW_DIRECT, 6000) == n_two_sigma(LOW_DIRECT)
+
+
+def test_two_detector_cutoff_above_the_table_leaves_n():
+    # a two-detector fold at a t above the table's k_max pads the table with
+    # empty counts and puts its untabulated mass in the corner, so it gives
+    # the unsaturated N: on seeded coherent and incoherent pairs of k_max
+    # 20-255, one count and nine counts above the table
+    rng = np.random.default_rng(20261023)
+    k_maxes = []
+    for i in range(40):
+        params = ProtocolParams(
+            protocol=(Protocol.COHERENT_HOM, Protocol.INCOHERENT_HOM)[i % 2],
+            xi=rng.uniform(0.05, 0.5), eta=rng.uniform(0.3, 1.0), epsilon=rng.uniform(0.5, 1.0),
+            n_c=10.0 ** rng.uniform(-1.0, 2.5), n_e=10.0 ** rng.uniform(-2.0, 1.0),
+            n_i=rng.uniform(), cos_theta=rng.uniform(-1.0, 1.0))
+        k_max = HypothesisPair.from_params(params).present.k_max
+        k_maxes.append(k_max)
+        assert n_two_sigma(params, k_max + 1) == n_two_sigma(params, k_max + 9) == \
+            n_two_sigma(params), params
+    assert min(k_maxes) == 20 and max(k_maxes) > 250
+
+
+# fig2a's rows at n_e = n_i = 10 whose shipped N is not the N of the
+# 40-digit moments: (protocol, t) -> (shipped N, 40-digit N)
+_FIG2A_OFF_N = {
+    ("direct", 1): (238_790_328_407, 238_790_327_421),
+    ("direct", 2): (13_259_441_846, 13_259_441_848),
+    ("incoherent", 1): (41_742_444_795, 41_742_444_746),
+}
+
+
+def test_fig2_saturated_and_direct_rows_ship_the_40_digit_n():
+    # every saturated row and every direct baseline of fig2a and fig2b, 212
+    # rows at their shipped n_c, ships n_for_confidence of the 40-digit
+    # moments (tests/mp_reference.py), but for the three fig2a rows above,
+    # pinned with both values.  There a dim emitter on a bright background
+    # leaves P ~ A in every fold cell, so each mean is a sum of differences
+    # of nearly equal logs: direct at t = 1 has mu_present 3.9e-17 off,
+    # absolute, and its spread 7e-15, relative.  The shipped N rest on
+    # numpy's SIMD loops, so this test stays out of the no-AVX-512 selection
+    off, checked = {}, 0
+    for name in ("fig2a", "fig2b"):
+        spec = preset(name)
+        for row in run_sweep(spec).rows:
+            if row.t is None and row.protocol != "direct":
+                continue
+            params = ProtocolParams(protocol=row.protocol, xi=spec.xi, eta=row.eta,
+                                    epsilon=spec.epsilon, n_c=row.n_c, n_e=row.n_e, n_i=row.n_i,
+                                    cos_theta=spec.cos_theta)
+            reference = reference_moments(params, photon_stats._table_k_max(params), row.t)
+            n = n_for_confidence(TWO_SIGMA, reference)
+            checked += 1
+            if n != row.n_2sigma:
+                off[(name, row.protocol, row.n_e, row.t)] = (row.n_2sigma, n)
+    assert checked == 212
+    assert off == {("fig2a", protocol, 10.0, t): ns for (protocol, t), ns in _FIG2A_OFF_N.items()}
 
 
 BRIGHT = ProtocolParams(protocol=Protocol.COHERENT_HOM, xi=0.1, eta=0.99, epsilon=0.9,
