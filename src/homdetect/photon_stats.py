@@ -23,7 +23,6 @@ import itertools
 import json
 import math
 import numbers
-import operator
 import os
 import stat
 import sys
@@ -133,7 +132,6 @@ _FIELD_RULES = {
     "n_c": _mean_count, "n_e": _mean_count, "n_i": _mean_count,
     "cos_theta": _cosine,
 }
-_numeric_fields = operator.itemgetter(*_FIELD_RULES)
 
 
 @dataclass(frozen=True)
@@ -171,22 +169,6 @@ class ProtocolParams:
             object.__setattr__(self, "cos_theta", 0.0)
         _check_means(self)
 
-    def __hash__(self) -> int:
-        """Worked out on first use and kept: a sweep looks its params up
-        once a row.  Equal params have equal numeric fields, so those alone
-        are hashed."""
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = self.__dict__["_hash"] = hash(_numeric_fields(self.__dict__))
-        return cached
-
-    def __getstate__(self) -> dict:
-        """The fields without the kept hash, which a copy or a pickle works
-        out again: a float's hash differs between 32- and 64-bit builds."""
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
-
     def _with_field(self, name: str, value) -> "ProtocolParams":
         """This parameter set with one numeric field changed, as
         ``dataclasses.replace`` gives it; only the new value is checked,
@@ -197,7 +179,6 @@ class ProtocolParams:
         varied = object.__new__(type(self))
         varied.__dict__.update(self.__dict__)
         varied.__dict__[name] = value
-        varied.__dict__.pop("_hash", None)
         return _check_means(varied)
 
     def to_dict(self) -> dict:

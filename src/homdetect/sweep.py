@@ -99,11 +99,12 @@ class _RowGroup:
     """The one store of per-brightness work in a sweep.
 
     A sweep keeps one per (eta, n_e, n_i) block, for every protocol's rows
-    there: ``moments`` holds their moments by (params, t), and ``params``
-    their ``ProtocolParams`` by (protocol, n_c), each row's made before any
-    row is evaluated.  A lookup at t that misses scores its params from t
-    on, for the later rows at the same brightness, so no call drives the
-    group row by row.  It scores with them its siblings, every other
+    there, and a group serves that one block alone: its params differ only
+    in protocol and n_c, so ``params`` holds them by (protocol, n_c), each
+    row's made before any row is evaluated, and ``moments`` their moments
+    by (protocol, n_c, t).  A lookup at t that misses scores its params
+    from t on, for the later rows at the same brightness, so no call drives
+    the group row by row.  It scores with them its siblings, every other
     two-detector protocol's params the group holds at that n_c, which read
     the same absent table (``_brightness_moments``): the coherent and
     incoherent rows of a brightness, or both protocols' dark endpoint
@@ -116,22 +117,23 @@ class _RowGroup:
     total, so params refused at one t are refused at all, and a miss checks
     t on the protocol's detectors before it builds.  A direct table reads
     only the block's xi, eta, n_e and n_i, so its direct rows and baseline
-    share one params; ``direct`` holds its N by t.
+    share one params, at n_c = 0; ``direct`` holds its N by t.
     """
 
     def __init__(self, saturations: tuple[int | None, ...]) -> None:
         self.saturations = saturations
-        self.moments: dict[tuple[ProtocolParams, int | None], LogLikMoments] = {}
+        self.moments: dict[tuple[str, float, int | None], LogLikMoments] = {}
         self.params: dict[tuple[str, float], ProtocolParams] = {}
         self.direct: dict[int | None, int] = {}
 
     def get(self, params: ProtocolParams, t: int | None) -> LogLikMoments:
-        moments = self.moments.get((params, t))
+        moments = self.moments.get((params.protocol.value, params.n_c, t))
         if moments is None:
             if t is not None:
                 _check_saturation(t, params.protocol.detectors)
             saturations = self.saturations[self.saturations.index(t):]
-            scored = [params] + [q for q in self._siblings(params) if (q, t) not in self.moments]
+            scored = [params] + [q for q in self._siblings(params)
+                                 if (q.protocol.value, q.n_c, t) not in self.moments]
             try:
                 by_params = _brightness_moments(scored, saturations)
             except (ValueError, RuntimeError):
@@ -141,8 +143,8 @@ class _RowGroup:
                 by_params = _brightness_moments(scored, saturations)
             for q, by_t in zip(scored, by_params):
                 for s in saturations:
-                    self.moments[(q, s)] = by_t[s]
-            moments = self.moments[(params, t)]
+                    self.moments[(q.protocol.value, q.n_c, s)] = by_t[s]
+            moments = self.moments[(params.protocol.value, params.n_c, t)]
         return moments
 
     def _siblings(self, params: ProtocolParams) -> list[ProtocolParams]:
@@ -190,7 +192,8 @@ def _direct_n(params: ProtocolParams, t: int | None, c_target: float) -> int:
         key = (Protocol.DIRECT.value, 0.0)
         if key not in group.params:
             group.params[key] = ProtocolParams(protocol=Protocol.DIRECT, xi=params.xi,
-                                               eta=params.eta, n_e=params.n_e, n_i=params.n_i)
+                                               eta=params.eta, n_c=0.0, n_e=params.n_e,
+                                               n_i=params.n_i)
         group.direct[t] = n_two_sigma(group.params[key], t, c_target)
     return group.direct[t]
 

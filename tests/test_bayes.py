@@ -111,6 +111,7 @@ def test_from_params_builds_one_envelope(protocol, monkeypatch):
         assert pair.present.params == params and pair.present.saturation == saturation
 
 
+@pytest.mark.simd_free
 @pytest.mark.parametrize("saturation", [None, 2])
 @pytest.mark.parametrize("protocol", list(Protocol))
 def test_pair_tables_equal_standalone_builds(protocol, saturation):
@@ -184,6 +185,7 @@ def _seeded_params(rng, protocol):
     )
 
 
+@pytest.mark.simd_free
 @pytest.mark.parametrize("protocol", list(Protocol))
 def test_saturated_moments_keeps_every_bit(protocol):
     # scoring a fold from its arrays gives the four floats of the folded
@@ -470,6 +472,7 @@ def _check_moments_by_summation(pair):
     assert m.sigma_absent == pytest.approx(s_a, rel=1e-12)
 
 
+@pytest.mark.simd_free
 def test_moments_within_the_40_digit_referee():
     # the whole-table moments and every sub-lattice result the check accepts
     # lie within bayes._LATTICE_TOL (means in units of their spread, spreads
@@ -518,6 +521,7 @@ _FOLD_SPREAD_FLOOR = 1e-9
 _FOLD_SPREAD_NOISE = 1e-21
 
 
+@pytest.mark.simd_free
 def test_folded_and_direct_moments_within_the_40_digit_referee():
     # seeded two-detector pairs of k_max 20-394 folded at t = 1, 2 and 4,
     # and direct pairs unsaturated and folded, scored as loglik_moments
@@ -875,6 +879,7 @@ def test_n_search_keeps_the_cap_refusal():
     assert refused >= 27 and found >= 27
 
 
+@pytest.mark.simd_free
 def test_n_search_beyond_two_to_the_53_keeps_every_bit(monkeypatch):
     # past 2^53 an integer is no longer always a float: the integer search
     # halves on the integers, each read at its nearest float, and N from

@@ -331,6 +331,7 @@ def _table_or_message(table, cfg, j_max, k_max):
         return str(exc)
 
 
+@pytest.mark.simd_free
 def test_oracle_table_keeps_every_bit_of_the_per_phase_oracle():
     # the bench compares the argmax cell of 1e-18 to 1e-15 noise, so the
     # table must keep its bits, not only its values; the basis, the
@@ -379,6 +380,7 @@ def test_oracle_table_keeps_every_bit_of_the_per_phase_oracle():
     assert tables > 250 and messages > 20
 
 
+@pytest.mark.simd_free
 @pytest.mark.parametrize("stack_bytes", [fock_oracle.STACK_BYTES, 4096])
 def test_background_convolution_keeps_every_bit_of_the_slice_updates(monkeypatch, stack_bytes):
     # 300 tables at the default 11 x 11, where one stack holds every term,

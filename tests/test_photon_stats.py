@@ -151,9 +151,9 @@ def test_one_field_variant_matches_replace(protocol):
 
 @pytest.mark.parametrize("protocol", list(Protocol))
 def test_equal_params_hash_alike_however_made(protocol):
-    # a set keeps its hash once worked out, and a variant made from a
-    # hashed set must not carry that hash: made by the constructor,
-    # _with_field or replace, equal sets hash alike and find each other
+    # a variant made from a hashed set hashes by its own fields: made by
+    # the constructor, _with_field or replace, equal sets hash alike and
+    # find each other
     base = ProtocolParams(protocol, xi=0.2, eta=0.8, epsilon=0.9, n_c=3.0, n_e=0.4, n_i=0.1,
                           cos_theta=0.7)
     hash(base)
@@ -167,17 +167,12 @@ def test_equal_params_hash_alike_however_made(protocol):
     assert hash(ProtocolParams(protocol, n_c=-0.0)) == hash(ProtocolParams(protocol, n_c=0.0))
 
 
-def test_a_kept_hash_holds_in_another_process():
-    # only the numeric fields are hashed, and a float's hash does not
-    # depend on the process's string-hash seed, as a protocol name's does;
-    # a copy or a pickle leaves the kept hash out, as another build's
-    # float hash may differ, and works it out again
+def test_a_copied_or_pickled_set_is_found_in_another_process():
+    # a copy or a pickle equals the set and hashes alike, and a pickle
+    # finds an equal set made in a process of another string-hash seed
     params = hom_params(xi=0.3, n_c=2.5)
-    hash(params)
     for made in (pickle.loads(pickle.dumps(params)), copy.copy(params), copy.deepcopy(params)):
-        assert "_hash" not in made.__dict__ and made == params
-        assert hash(made) == hash(params) and "_hash" in made.__dict__
-    assert "_hash" in params.__dict__
+        assert made == params and hash(made) == hash(params)
     code = ("import pickle, sys; from homdetect.photon_stats import ProtocolParams as P; "
             "p = pickle.load(sys.stdin.buffer); "
             "print({p: 'found'}.get(P('coherent', xi=0.3, eta=p.eta, epsilon=p.epsilon, "

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -88,6 +89,7 @@ def test_saturation_reduces_information():
     assert n_two_sigma(LOW_DIRECT, 6000) == n_two_sigma(LOW_DIRECT)
 
 
+@pytest.mark.simd_free
 def test_two_detector_cutoff_above_the_table_leaves_n():
     # a two-detector fold at a t above the table's k_max pads the table with
     # empty counts and puts its untabulated mass in the corner, so it gives
@@ -142,6 +144,56 @@ def test_fig2_saturated_and_direct_rows_ship_the_40_digit_n():
                 off[(name, row.protocol, row.n_e, row.t)] = (row.n_2sigma, n)
     assert checked == 212
     assert off == {("fig2a", protocol, 10.0, t): ns for (protocol, t), ns in _FIG2A_OFF_N.items()}
+
+
+# the direct baselines of fig3c and figS4 at n_e = n_i = 10 whose N is not
+# the N of the 40-digit moments: (eta, t) -> (shipped N, 40-digit N); fig3c
+# ships each, and figS4 those at t = 2
+_DIRECT_OFF_N = {
+    (0.5, 1): (14_474_864_038, 14_474_864_040),
+    (0.8, 1): (111_780_567_733, 111_780_567_200),
+    (0.8, 2): (6_568_595_259, 6_568_595_254),
+    (0.9, 1): _FIG2A_OFF_N[("direct", 1)],
+    (0.9, 2): _FIG2A_OFF_N[("direct", 2)],
+    (0.95, 1): (352_390_509_302, 352_390_514_698),
+    (0.95, 2): (19_043_019_980, 19_043_019_969),
+    (0.99, 1): (483_028_623_219, 483_028_603_504),
+    (0.99, 2): (25_554_758_192, 25_554_758_125),
+}
+
+
+def test_fig3c_and_figs4_direct_baselines_ship_the_40_digit_n():
+    # every direct baseline of fig3c and figS4, 125 (eta, n_e, t) points,
+    # is n_for_confidence of the 40-digit moments, but for the points
+    # above, pinned with both values (fig2a's direct rows at eta 0.9 among
+    # them).  Each row's pinned speedup x N (tests/preset_columns) gives
+    # its block's baseline.  The shipped N rest on numpy's SIMD loops, so
+    # this test stays out of the no-AVX-512 selection
+    off, checked = {}, 0
+    for name in ("fig3c", "figS4"):
+        spec = preset(name)
+        baselines = {}
+        for eta in spec.eta:
+            for n_e in spec.n_e:
+                params = ProtocolParams(protocol="direct", xi=spec.xi, eta=eta, n_c=0.0, n_e=n_e,
+                                        n_i=n_e)
+                k_max = photon_stats._table_k_max(params)
+                for t in spec.saturations:
+                    n = baselines[(eta, n_e, t)] = n_two_sigma(params, t)
+                    reference = n_for_confidence(TWO_SIGMA, reference_moments(params, k_max, t))
+                    checked += 1
+                    if n != reference:
+                        off[(name, eta, n_e, t)] = (n, reference)
+        with open(os.path.join(os.path.dirname(__file__), "preset_columns", f"{name}.csv")) as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+        points = sweep_module.grid_points(spec)
+        assert len(rows) == len(points), name
+        for (_, eta, n_e, _, t, _), (_, _, n, ratio, _) in zip(points, rows):
+            assert round(float(ratio) * int(n)) == baselines[(eta, n_e, t)], (name, eta, n_e, t)
+    assert checked == 125
+    assert off == {(name, eta, 10.0, t): ns for name in ("fig3c", "figS4")
+                   for (eta, t), ns in _DIRECT_OFF_N.items() if t in preset(name).saturations}
+    assert len(off) == 13
 
 
 BRIGHT = ProtocolParams(protocol=Protocol.COHERENT_HOM, xi=0.1, eta=0.99, epsilon=0.9,
@@ -623,6 +675,7 @@ def test_sweep_makes_one_params_per_brightness(monkeypatch, name, expected):
     assert len(made) == expected
 
 
+@pytest.mark.simd_free
 @pytest.mark.parametrize("name, confidences, searches, estimates", [
     ("fig2a", 312, 156, 156),
     ("fig2b", 216, 108, 108),
@@ -657,6 +710,7 @@ def test_sweep_search_work(monkeypatch, name, confidences, searches, estimates):
         assert calls["confidences"] == confidences
 
 
+@pytest.mark.simd_free
 def test_figs4_work(monkeypatch):
     # figS4's absent and present tables, fold stacks, N searches, Newton
     # estimates and params made, and its t = None scorings, each a
@@ -701,6 +755,12 @@ def test_figs4_work(monkeypatch):
     assert (calls["unsaturated"], calls["sub_lattice"]) == (3245, 483)
 
 
+def _key(params: ProtocolParams, t: int | None) -> tuple:
+    """The key of params' moments at t in the row group of their block."""
+    return (params.protocol.value, params.n_c, t)
+
+
+@pytest.mark.simd_free
 @pytest.mark.parametrize("protocol", list(Protocol))
 def test_row_group_scoring_keeps_every_bit(protocol):
     # a miss at t scores t and every later saturation, and no earlier one,
@@ -715,10 +775,10 @@ def test_row_group_scoring_keeps_every_bit(protocol):
                                 cos_theta=rng.uniform(-1.0, 1.0))
         group = sweep_module._RowGroup(saturations)
         group.get(params, saturations[i % 2])
-        assert list(group.moments) == [(params, t) for t in saturations[i % 2:]]
+        assert list(group.moments) == [_key(params, t) for t in saturations[i % 2:]]
         pair = HypothesisPair.from_params(params)
         for t in saturations[i % 2:]:
-            assert group.moments[(params, t)] == loglik_moments(pair.saturated(t)), (params, t)
+            assert group.moments[_key(params, t)] == loglik_moments(pair.saturated(t)), (params, t)
 
 
 def _params_at_k_max(rng, k_max: int) -> ProtocolParams:
@@ -735,6 +795,7 @@ def _params_at_k_max(rng, k_max: int) -> ProtocolParams:
                           cos_theta=rng.choice([1.0, rng.uniform(-1.0, 1.0)]) if coherent else 0.0)
 
 
+@pytest.mark.simd_free
 def test_row_group_scores_bright_pairs_on_a_checked_sub_lattice(monkeypatch):
     # a two-detector pair of k_max >= bayes._LATTICE_K_MAX has its t = None
     # moments taken over every second count where they agree with every
@@ -778,7 +839,7 @@ def test_row_group_scores_bright_pairs_on_a_checked_sub_lattice(monkeypatch):
             assert verdict == "refused", params
         assert expected in (None, verdict), params
         for t in saturations[1:]:
-            assert group.moments[(params, t)] == whole(pair.saturated(t)), (params, t)
+            assert group.moments[_key(params, t)] == whole(pair.saturated(t)), (params, t)
         verdicts.append((pair.present.k_max, verdict))
     # the seeded pairs span small tables, and bright ones both refused and
     # accepted by the check
@@ -817,6 +878,7 @@ def _holding(saturations, *params) -> "sweep_module._RowGroup":
     return group
 
 
+@pytest.mark.simd_free
 def test_shared_brightness_keeps_every_bit(monkeypatch):
     # a row group scores every two-detector protocol it holds at a
     # brightness from one absent table, from the t of the lookup that
@@ -842,10 +904,10 @@ def test_shared_brightness_keeps_every_bit(monkeypatch):
         calls.clear()
         group.get(first, later[0])
         assert calls == [2]
-        assert list(group.moments) == [(p, t) for p in (first, other) for t in later]
+        assert list(group.moments) == [_key(p, t) for p in (first, other) for t in later]
         for p in block:
             for t in later:
-                assert group.moments[(p, t)] == _own_moments(p, t), (p, t)
+                assert group.moments[_key(p, t)] == _own_moments(p, t), (p, t)
         k_maxes.append(HypothesisPair.from_params(first).present.k_max)
     assert min(k_maxes) < 64 and max(k_maxes) > 200
     assert sum(k >= bayes._LATTICE_K_MAX for k in k_maxes) == 5
@@ -879,9 +941,9 @@ def test_shared_brightness_keeps_every_bit(monkeypatch):
             calls.clear()
             group.get(coherent, None)
             assert calls == [2, 1], name
-            assert list(group.moments) == [(coherent, t) for t in saturations], name
+            assert list(group.moments) == [_key(coherent, t) for t in saturations], name
             for t in saturations:
-                assert group.moments[(coherent, t)] == _own_moments(coherent, t), (name, t)
+                assert group.moments[_key(coherent, t)] == _own_moments(coherent, t), (name, t)
             if name == "MEMORY_BUDGET_BYTES":
                 calls.clear()
                 assert group.get(incoherent, None) == _own_moments(incoherent, None)
@@ -896,7 +958,7 @@ def test_shared_brightness_keeps_every_bit(monkeypatch):
                 assert (type(info.value), str(info.value)) == (
                     (DegenerateParameterError, "incoherent bracket refused")
                     if name == "_bracketed" else (ParameterError, "incoherent fold at 4 refused"))
-                assert all(p != incoherent for p, _ in asked.moments), name
+                assert all(protocol != "incoherent" for protocol, _, _ in asked.moments), name
 
 
 @pytest.mark.parametrize("name, values, shown", [
